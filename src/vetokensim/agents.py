@@ -28,7 +28,7 @@ seed) always yield identical actions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AgentError
@@ -76,8 +76,14 @@ class AgentSpec:
     noise: float = 0.0
     exogenous_weights: tuple[tuple[int, float], ...] = ()
     tol: float = 1e-9
+    # epoch -> schedule entries due then, in schedule order; built once here
+    schedule_by_epoch: dict[int, list[LockEntry]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        by_epoch: dict[int, list[LockEntry]] = {}
+        for entry in self.lock_schedule:
+            by_epoch.setdefault(entry.epoch, []).append(entry)
+        object.__setattr__(self, "schedule_by_epoch", by_epoch)
         if self.strategy not in STRATEGIES:
             raise AgentError(f"unknown strategy {self.strategy!r} for {self.account}")
         if not 0.0 <= self.noise <= 1.0:
@@ -201,10 +207,6 @@ def _to_ballot(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(mapping.items()))
 
 
-def _planned_entries(spec: AgentSpec, epoch: int):
-    return [entry for entry in spec.lock_schedule if entry.epoch == epoch]
-
-
 def _usd_to_units(usd: float, price: float) -> int:
     if price <= 0:
         raise AgentError(f"cannot convert USD at non-positive price {price}")
@@ -214,23 +216,22 @@ def _usd_to_units(usd: float, price: float) -> int:
 def decide(spec: AgentSpec, obs: Observation) -> list:
     """Pure strategy evaluation: (spec, observation) -> ordered action list."""
     actions: list = []
-    gov_added = Fraction(0)
-    base_added = Fraction(0)
-    for entry in _planned_entries(spec, obs.epoch):
+    # added weight as integer numerators over each escrow's max_lock_weeks * ONE
+    gov_added = 0
+    base_added = 0
+    for entry in spec.schedule_by_epoch.get(obs.epoch, ()):
         if entry.kind == "deposit":
             actions.append(DepositAction(entry.amount))
             continue
         unlock = obs.epoch + entry.weeks
         actions.append(LockAction(entry.kind, entry.amount, unlock))
         if entry.kind == "gov":
-            remaining = max(0, unlock - obs.round_close_epoch)
-            gov_added += Fraction(entry.amount * remaining, obs.gov_max_lock_weeks * ONE)
+            gov_added += entry.amount * max(0, unlock - obs.round_close_epoch)
         else:
-            remaining = max(0, unlock - obs.epoch)
-            base_added += Fraction(entry.amount * remaining, obs.base_max_lock_weeks * ONE)
+            base_added += entry.amount * max(0, unlock - obs.epoch)
 
-    gov_weight = obs.own_gov_weight_at_close + float(gov_added)
-    base_weight = obs.own_base_weight + float(base_added)
+    gov_weight = obs.own_gov_weight_at_close + gov_added / (obs.gov_max_lock_weeks * ONE)
+    base_weight = obs.own_base_weight + base_added / (obs.base_max_lock_weeks * ONE)
     positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
 
     if spec.strategy == "PassiveLocker":

@@ -22,21 +22,54 @@ from .ledger import Ledger, check_amount
 
 @dataclass
 class MetaRound:
+    """One meta-governance round.
+
+    The tally is kept as integer numerators: ``counted_num`` over
+    ``weight_den`` (the governance escrow's weight denominator) and the
+    per-gauge cuts ``weight * bps`` over ``cut_den``.  The Fraction-valued
+    properties are read-only views for callers that want exact weights.
+    """
+
     round_id: int
     open_epoch: int
     close_epoch: int
     ballots: dict[str, dict[int, int]] = field(default_factory=dict)
     result: dict[int, Fraction] | None = None
-    tally: dict[int, Fraction] | None = None
-    tally_total: Fraction | None = None
-    counted_weight: dict[str, Fraction] | None = None
-    voter_gauge_weight: dict[str, dict[int, Fraction]] | None = None
+    weight_den: int = 1
+    counted_num: dict[str, int] | None = None
+    voter_gauge_num: dict[str, dict[int, int]] | None = None
+    tally_num: dict[int, int] | None = None
     total_gov_weight: Fraction | None = None
     base_allocation: dict[int, int] | None = None
 
     @property
     def finalized(self) -> bool:
         return self.result is not None
+
+    @property
+    def cut_den(self) -> int:
+        return self.weight_den * BPS
+
+    @property
+    def counted_weight(self) -> dict[str, Fraction] | None:
+        if self.counted_num is None:
+            return None
+        return {v: Fraction(n, self.weight_den) for v, n in self.counted_num.items()}
+
+    @property
+    def voter_gauge_weight(self) -> dict[str, dict[int, Fraction]] | None:
+        if self.voter_gauge_num is None:
+            return None
+        return {
+            v: {g: Fraction(n, self.cut_den) for g, n in per.items()}
+            for v, per in self.voter_gauge_num.items()
+        }
+
+    @property
+    def tally(self) -> dict[int, Fraction] | None:
+        if self.tally_num is None:
+            return None
+        return {g: Fraction(n, self.cut_den) for g, n in self.tally_num.items()}
 
 
 class Aggregator:
@@ -128,21 +161,13 @@ class Aggregator:
             )
         self.delegations[from_account] = to_account
 
-    def _incoming_weight(self, account: str, epoch: int) -> Fraction:
+    def _incoming_num(self, account: str, epoch: int) -> int:
+        """Weight numerator delegated to ``account`` by its delegators."""
         return sum(
-            (
-                self.gov_escrow.voting_weight(delegator, epoch)
-                for delegator, target in self.delegations.items()
-                if target == account
-            ),
-            Fraction(0),
+            self.gov_escrow.weight_numerator(delegator, epoch)
+            for delegator, target in self.delegations.items()
+            if target == account
         )
-
-    def counted_gov_weight(self, account: str, epoch: int) -> Fraction:
-        """Weight a ballot by this account would carry: own plus delegated-in."""
-        if account in self.delegations:
-            return Fraction(0)
-        return self.gov_escrow.voting_weight(account, epoch) + self._incoming_weight(account, epoch)
 
     # -- voting ----------------------------------------------------------------
 
@@ -153,8 +178,8 @@ class Aggregator:
         if now < rnd.open_epoch:
             raise AggregatorError(f"round {round_id} has not opened yet")
         cleaned = self.controller.check_allocation(allocation)
-        own = self.gov_escrow.voting_weight(voter, rnd.close_epoch)
-        if own == 0 and self._incoming_weight(voter, rnd.close_epoch) == 0:
+        own = self.gov_escrow.weight_numerator(voter, rnd.close_epoch)
+        if own == 0 and self._incoming_num(voter, rnd.close_epoch) == 0:
             raise AggregatorError(f"{voter} has no governance weight at epoch {rnd.close_epoch}")
         rnd.ballots[voter] = cleaned
 
@@ -170,34 +195,35 @@ class Aggregator:
         if now < rnd.close_epoch:
             raise AggregatorError(f"round {round_id} is still open until epoch {rnd.close_epoch}")
         close = rnd.close_epoch
-        counted: dict[str, Fraction] = {}
-        voter_gauge_weight: dict[str, dict[int, Fraction]] = {}
-        tally: dict[int, Fraction] = {}
+        counted: dict[str, int] = {}
+        voter_gauge_num: dict[str, dict[int, int]] = {}
+        tally: dict[int, int] = {}
         for voter in sorted(rnd.ballots):
             if voter in self.delegations:
                 continue  # delegated away: own ballot is ignored
-            weight = self.counted_gov_weight(voter, close)
+            # own plus delegated-in weight
+            weight = self.gov_escrow.weight_numerator(voter, close) + self._incoming_num(voter, close)
             ballot = rnd.ballots[voter]
             if weight == 0 or not ballot:
                 continue
             counted[voter] = weight
-            per_gauge = {g: weight * Fraction(bps, BPS) for g, bps in ballot.items()}
-            voter_gauge_weight[voter] = per_gauge
+            per_gauge = {g: weight * bps for g, bps in ballot.items()}
+            voter_gauge_num[voter] = per_gauge
             for g, cut in per_gauge.items():
-                tally[g] = tally.get(g, Fraction(0)) + cut
-        total = sum(tally.values(), Fraction(0))
-        rnd.counted_weight = counted
-        rnd.voter_gauge_weight = voter_gauge_weight
-        rnd.tally = tally
-        rnd.tally_total = total
+                tally[g] = tally.get(g, 0) + cut
+        total = sum(tally.values())
+        rnd.weight_den = self.gov_escrow.weight_denominator
+        rnd.counted_num = counted
+        rnd.voter_gauge_num = voter_gauge_num
+        rnd.tally_num = tally
         rnd.total_gov_weight = self.gov_escrow.total_voting_weight(close)
         if total == 0:
             rnd.result = {}
             return {}, None
-        rnd.result = {g: cut / total for g, cut in tally.items()}
-        allocation = shares_to_bps(rnd.result)
+        rnd.result = {g: Fraction(cut, total) for g, cut in tally.items()}
+        allocation = shares_to_bps(tally)
         rnd.base_allocation = allocation
-        if self.base_escrow.voting_weight(self.protocol_account, now) > 0:
+        if self.base_escrow.weight_numerator(self.protocol_account, now) > 0:
             self.controller.vote_for_gauge_weights(
                 self.protocol_account, sorted(allocation.items()), now
             )

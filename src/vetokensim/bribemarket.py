@@ -45,15 +45,18 @@ class RoundSettlement:
     gauges: dict[int, GaugeSettlement] = field(default_factory=dict)
 
 
-def _prorata(total: int, weights: dict[str, Fraction]) -> dict[str, int]:
-    """Split an integer amount by weight, exactly (largest remainder, id ties)."""
-    grand = sum(weights.values(), Fraction(0))
+def _prorata(total: int, weights: dict[str, int]) -> dict[str, int]:
+    """Split an integer amount by integer weight, exactly (largest remainder, id ties).
+
+    Every quota ``total * w / grand`` shares the denominator ``grand``, so its
+    floor and fractional part are the quotient and remainder of one divmod.
+    """
+    grand = sum(weights.values())
     floors: dict[str, int] = {}
-    remainders: list[tuple[Fraction, str]] = []
+    remainders: list[tuple[int, str]] = []
     for who in sorted(weights):
-        quota = total * weights[who] / grand
-        floors[who] = int(quota)
-        remainders.append((quota - floors[who], who))
+        floors[who], remainder = divmod(total * weights[who], grand)
+        remainders.append((remainder, who))
     leftover = total - sum(floors.values())
     for _, who in sorted(remainders, key=lambda item: (-item[0], item[1]))[:leftover]:
         floors[who] += 1
@@ -109,12 +112,14 @@ class BribeMarket:
 
     def _settle_gauge(self, rnd, gauge_id: int, gs: GaugeSettlement) -> None:
         close = rnd.close_epoch
+        # integer cuts over rnd.cut_den
         voters = {
             voter: per_gauge[gauge_id]
-            for voter, per_gauge in rnd.voter_gauge_weight.items()
-            if per_gauge.get(gauge_id, Fraction(0)) > 0
+            for voter, per_gauge in rnd.voter_gauge_num.items()
+            if per_gauge.get(gauge_id, 0) > 0
         }
-        gs.vote_weight = sum(voters.values(), Fraction(0))
+        vote_num = sum(voters.values())
+        gs.vote_weight = Fraction(vote_num, rnd.cut_den)
         gs.bribe_usd = sum(
             self.prices.usd_value(token, amount, close) for token, amount in sorted(gs.deposits.items())
         )
@@ -122,14 +127,14 @@ class BribeMarket:
             briber: sum(self.prices.usd_value(t, a, close) for t, a in sorted(tokens.items()))
             for briber, tokens in sorted(gs.deposits_by_briber.items())
         }
-        if gs.vote_weight == 0:
+        if vote_num == 0:
             # nobody voted for the bribed gauge: return every deposit
             for briber, tokens in sorted(gs.deposits_by_briber.items()):
                 for token, amount in sorted(tokens.items()):
                     self.ledger.transfer(token, self.escrow_account, briber, amount)
                     gs.refunds.setdefault(briber, {})[token] = amount
             return
-        gs.usd_per_vote = gs.bribe_usd / float(gs.vote_weight)
+        gs.usd_per_vote = gs.bribe_usd / (vote_num / rnd.cut_den)
         for token, total in sorted(gs.deposits.items()):
             for voter, cut in _prorata(total, voters).items():
                 if cut == 0:
@@ -148,7 +153,6 @@ class BribeMarket:
             return gs.usd_per_vote
         # no bribes on this gauge: zero dollars per vote if anyone voted for it
         rnd = self.aggregator._require_round(round_id)
-        weight = rnd.tally.get(gauge_id, Fraction(0)) if rnd.tally else Fraction(0)
-        if weight == 0:
+        if not rnd.tally_num or rnd.tally_num.get(gauge_id, 0) == 0:
             raise BribeMarketError(f"gauge {gauge_id} received no votes in round {round_id}")
         return 0.0

@@ -2,9 +2,15 @@
 
 A lock of ``amount`` base units with ``r`` weeks remaining is worth
 ``amount * r / (max_lock_weeks * ONE)`` weight units, so one token locked for
-the full period equals exactly one weight unit.  Weights are exact rationals;
-they decay linearly as the unlock epoch approaches and reach zero there.
-There is no operation that moves weight between accounts.
+the full period equals exactly one weight unit.  Weights decay linearly as the
+unlock epoch approaches and reach zero there.  There is no operation that
+moves weight between accounts.
+
+Every weight of one escrow shares the denominator ``max_lock_weeks * ONE``, so
+the simulator carries weight as the integer numerator ``amount * r``
+(``weight_numerator``) and sums, compares and splits it with integer
+arithmetic.  A ``Fraction`` is built only where a share is really divided and
+at the public ``voting_weight``/``total_voting_weight`` API.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ class Escrow:
         self.ledger = ledger
         self.contract_accounts = frozenset(contract_accounts)
         self.locks: dict[str, Lock] = {}
+        # the denominator shared by every weight of this escrow
+        self.weight_denominator = config.max_lock_weeks * ONE
 
     def _check_whitelist(self, account: str) -> None:
         if (
@@ -113,15 +121,19 @@ class Escrow:
         del self.locks[account]
         return lock.amount
 
-    def voting_weight(self, account: str, now: int) -> Fraction:
+    def weight_numerator(self, account: str, now: int) -> int:
+        """Voting weight of ``account`` at ``now`` over ``weight_denominator``."""
         lock = self.locks.get(account)
         if lock is None:
-            return Fraction(0)
-        remaining = max(0, lock.unlock_epoch - now)
-        return Fraction(lock.amount * remaining, self.config.max_lock_weeks * ONE)
+            return 0
+        return lock.amount * max(0, lock.unlock_epoch - now)
+
+    def voting_weight(self, account: str, now: int) -> Fraction:
+        return Fraction(self.weight_numerator(account, now), self.weight_denominator)
 
     def total_voting_weight(self, now: int) -> Fraction:
-        return sum((self.voting_weight(account, now) for account in self.locks), Fraction(0))
+        total = sum(self.weight_numerator(account, now) for account in self.locks)
+        return Fraction(total, self.weight_denominator)
 
     def escrowed_total(self) -> int:
         return sum(lock.amount for lock in self.locks.values())

@@ -9,6 +9,7 @@ equals the schedule to the base unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,19 +26,22 @@ def shares_to_bps(shares, total_bps: int = BPS) -> dict[int, int]:
     Largest-remainder apportionment: floor every quota, then hand the leftover
     basis points to the largest fractional remainders (ties broken by larger
     share, then lower gauge id).  Keeps every gauge within one basis point of
-    its exact quota.
+    its exact quota.  Shares may be ints, Fractions or floats; each is taken
+    exactly (``as_integer_ratio``) onto one common denominator, so the
+    apportionment runs on integers.
     """
-    exact = {g: Fraction(s) for g, s in shares.items() if s > 0}
-    total = sum(exact.values(), Fraction(0))
+    ratios = {g: s.as_integer_ratio() for g, s in shares.items() if s > 0}
+    common = math.lcm(*(den for _, den in ratios.values()))
+    nums = {g: num * (common // den) for g, (num, den) in ratios.items()}
+    total = sum(nums.values())
     if total == 0 or total_bps <= 0:
         return {}
-    quotas = {g: s / total * total_bps for g, s in exact.items()}
-    floors = {g: int(q) for g, q in quotas.items()}
+    floors: dict[int, int] = {}
+    remainders: dict[int, int] = {}
+    for g, num in nums.items():
+        floors[g], remainders[g] = divmod(num * total_bps, total)
     leftover = total_bps - sum(floors.values())
-    order = sorted(
-        quotas,
-        key=lambda g: (-(quotas[g] - floors[g]), -quotas[g], g),
-    )
+    order = sorted(nums, key=lambda g: (-remainders[g], -nums[g], g))
     for g in order[:leftover]:
         floors[g] += 1
     return {g: bps for g, bps in floors.items() if bps > 0}
@@ -129,24 +133,25 @@ class GaugeController:
 
     def vote_for_gauge_weights(self, account: str, allocation, now: int) -> VoteAllocation:
         cleaned = self.check_allocation(allocation)
-        if self.escrow.voting_weight(account, now) == 0:
+        if self.escrow.weight_numerator(account, now) == 0:
             raise GaugeError(f"{account} has no voting weight at epoch {now}")
         replaced = VoteAllocation(cleaned)
         self.allocations[account] = replaced
         return replaced
 
     def relative_weights(self, now: int) -> dict[int, Fraction]:
-        raw = {gauge_id: Fraction(0) for gauge_id in self.gauges}
+        # integer numerators over weight_denominator * BPS; divided once per gauge
+        raw = dict.fromkeys(self.gauges, 0)
         for account, allocation in self.allocations.items():
-            weight = self.escrow.voting_weight(account, now)
+            weight = self.escrow.weight_numerator(account, now)
             if weight == 0:
                 continue
             for gauge_id, bps in allocation.by_gauge.items():
-                raw[gauge_id] += weight * Fraction(bps, BPS)
-        total = sum(raw.values(), Fraction(0))
+                raw[gauge_id] += weight * bps
+        total = sum(raw.values())
         if total == 0:
-            return raw
-        return {gauge_id: value / total for gauge_id, value in raw.items()}
+            return {gauge_id: Fraction(0) for gauge_id in raw}
+        return {gauge_id: Fraction(value, total) for gauge_id, value in raw.items()}
 
     def take_snapshot(self, now: int) -> dict[int, Fraction]:
         weights = self.relative_weights(now)
@@ -161,7 +166,7 @@ class GaugeController:
         emission = self.schedule.amount_for(now)
         if emission == 0 or all(w == 0 for w in weights.values()):
             return []
-        per_gauge = {g: int(emission * w) for g, w in weights.items()}
+        per_gauge = {g: emission * w.numerator // w.denominator for g, w in weights.items()}
         leftover = emission - sum(per_gauge.values())
         if leftover:
             top = max(weights, key=lambda g: (weights[g], -g))

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .aggregator import Aggregator
@@ -29,7 +29,7 @@ from .agents import (
     decide,
 )
 from .bribemarket import BribeMarket
-from .errors import ScenarioError, SimulationError, VeTokenSimError
+from .errors import LedgerError, ScenarioError, SimulationError, VeTokenSimError
 from .escrow import Escrow, EscrowConfig
 from .gauges import BPS, EmissionSchedule, GaugeController
 from .ledger import Ledger, PriceSeries, base_units
@@ -473,8 +473,16 @@ class SimTrace:
         return cls(header, rows)
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for num >= 0, den > 0, without building a Fraction."""
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _weight_strs(escrow: Escrow, epoch: int) -> dict[str, str]:
+    den = escrow.weight_denominator
+    return {a: _ratio_str(escrow.weight_numerator(a, epoch), den) for a in sorted(escrow.locks)}
 
 
 def _noise_seed(seed: int, account: str, round_id: int) -> int:
@@ -547,11 +555,12 @@ class World:
 
     def _prev_round_weights(self, round_id: int) -> dict[int, float]:
         prev = self.aggregator.rounds.get(round_id - 1)
-        if prev is None or prev.tally is None:
+        if prev is None or prev.tally_num is None:
             return {}
-        return {g: float(w) for g, w in prev.tally.items()}
+        return {g: num / prev.cut_den for g, num in prev.tally_num.items()}
 
     def _observation(self, spec: AgentSpec, epoch: int, rnd, bribes, prev, prices_now, active) -> Observation:
+        gov_escrow = self.aggregator.gov_escrow
         return Observation(
             epoch=epoch,
             round_id=rnd.round_id,
@@ -559,13 +568,15 @@ class World:
             round_close_epoch=rnd.close_epoch,
             bribes_usd=dict(bribes),
             prev_round_weights=dict(prev),
-            own_gov_weight_at_close=float(
-                self.aggregator.gov_escrow.voting_weight(spec.account, rnd.close_epoch)
+            own_gov_weight_at_close=(
+                gov_escrow.weight_numerator(spec.account, rnd.close_epoch) / gov_escrow.weight_denominator
             ),
-            own_base_weight=float(self.base_escrow.voting_weight(spec.account, epoch)),
+            own_base_weight=(
+                self.base_escrow.weight_numerator(spec.account, epoch) / self.base_escrow.weight_denominator
+            ),
             active_gauges=active,
             token_prices=dict(prices_now),
-            gov_max_lock_weeks=self.aggregator.gov_escrow.config.max_lock_weeks,
+            gov_max_lock_weeks=gov_escrow.config.max_lock_weeks,
             base_max_lock_weeks=self.base_escrow.config.max_lock_weeks,
             noise_seed=_noise_seed(self.config.rng_seed, spec.account, rnd.round_id),
         )
@@ -687,29 +698,32 @@ class World:
             for gauge_id, _, amount in emission_events:
                 per_gauge[str(gauge_id)] = per_gauge.get(str(gauge_id), 0) + amount
             snapshot_row = {
-                "relative_weights": {str(g): _frac_str(w) for g, w in sorted(weights.items())},
+                "relative_weights": {str(g): str(w) for g, w in sorted(weights.items())},
                 "emissions": per_gauge,
                 "emission_total": sum(per_gauge.values()),
             }
 
-        self.ledger.assert_conservation()
+        try:
+            self.ledger.assert_conservation()
+        except LedgerError as exc:
+            raise SimulationError(f"epoch {epoch}: {exc}") from exc
         return self._row(epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row)
 
     def _finalized_row(self, rnd) -> dict:
+        weight_den, cut_den = rnd.weight_den, rnd.cut_den
         return {
             "round": rnd.round_id,
             "open_epoch": rnd.open_epoch,
             "close_epoch": rnd.close_epoch,
             "ballots": {v: {str(g): bps for g, bps in sorted(b.items())} for v, b in sorted(rnd.ballots.items())},
-            "counted_weight": {v: _frac_str(w) for v, w in sorted(rnd.counted_weight.items())},
+            "counted_weight": {v: _ratio_str(n, weight_den) for v, n in sorted(rnd.counted_num.items())},
             "voter_mass": {
-                v: _frac_str(sum(per.values(), Fraction(0)))
-                for v, per in sorted(rnd.voter_gauge_weight.items())
+                v: _ratio_str(sum(per.values()), cut_den) for v, per in sorted(rnd.voter_gauge_num.items())
             },
-            "tally": {str(g): _frac_str(w) for g, w in sorted(rnd.tally.items())},
-            "tally_total": _frac_str(rnd.tally_total),
-            "total_gov_weight": _frac_str(rnd.total_gov_weight),
-            "result": {str(g): _frac_str(s) for g, s in sorted(rnd.result.items())},
+            "tally": {str(g): _ratio_str(n, cut_den) for g, n in sorted(rnd.tally_num.items())},
+            "tally_total": _ratio_str(sum(rnd.tally_num.values()), cut_den),
+            "total_gov_weight": str(rnd.total_gov_weight),
+            "result": {str(g): str(s) for g, s in sorted(rnd.result.items())},
             "base_allocation": (
                 {str(g): bps for g, bps in sorted(rnd.base_allocation.items())}
                 if rnd.base_allocation
@@ -724,7 +738,7 @@ class World:
                 "deposits": dict(sorted(gs.deposits.items())),
                 "bribe_usd": gs.bribe_usd,
                 "briber_usd": dict(sorted(gs.briber_usd.items())),
-                "vote_weight": _frac_str(gs.vote_weight),
+                "vote_weight": str(gs.vote_weight),
                 "usd_per_vote": gs.usd_per_vote,
                 "payouts": {v: dict(sorted(t.items())) for v, t in sorted(gs.payouts.items())},
                 "refunds": {b: dict(sorted(t.items())) for b, t in sorted(gs.refunds.items())},
@@ -740,14 +754,8 @@ class World:
             "ledger_digest": self.ledger.digest(),
             "token_totals": self.ledger.token_totals(),
             "escrow_weights": {
-                "base": {
-                    a: _frac_str(self.base_escrow.voting_weight(a, epoch))
-                    for a in sorted(self.base_escrow.locks)
-                },
-                "governance": {
-                    a: _frac_str(gov_escrow.voting_weight(a, epoch))
-                    for a in sorted(gov_escrow.locks)
-                },
+                "base": _weight_strs(self.base_escrow, epoch),
+                "governance": _weight_strs(gov_escrow, epoch),
             },
             "locks": {
                 "base": {

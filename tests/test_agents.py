@@ -199,6 +199,25 @@ class TestSchedulesAndNoise:
         assert DepositAction(U(7)) in actions
         assert len(actions) == 2  # the epoch-3 entry stays dormant
 
+    def test_unsorted_schedule_acts_in_listed_order_per_epoch(self):
+        entries = (
+            LockEntry(epoch=4, kind="gov", amount=U(1), weeks=16),
+            LockEntry(epoch=2, kind="deposit", amount=U(3)),
+            LockEntry(epoch=4, kind="deposit", amount=U(2)),
+            LockEntry(epoch=2, kind="base", amount=U(4), weeks=10),
+        )
+        spec = AgentSpec(account="p", strategy="PassiveLocker", lock_schedule=entries)
+        for epoch in range(6):
+            expected = []
+            for entry in entries:
+                if entry.epoch == epoch:
+                    expected.append(
+                        DepositAction(entry.amount)
+                        if entry.kind == "deposit"
+                        else LockAction(entry.kind, entry.amount, epoch + entry.weeks)
+                    )
+            assert decide(spec, obs(epoch=epoch, round_close_epoch=epoch + 2)) == expected
+
     def test_same_epoch_gov_lock_enables_ballot(self):
         spec = AgentSpec(
             account="e",

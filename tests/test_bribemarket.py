@@ -242,13 +242,13 @@ class TestDollarsPerVote:
 
 class TestProrata:
     def test_exact_share_conservation(self):
-        weights = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(4)}
+        weights = {"a": 1, "b": 2, "c": 4}
         cuts = _prorata(700, weights)
         assert cuts == {"a": 100, "b": 200, "c": 400}
 
     def test_homogeneity(self):
         # scaling all weights by a common factor leaves payouts unchanged
-        weights = {"a": Fraction(3, 7), "b": Fraction(5, 7), "c": Fraction(11, 7)}
+        weights = {"a": 3, "b": 5, "c": 11}
         scaled = {k: w * 12345 for k, w in weights.items()}
         assert _prorata(10**9 + 7, weights) == _prorata(10**9 + 7, scaled)
 
@@ -258,10 +258,10 @@ class TestProrata:
     )
     @settings(max_examples=60, deadline=None)
     def test_conservation_property(self, total, raw):
-        weights = {f"v{i}": Fraction(w) for i, w in enumerate(raw)}
+        weights = {f"v{i}": w for i, w in enumerate(raw)}
         cuts = _prorata(total, weights)
         assert sum(cuts.values()) == total
-        grand = sum(weights.values(), Fraction(0))
+        grand = sum(weights.values())
         for who, cut in cuts.items():
             exact = Fraction(total) * weights[who] / grand
             assert abs(Fraction(cut) - exact) < 1
@@ -269,11 +269,11 @@ class TestProrata:
     def test_new_voter_dilutes_incumbents(self):
         # exact entitlements strictly decrease when a voter joins a bribed gauge
         total = 10**18
-        incumbents = {"a": Fraction(5), "b": Fraction(9)}
-        grand = sum(incumbents.values(), Fraction(0))
+        incumbents = {"a": 5, "b": 9}
+        grand = sum(incumbents.values())
         before = {v: Fraction(total) * w / grand for v, w in incumbents.items()}
-        joined = dict(incumbents, c=Fraction(3))
-        grand2 = sum(joined.values(), Fraction(0))
+        joined = dict(incumbents, c=3)
+        grand2 = sum(joined.values())
         after = {v: Fraction(total) * w / grand2 for v, w in incumbents.items()}
         for v in incumbents:
             assert after[v] < before[v]

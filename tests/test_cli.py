@@ -4,6 +4,7 @@ import os
 import pytest
 
 from vetokensim.cli import main
+from vetokensim.gauges import GaugeController
 
 from conftest import make_scenario
 
@@ -62,6 +63,21 @@ class TestRun:
         path.write_text(json.dumps(make_scenario(horizon_epochs=2)))
         code, _, _ = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "out"))
         assert code == 0
+
+    def test_conservation_break_names_epoch(self, capsys, tmp_path, monkeypatch):
+        original = GaugeController.take_snapshot
+
+        def corrupting_snapshot(self, now):
+            if now == 3:
+                self.ledger.balances["CRV"]["intruder"] = 1  # never minted
+            return original(self, now)
+
+        monkeypatch.setattr(GaugeController, "take_snapshot", corrupting_snapshot)
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(make_scenario(horizon_epochs=5)))
+        code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: epoch 3: conservation violated for CRV")
 
 
 class TestReport:

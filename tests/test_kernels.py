@@ -1,0 +1,137 @@
+"""Property tests: the integer weight kernels agree exactly with Fraction
+reference implementations of the same rules."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vetokensim.bribemarket import _prorata
+from vetokensim.escrow import Escrow, EscrowConfig
+from vetokensim.gauges import BPS, EmissionSchedule, GaugeController, shares_to_bps
+from vetokensim.ledger import Ledger
+
+
+def reference_shares_to_bps(shares, total_bps=BPS):
+    exact = {g: Fraction(s) for g, s in shares.items() if s > 0}
+    total = sum(exact.values(), Fraction(0))
+    if total == 0 or total_bps <= 0:
+        return {}
+    quotas = {g: s / total * total_bps for g, s in exact.items()}
+    floors = {g: int(q) for g, q in quotas.items()}
+    leftover = total_bps - sum(floors.values())
+    order = sorted(quotas, key=lambda g: (-(quotas[g] - floors[g]), -quotas[g], g))
+    for g in order[:leftover]:
+        floors[g] += 1
+    return {g: bps for g, bps in floors.items() if bps > 0}
+
+
+def reference_prorata(total, weights):
+    grand = sum((Fraction(w) for w in weights.values()), Fraction(0))
+    floors, remainders = {}, []
+    for who in sorted(weights):
+        quota = total * Fraction(weights[who]) / grand
+        floors[who] = int(quota)
+        remainders.append((quota - floors[who], who))
+    leftover = total - sum(floors.values())
+    for _, who in sorted(remainders, key=lambda item: (-item[0], item[1]))[:leftover]:
+        floors[who] += 1
+    return floors
+
+
+@st.composite
+def tied(draw, values, min_size=1, max_size=12):
+    """A mapping whose values come from a pool of at most three, forcing ties,
+    under shuffled integer keys."""
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size))
+    keys = draw(st.permutations(range(len(picks))))
+    return dict(zip(keys, picks))
+
+
+SHARE_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=10**6),
+    st.fractions(min_value=0, max_value=100, max_denominator=1000),
+    st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestSharesToBps:
+    @given(shares=tied(SHARE_VALUES), total_bps=st.sampled_from([BPS, 8500, 7, 0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, shares, total_bps):
+        assert shares_to_bps(shares, total_bps) == reference_shares_to_bps(shares, total_bps)
+
+    @given(shares=tied(st.floats(min_value=1e-12, max_value=1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_normalised_floats(self, shares):
+        # the equilibrium strategy passes amount / total floats
+        total = sum(shares.values())
+        normalised = {g: s / total for g, s in shares.items()}
+        bps = shares_to_bps(normalised)
+        assert bps == reference_shares_to_bps(normalised)
+        assert sum(bps.values()) == BPS
+
+    def test_equal_remainders_break_by_share_then_id(self):
+        # equal shares: quotas 10/3 each, the leftover point goes to the lowest id
+        assert shares_to_bps({2: 1, 0: 1, 1: 1}, 10) == {0: 4, 1: 3, 2: 3}
+        # quotas 1/2 and 3/2 leave equal remainders: the larger share wins
+        assert shares_to_bps({0: 1, 1: 3}, 2) == {1: 2}
+
+
+class TestProrata:
+    @given(
+        total=st.integers(min_value=0, max_value=10**24),
+        weights=tied(st.integers(min_value=1, max_value=10**30), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, total, weights):
+        named = {f"v{k}": w for k, w in weights.items()}
+        cuts = _prorata(total, named)
+        assert cuts == reference_prorata(total, named)
+        assert sum(cuts.values()) == total
+
+    @given(total=st.integers(min_value=0, max_value=50), copies=st.integers(min_value=2, max_value=7))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_remainder_ties_go_to_lower_id(self, total, copies):
+        weights = {f"v{i}": 3 for i in range(copies)}
+        cuts = _prorata(total, weights)
+        assert cuts == reference_prorata(total, weights)
+        base, extra = divmod(total, copies)
+        assert cuts == {f"v{i}": base + (1 if i < extra else 0) for i in range(copies)}
+
+
+LOCK = st.tuples(
+    st.integers(min_value=1, max_value=10**24),  # amount in base units
+    st.integers(min_value=1, max_value=52),  # lock weeks
+    st.lists(st.integers(min_value=0, max_value=BPS // 4), min_size=4, max_size=4),  # bps per gauge
+)
+
+
+class TestRelativeWeights:
+    @given(locks=st.lists(LOCK, min_size=1, max_size=8), now=st.integers(min_value=0, max_value=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, locks, now):
+        ledger = Ledger()
+        ledger.register_token("CRV")
+        escrow = Escrow(EscrowConfig(token="CRV", max_lock_weeks=52), ledger)
+        controller = GaugeController(escrow, ledger, EmissionSchedule(), "CRV")
+        for g in range(4):
+            controller.add_gauge(f"g{g}", [(f"lp{g}", BPS)])
+        for i, (amount, weeks, splits) in enumerate(locks):
+            ledger.mint("CRV", f"a{i}", amount)
+            escrow.create_lock(f"a{i}", amount, weeks, 0)
+            controller.vote_for_gauge_weights(f"a{i}", list(enumerate(splits)), 0)
+
+        raw = {g: Fraction(0) for g in range(4)}
+        for i, (_, _, splits) in enumerate(locks):
+            weight = escrow.voting_weight(f"a{i}", now)
+            for g, bps in enumerate(splits):
+                raw[g] += weight * Fraction(bps, BPS)
+        total = sum(raw.values(), Fraction(0))
+        expected = {g: w / total for g, w in raw.items()} if total else raw
+
+        weights = controller.relative_weights(now)
+        assert weights == expected
+        assert all(isinstance(w, Fraction) for w in weights.values())
+        assert sum(weights.values()) == (1 if total else 0)
