@@ -97,7 +97,6 @@ class Aggregator:
         self.gov_escrow = Escrow(gov_escrow_config, ledger, contract_accounts)
         self.round_length = round_length
         self.rounds: dict[int, MetaRound] = {}
-        self.delegations: dict[str, str] = {}
 
     # -- rounds ------------------------------------------------------------
 
@@ -146,29 +145,6 @@ class Aggregator:
         else:
             self.gov_escrow.create_lock(user, amount, unlock_epoch, now)
 
-    # -- delegation ----------------------------------------------------------
-
-    def delegate(self, from_account: str, to_account: str) -> None:
-        if from_account == to_account:
-            raise AggregatorError("cannot delegate to self")
-        if to_account in self.delegations:
-            raise AggregatorError(
-                f"{to_account} has already delegated away; chains are not allowed"
-            )
-        if from_account in self.delegations.values():
-            raise AggregatorError(
-                f"{from_account} is a delegatee and cannot also delegate; chains are not allowed"
-            )
-        self.delegations[from_account] = to_account
-
-    def _incoming_num(self, account: str, epoch: int) -> int:
-        """Weight numerator delegated to ``account`` by its delegators."""
-        return sum(
-            self.gov_escrow.weight_numerator(delegator, epoch)
-            for delegator, target in self.delegations.items()
-            if target == account
-        )
-
     # -- voting ----------------------------------------------------------------
 
     def cast_meta_vote(self, voter: str, round_id: int, allocation, now: int) -> None:
@@ -178,8 +154,7 @@ class Aggregator:
         if now < rnd.open_epoch:
             raise AggregatorError(f"round {round_id} has not opened yet")
         cleaned = self.controller.check_allocation(allocation)
-        own = self.gov_escrow.weight_numerator(voter, rnd.close_epoch)
-        if own == 0 and self._incoming_num(voter, rnd.close_epoch) == 0:
+        if self.gov_escrow.weight_numerator(voter, rnd.close_epoch) == 0:
             raise AggregatorError(f"{voter} has no governance weight at epoch {rnd.close_epoch}")
         rnd.ballots[voter] = cleaned
 
@@ -199,10 +174,7 @@ class Aggregator:
         voter_gauge_num: dict[str, dict[int, int]] = {}
         tally: dict[int, int] = {}
         for voter in sorted(rnd.ballots):
-            if voter in self.delegations:
-                continue  # delegated away: own ballot is ignored
-            # own plus delegated-in weight
-            weight = self.gov_escrow.weight_numerator(voter, close) + self._incoming_num(voter, close)
+            weight = self.gov_escrow.weight_numerator(voter, close)
             ballot = rnd.ballots[voter]
             if weight == 0 or not ballot:
                 continue

@@ -141,18 +141,3 @@ class BribeMarket:
                     continue
                 self.ledger.transfer(token, self.escrow_account, voter, cut)
                 gs.payouts.setdefault(voter, {})[token] = cut
-
-    def dollars_per_vote(self, round_id: int, gauge_id: int) -> float:
-        settlement = self.settlements.get(round_id)
-        if settlement is None:
-            raise BribeMarketError(f"round {round_id} is not settled")
-        gs = settlement.gauges.get(gauge_id)
-        if gs is not None:
-            if gs.usd_per_vote is None:
-                raise BribeMarketError(f"gauge {gauge_id} received no votes in round {round_id}")
-            return gs.usd_per_vote
-        # no bribes on this gauge: zero dollars per vote if anyone voted for it
-        rnd = self.aggregator._require_round(round_id)
-        if not rnd.tally_num or rnd.tally_num.get(gauge_id, 0) == 0:
-            raise BribeMarketError(f"gauge {gauge_id} received no votes in round {round_id}")
-        return 0.0

@@ -7,6 +7,7 @@ plain text (no colour, so NO_COLOR needs no special handling).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -15,17 +16,31 @@ from . import metrics
 from .errors import ScenarioError, VeTokenSimError
 from .sim import MAX_SEED, SimTrace, load_scenario, packaged_scenarios, run_scenario
 
-REPORT_METRICS = (
-    "participation",
-    "share_table",
-    "pearson",
-    "outliers",
-    "diff_matrix",
-    "cost_per_vote",
-    "snapshots",
-    "round_results",
-    "settlements",
-)
+
+def _shares(trace, args):
+    return metrics.share_table(trace)
+
+
+# --metric -> (round-keyed, source, derive).  ``source(trace, args)`` builds a
+# metrics table; with --round, a round-keyed table keeps only the rows whose
+# round_id is in range, and ``derive``, if any, maps what is kept.  Entries
+# look ``metrics.<fn>`` up when called, so a wrapper installed on the module
+# sees every call.  The order is the order of the --metric choices.
+REPORTS = {
+    "participation": (False, lambda trace, args: metrics.participation_stats(trace), None),
+    "share_table": (True, _shares, None),
+    "pearson": (True, _shares, lambda table: metrics.Correlation(metrics.pearson(table.pairs()))),
+    "outliers": (True, _shares, lambda table: metrics.outlier_table(table)),
+    "diff_matrix": (True, _shares, lambda table: metrics.diff_matrix(table)),
+    "cost_per_vote": (
+        False,
+        lambda trace, args: metrics.cost_per_vote_series(trace, args.actor, args.avenue),
+        None,
+    ),
+    "snapshots": (False, lambda trace, args: metrics.gauge_snapshots(trace), None),
+    "round_results": (True, lambda trace, args: metrics.round_results(trace), None),
+    "settlements": (True, lambda trace, args: metrics.settlements(trace), None),
+}
 
 
 class _UsageError(Exception):
@@ -53,7 +68,7 @@ def _build_parser() -> _Parser:
 
     report = sub.add_parser("report", help="compute a metric from a trace file")
     report.add_argument("trace", help="path to a trace.ndjson file")
-    report.add_argument("--metric", required=True, choices=REPORT_METRICS)
+    report.add_argument("--metric", required=True, choices=list(REPORTS))
     report.add_argument("--round", default=None, metavar="A..B", help="restrict to rounds A..B inclusive")
     report.add_argument("--actor", default=None, help="account for cost_per_vote")
     report.add_argument("--avenue", default=None, choices=metrics.AVENUES, help="avenue for cost_per_vote")
@@ -108,14 +123,7 @@ def _summarize(config, trace: SimTrace) -> dict:
     if settled:
         table = metrics.share_table(trace)
         summary["pearson"] = _phase_pearson(table, config.bootstrap_rounds)
-    stats = metrics.participation_stats(trace)
-    summary["participation"] = {
-        "unique_lockers": stats.unique_lockers,
-        "unique_voters": stats.unique_voters,
-        "voter_fraction": stats.voter_fraction,
-        "weight_voting_fraction": stats.weight_voting_fraction,
-        "mean_voters_by_proposal_type": stats.mean_voters_by_proposal_type,
-    }
+    summary["participation"] = dataclasses.asdict(metrics.participation_stats(trace))
     for spec in config.agents:
         per_avenue = {}
         for avenue in metrics.AVENUES:
@@ -181,57 +189,18 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     trace = SimTrace.read_ndjson(args.trace)
     round_range = _parse_round_range(args.round) if args.round else None
-
-    def filtered_table() -> metrics.ShareTable:
-        table = metrics.share_table(trace)
-        if round_range:
-            lo, hi = round_range
-            table = metrics.ShareTable([r for r in table.rows if lo <= r.round_id <= hi])
-            if not table.rows:
-                raise VeTokenSimError(f"no share rows in rounds {lo}..{hi}")
-        return table
-
-    if args.metric == "participation":
-        if round_range:
-            raise _UsageError("--round does not apply to participation")
-        obj = metrics.participation_stats(trace)
-    elif args.metric == "snapshots":
-        if round_range:
-            raise _UsageError("--round does not apply to snapshots (epoch-keyed)")
-        obj = metrics.gauge_snapshots(trace)
-    elif args.metric == "round_results":
-        obj = metrics.round_results(trace)
-        if round_range:
-            lo, hi = round_range
-            obj = metrics.RoundResultTable([r for r in obj.rows if lo <= r[0] <= hi])
-    elif args.metric == "settlements":
-        obj = metrics.settlements(trace)
-        if round_range:
-            lo, hi = round_range
-            obj = metrics.SettlementTable([r for r in obj.rows if lo <= r[0] <= hi])
-    elif args.metric == "share_table":
-        obj = filtered_table()
-    elif args.metric == "outliers":
-        obj = metrics.outlier_table(filtered_table())
-    elif args.metric == "diff_matrix":
-        obj = metrics.diff_matrix(filtered_table())
-    elif args.metric == "pearson":
-        value = metrics.pearson(filtered_table().pairs())
-        with open(args.out, "w", encoding="utf-8") as handle:
-            if args.format == "csv":
-                handle.write(f"pearson\n{value:.10g}\n")
-            else:
-                json.dump({"pearson": float(f'{value:.10g}')}, handle, sort_keys=True)
-                handle.write("\n")
-        print(f"wrote {args.out}")
-        return 0
-    else:  # cost_per_vote
-        if not args.actor or not args.avenue:
-            raise _UsageError("cost_per_vote needs --actor and --avenue")
-        if round_range:
-            raise _UsageError("--round does not apply to cost_per_vote")
-        obj = metrics.cost_per_vote_series(trace, args.actor, args.avenue)
-    metrics.export(obj, args.format, args.out)
+    round_keyed, source, derive = REPORTS[args.metric]
+    if args.metric == "cost_per_vote" and not (args.actor and args.avenue):
+        raise _UsageError("cost_per_vote needs --actor and --avenue")
+    if round_range and not round_keyed:
+        note = " (epoch-keyed)" if args.metric == "snapshots" else ""
+        raise _UsageError(f"--round does not apply to {args.metric}{note}")
+    table = source(trace, args)
+    if round_range:
+        table = table.in_rounds(*round_range)
+    if derive:
+        table = derive(table)
+    metrics.export(table, args.format, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -134,6 +134,3 @@ class Escrow:
     def total_voting_weight(self, now: int) -> Fraction:
         total = sum(self.weight_numerator(account, now) for account in self.locks)
         return Fraction(total, self.weight_denominator)
-
-    def escrowed_total(self) -> int:
-        return sum(lock.amount for lock in self.locks.values())

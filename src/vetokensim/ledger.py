@@ -174,9 +174,6 @@ class PriceSeries:
             raise PriceError(f"price epochs must be strictly increasing for {token}")
         points.append((epoch, price))
 
-    def tokens(self) -> list[str]:
-        return sorted(self._points)
-
     def usd_price(self, token: str, epoch: int) -> float:
         points = self._points.get(token)
         if not points:

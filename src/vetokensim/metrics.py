@@ -4,8 +4,9 @@ by acquisition avenue.
 
 Every function here is a pure read of an immutable trace.  Weight-typed trace
 fields arrive as exact rational strings and are converted to floats only at
-the analytic boundary.  Exports use a fixed column order and fixed decimal
-formatting (10 significant digits) so repeated exports are byte-identical.
+the analytic boundary.  Every result is a ``Table`` whose one column schema
+drives both the CSV and the JSON export, with fixed decimal formatting (10
+significant digits) so repeated exports are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MetricsError
 from .sim import SimTrace
@@ -22,12 +24,35 @@ from .sim import SimTrace
 AVENUES = ("direct-lock", "aggregator-lock", "bribe")
 
 
-def _frac(value) -> Fraction:
-    return Fraction(value)
+class Table:
+    """A metric result that ``export`` writes.
+
+    ``COLUMNS`` is the schema: one ``(name, cell type)`` pair per column, the
+    CSV header and the JSON keys alike.  ``float`` columns (cells may be None)
+    are decimals, written through ``_fmt`` in CSV and ``_fnum`` in JSON;
+    other cells are written as they are.  The JSON document is ``{"rows": [{name:
+    cell}]}`` indented by two, unless a table overrides ``json_payload``.
+    """
+
+    COLUMNS: tuple[tuple[str, type], ...] = ()
+    JSON_INDENT: int | None = 2
+
+    def columns(self) -> tuple[tuple[str, type], ...]:
+        return self.COLUMNS
+
+    def cell_rows(self) -> list[tuple]:
+        return self.rows
+
+    def json_payload(self, names: list[str], rows: list[tuple]):
+        return {"rows": [dict(zip(names, row)) for row in rows]}
+
+    def in_rounds(self, lo: int, hi: int):
+        """This table with only the rows whose round_id is in ``lo..hi``."""
+        at = [name for name, _ in self.columns()].index("round_id")
+        return replace(self, rows=[row for row in self.rows if lo <= row[at] <= hi])
 
 
-@dataclass(frozen=True)
-class ShareRow:
+class ShareRow(NamedTuple):
     round_id: int
     gauge_id: int
     bribe_share: float
@@ -35,34 +60,79 @@ class ShareRow:
 
 
 @dataclass
-class ShareTable:
+class ShareTable(Table):
     rows: list[ShareRow]
+    COLUMNS = (("round_id", int), ("gauge_id", int), ("bribe_share", float), ("vote_share", float))
 
     def pairs(self) -> list[tuple[float, float]]:
         return [(row.bribe_share, row.vote_share) for row in self.rows]
 
+    def in_rounds(self, lo: int, hi: int) -> ShareTable:
+        kept = super().in_rounds(lo, hi)
+        if not kept.rows:
+            raise MetricsError(f"no share rows in rounds {lo}..{hi}")
+        return kept
+
 
 @dataclass
-class ParticipationStats:
+class ParticipationStats(Table):
     unique_lockers: int
     unique_voters: int
     voter_fraction: float
     weight_voting_fraction: float
     mean_voters_by_proposal_type: dict[str, float]
+    COLUMNS = (
+        ("unique_lockers", int),
+        ("unique_voters", int),
+        ("voter_fraction", float),
+        ("weight_voting_fraction", float),
+        ("mean_gauge_voters", float),
+    )
+
+    def cell_rows(self) -> list[tuple]:
+        gauge_voters = self.mean_voters_by_proposal_type.get("gauge", 0.0)
+        return [(self.unique_lockers, self.unique_voters, self.voter_fraction,
+                 self.weight_voting_fraction, gauge_voters)]
+
+    def json_payload(self, names, rows):
+        # one flat object; the CSV's last column is an entry of the per-type dict
+        payload = dict(zip(names[:-1], rows[0]))
+        kinds = self.mean_voters_by_proposal_type
+        payload["mean_voters_by_proposal_type"] = dict(zip(kinds, _fnum(kinds.values())))
+        return payload
 
 
 @dataclass
-class DiffMatrix:
+class DiffMatrix(Table):
     gauge_order: list[int]
     round_ids: list[int]
     cells: list[list[float | None]]  # rows follow round_ids, columns gauge_order
 
+    def columns(self) -> tuple[tuple[str, type], ...]:
+        return (("round_id", int),) + tuple((str(g), float) for g in self.gauge_order)
+
+    def cell_rows(self) -> list[tuple]:
+        return [(round_id, *line) for round_id, line in zip(self.round_ids, self.cells)]
+
+    def json_payload(self, names, rows):
+        # the gauge columns become one list of cells per round
+        return {
+            "gauge_order": self.gauge_order,
+            "rows": [{names[0]: row[0], "cells": list(row[1:])} for row in rows],
+        }
+
 
 @dataclass
-class CostPerVoteSeries:
+class CostPerVoteSeries(Table):
     avenue: str
     actor: str
     rows: list[tuple[int, float, float, float | None]]
+    COLUMNS = (
+        ("epoch", int),
+        ("cumulative_usd_cost", float),
+        ("cumulative_votes", float),
+        ("usd_per_vote", float),
+    )
 
     def final_usd_per_vote(self) -> float | None:
         for _, _, _, usd_per_vote in reversed(self.rows):
@@ -70,31 +140,59 @@ class CostPerVoteSeries:
                 return usd_per_vote
         return None
 
+    def json_payload(self, names, rows):
+        return {"avenue": self.avenue, "actor": self.actor, **super().json_payload(names, rows)}
+
 
 @dataclass
-class OutlierTable:
+class OutlierTable(Table):
     rows: list[tuple[int, int, float, float, str]]
+    COLUMNS = ShareTable.COLUMNS + (("class", str),)
 
 
 @dataclass
-class SnapshotTable:
-    """Weekly gauge snapshot extract: (epoch, gauge_id, relative_weight, emission)."""
+class SnapshotTable(Table):
+    """Weekly gauge snapshot extract."""
 
     rows: list[tuple[int, int, float, int]]
+    COLUMNS = (("epoch", int), ("gauge_id", int), ("relative_weight", float), ("emission", int))
 
 
 @dataclass
-class RoundResultTable:
-    """Meta-round result extract: (round_id, gauge_id, meta_share, base_bps)."""
+class RoundResultTable(Table):
+    """Meta-round result extract."""
 
     rows: list[tuple[int, int, float, int]]
+    COLUMNS = (("round_id", int), ("gauge_id", int), ("meta_share", float), ("base_bps", int))
 
 
 @dataclass
-class SettlementTable:
-    """Bribe settlement extract: (round_id, gauge_id, bribe_usd, vote_weight, usd_per_vote)."""
+class SettlementTable(Table):
+    """Bribe settlement extract."""
 
     rows: list[tuple[int, int, float, float, float | None]]
+    COLUMNS = (
+        ("round_id", int),
+        ("gauge_id", int),
+        ("bribe_usd", float),
+        ("vote_weight", float),
+        ("usd_per_vote", float),
+    )
+
+
+@dataclass
+class Correlation(Table):
+    """Pearson r of a share table: one cell, exported as a flat, unindented object."""
+
+    value: float
+    COLUMNS = (("pearson", float),)
+    JSON_INDENT = None
+
+    def cell_rows(self) -> list[tuple]:
+        return [(self.value,)]
+
+    def json_payload(self, names, rows):
+        return dict(zip(names, rows[0]))
 
 
 def participation_stats(trace: SimTrace) -> ParticipationStats:
@@ -115,8 +213,8 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
         if finalized:
             voters.update(finalized.get("ballots", {}))
             voters_per_round.append(len(finalized.get("ballots", {})))
-            cast_weight += _frac(finalized["tally_total"])
-            total_weight += _frac(finalized["total_gov_weight"])
+            cast_weight += Fraction(finalized["tally_total"])
+            total_weight += Fraction(finalized["total_gov_weight"])
     voter_fraction = len(voters) / len(lockers) if lockers else 0.0
     weight_fraction = float(cast_weight / total_weight) if total_weight else 0.0
     mean_by_type = {
@@ -143,7 +241,7 @@ def share_table(trace: SimTrace) -> ShareTable:
         settled += 1
         round_id = settlement["round"]
         bribe_usd = {int(g): gs["bribe_usd"] for g, gs in settlement["gauges"].items()}
-        votes = {int(g): _frac(w) for g, w in finalized["tally"].items()}
+        votes = {int(g): Fraction(w) for g, w in finalized["tally"].items()}
         bribe_total = sum(bribe_usd.values())
         vote_total = sum(votes.values(), Fraction(0))
         for gauge_id in sorted(set(bribe_usd) | set(votes)):
@@ -239,7 +337,7 @@ def gauge_snapshots(trace: SimTrace) -> SnapshotTable:
             continue
         emissions = snapshot.get("emissions", {})
         for gauge, weight in sorted(snapshot["relative_weights"].items(), key=lambda kv: int(kv[0])):
-            rows.append((row["epoch"], int(gauge), float(_frac(weight)), emissions.get(gauge, 0)))
+            rows.append((row["epoch"], int(gauge), float(Fraction(weight)), emissions.get(gauge, 0)))
     return SnapshotTable(rows)
 
 
@@ -252,7 +350,7 @@ def round_results(trace: SimTrace) -> RoundResultTable:
         base = finalized.get("base_allocation") or {}
         for gauge, share in sorted(finalized["result"].items(), key=lambda kv: int(kv[0])):
             rows.append(
-                (finalized["round"], int(gauge), float(_frac(share)), base.get(gauge, 0))
+                (finalized["round"], int(gauge), float(Fraction(share)), base.get(gauge, 0))
             )
     return RoundResultTable(rows)
 
@@ -269,7 +367,7 @@ def settlements(trace: SimTrace) -> SettlementTable:
                     settlement["round"],
                     int(gauge),
                     gs["bribe_usd"],
-                    float(_frac(gs["vote_weight"])),
+                    float(Fraction(gs["vote_weight"])),
                     gs["usd_per_vote"],
                 )
             )
@@ -303,7 +401,7 @@ def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVot
             if row.get("snapshot") is not None:
                 allocation = row.get("base_votes", {}).get(actor)
                 if allocation:
-                    weight = _frac(row["escrow_weights"]["base"].get(actor, "0"))
+                    weight = Fraction(row["escrow_weights"]["base"].get(actor, "0"))
                     votes += weight * Fraction(sum(allocation.values()), 10_000)
         elif avenue == "aggregator-lock":
             for event in row.get("lock_events", ()):
@@ -312,9 +410,9 @@ def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVot
                     active = True
             finalized = row.get("round_finalized")
             if finalized and actor in finalized.get("voter_mass", {}):
-                mass = _frac(finalized["voter_mass"][actor])
-                total = _frac(finalized["tally_total"])
-                pooled = _frac(row["escrow_weights"]["base"].get(protocol_account, "0"))
+                mass = Fraction(finalized["voter_mass"][actor])
+                total = Fraction(finalized["tally_total"])
+                pooled = Fraction(row["escrow_weights"]["base"].get(protocol_account, "0"))
                 if total:
                     votes += mass / total * pooled
         else:  # bribe
@@ -325,7 +423,7 @@ def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVot
                     if spend is None:
                         continue
                     cost += spend
-                    votes += _frac(gs["vote_weight"])
+                    votes += Fraction(gs["vote_weight"])
                     active = True
         usd_per_vote = cost / float(votes) if votes > 0 else None
         rows.append((epoch, cost, float(votes), usd_per_vote))
@@ -337,171 +435,38 @@ def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVot
 # -- exports -------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Fixed 10-significant-digit decimal formatting for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+def _fmt(cells) -> list[str]:
+    """A CSV decimal column: floats to 10 significant digits, None to an empty cell."""
+    return [f"{v:.10g}" if isinstance(v, float) else "" if v is None else str(v) for v in cells]
 
 
-def _fnum(value):
-    """Float squashed through the 10-significant-digit export format."""
-    return None if value is None else float(f"{value:.10g}")
-
-
-def _csv_rows(obj) -> tuple[list[str], list[list]]:
-    if isinstance(obj, ShareTable):
-        header = ["round_id", "gauge_id", "bribe_share", "vote_share"]
-        return header, [
-            [r.round_id, r.gauge_id, _fmt(r.bribe_share), _fmt(r.vote_share)] for r in obj.rows
-        ]
-    if isinstance(obj, OutlierTable):
-        header = ["round_id", "gauge_id", "bribe_share", "vote_share", "class"]
-        return header, [[rid, gid, _fmt(b), _fmt(v), cls] for rid, gid, b, v, cls in obj.rows]
-    if isinstance(obj, CostPerVoteSeries):
-        header = ["epoch", "cumulative_usd_cost", "cumulative_votes", "usd_per_vote"]
-        return header, [
-            [epoch, _fmt(cost), _fmt(votes), _fmt(upv)] for epoch, cost, votes, upv in obj.rows
-        ]
-    if isinstance(obj, DiffMatrix):
-        header = ["round_id"] + [str(g) for g in obj.gauge_order]
-        return header, [
-            [rid] + [_fmt(cell) for cell in line] for rid, line in zip(obj.round_ids, obj.cells)
-        ]
-    if isinstance(obj, SnapshotTable):
-        header = ["epoch", "gauge_id", "relative_weight", "emission"]
-        return header, [[e, g, _fmt(w), amount] for e, g, w, amount in obj.rows]
-    if isinstance(obj, RoundResultTable):
-        header = ["round_id", "gauge_id", "meta_share", "base_bps"]
-        return header, [[r, g, _fmt(s), bps] for r, g, s, bps in obj.rows]
-    if isinstance(obj, SettlementTable):
-        header = ["round_id", "gauge_id", "bribe_usd", "vote_weight", "usd_per_vote"]
-        return header, [[r, g, _fmt(b), _fmt(w), _fmt(u)] for r, g, b, w, u in obj.rows]
-    if isinstance(obj, ParticipationStats):
-        header = [
-            "unique_lockers",
-            "unique_voters",
-            "voter_fraction",
-            "weight_voting_fraction",
-            "mean_gauge_voters",
-        ]
-        return header, [
-            [
-                obj.unique_lockers,
-                obj.unique_voters,
-                _fmt(obj.voter_fraction),
-                _fmt(obj.weight_voting_fraction),
-                _fmt(obj.mean_voters_by_proposal_type.get("gauge", 0.0)),
-            ]
-        ]
-    raise MetricsError(f"no CSV export for {type(obj).__name__}")
-
-
-def _json_payload(obj):
-    if isinstance(obj, ShareTable):
-        return {
-            "rows": [
-                {
-                    "round_id": r.round_id,
-                    "gauge_id": r.gauge_id,
-                    "bribe_share": _fnum(r.bribe_share),
-                    "vote_share": _fnum(r.vote_share),
-                }
-                for r in obj.rows
-            ]
-        }
-    if isinstance(obj, OutlierTable):
-        return {
-            "rows": [
-                {
-                    "round_id": rid,
-                    "gauge_id": gid,
-                    "bribe_share": _fnum(b),
-                    "vote_share": _fnum(v),
-                    "class": cls,
-                }
-                for rid, gid, b, v, cls in obj.rows
-            ]
-        }
-    if isinstance(obj, CostPerVoteSeries):
-        return {
-            "avenue": obj.avenue,
-            "actor": obj.actor,
-            "rows": [
-                {
-                    "epoch": epoch,
-                    "cumulative_usd_cost": _fnum(cost),
-                    "cumulative_votes": _fnum(votes),
-                    "usd_per_vote": _fnum(upv),
-                }
-                for epoch, cost, votes, upv in obj.rows
-            ],
-        }
-    if isinstance(obj, DiffMatrix):
-        return {
-            "gauge_order": obj.gauge_order,
-            "rows": [
-                {"round_id": rid, "cells": [_fnum(cell) for cell in line]}
-                for rid, line in zip(obj.round_ids, obj.cells)
-            ],
-        }
-    if isinstance(obj, ParticipationStats):
-        return {
-            "unique_lockers": obj.unique_lockers,
-            "unique_voters": obj.unique_voters,
-            "voter_fraction": _fnum(obj.voter_fraction),
-            "weight_voting_fraction": _fnum(obj.weight_voting_fraction),
-            "mean_voters_by_proposal_type": {
-                k: _fnum(v) for k, v in sorted(obj.mean_voters_by_proposal_type.items())
-            },
-        }
-    if isinstance(obj, SnapshotTable):
-        return {
-            "rows": [
-                {"epoch": e, "gauge_id": g, "relative_weight": _fnum(w), "emission": amount}
-                for e, g, w, amount in obj.rows
-            ]
-        }
-    if isinstance(obj, RoundResultTable):
-        return {
-            "rows": [
-                {"round_id": r, "gauge_id": g, "meta_share": _fnum(s), "base_bps": bps}
-                for r, g, s, bps in obj.rows
-            ]
-        }
-    if isinstance(obj, SettlementTable):
-        return {
-            "rows": [
-                {
-                    "round_id": r,
-                    "gauge_id": g,
-                    "bribe_usd": _fnum(b),
-                    "vote_weight": _fnum(w),
-                    "usd_per_vote": _fnum(u),
-                }
-                for r, g, b, w, u in obj.rows
-            ]
-        }
-    raise MetricsError(f"no JSON export for {type(obj).__name__}")
+def _fnum(cells) -> list:
+    """A JSON decimal column: floats squashed through the 10-significant-digit format."""
+    return [None if v is None else float(f"{v:.10g}") for v in cells]
 
 
 def export(obj, fmt: str, path: str) -> None:
-    """Write a metric object (or a trace) to disk, byte-stably."""
+    """Write a metric table (or a trace) to disk, byte-stably."""
     if isinstance(obj, SimTrace):
         obj.write_ndjson(path)
         return
+    if fmt not in ("csv", "json"):
+        raise MetricsError(f"unknown export format {fmt!r}")
+    if not isinstance(obj, Table):
+        raise MetricsError(f"no {fmt.upper()} export for {type(obj).__name__}")
+    columns = obj.columns()
+    names = [name for name, _ in columns]
+    decimal = _fmt if fmt == "csv" else _fnum
+    # format column by column, so each column's formatter is chosen once
+    by_column = zip(*obj.cell_rows())
+    rows = list(zip(*(decimal(cells) if kind is float else cells
+                      for (_, kind), cells in zip(columns, by_column))))
     if fmt == "csv":
-        header, rows = _csv_rows(obj)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
+            writer.writerow(names)
             writer.writerows(rows)
-    elif fmt == "json":
-        payload = _json_payload(obj)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
     else:
-        raise MetricsError(f"unknown export format {fmt!r}")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(obj.json_payload(names, rows), handle, sort_keys=True, indent=obj.JSON_INDENT)
+            handle.write("\n")

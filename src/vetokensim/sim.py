@@ -458,11 +458,16 @@ class SimTrace:
         header = None
         rows = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ScenarioError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+                if not isinstance(record, dict):
+                    raise ScenarioError(f"{path}:{lineno}: record is not a JSON object")
                 if record.get("type") == "header":
                     record.pop("type")
                     header = record

@@ -114,50 +114,6 @@ class TestLockGovernance:
         assert agg.gov_escrow.locks["A"].amount == U(15)
 
 
-class TestDelegation:
-    def test_delegated_weight_counts_for_delegatee(self):
-        ledger, agg = build()
-        gov_lock(ledger, agg, "A", 10)
-        gov_lock(ledger, agg, "B", 5)
-        agg.delegate("A", "B")
-        agg.ensure_round(0)
-        agg.cast_meta_vote("B", 0, [(0, 10000)], 0)
-        result, _ = agg.finalize_round(0, 2)
-        rnd = agg.rounds[0]
-        # A's 10 and B's 5, both decayed to close epoch 2
-        expected = Fraction(U(15) * 14, 16 * 10**18)
-        assert rnd.tally[0] == expected
-        assert result == {0: Fraction(1)}
-
-    def test_delegators_own_ballot_is_ignored(self):
-        ledger, agg = build()
-        gov_lock(ledger, agg, "A", 10)
-        gov_lock(ledger, agg, "B", 5)
-        agg.delegate("A", "B")
-        agg.ensure_round(0)
-        agg.cast_meta_vote("A", 0, [(0, 10000)], 0)  # allowed but not counted
-        agg.cast_meta_vote("B", 0, [(1, 10000)], 0)
-        agg.finalize_round(0, 2)
-        rnd = agg.rounds[0]
-        assert 0 not in rnd.tally
-        assert rnd.counted_weight == {"B": Fraction(U(15) * 14, 16 * 10**18)}
-
-    def test_no_chains(self):
-        ledger, agg = build()
-        for account in ("A", "B", "C"):
-            gov_lock(ledger, agg, account, 1)
-        agg.delegate("A", "B")
-        with pytest.raises(AggregatorError):
-            agg.delegate("B", "C")
-        with pytest.raises(AggregatorError):
-            agg.delegate("C", "A")
-
-    def test_no_self_delegation(self):
-        ledger, agg = build()
-        with pytest.raises(AggregatorError):
-            agg.delegate("A", "A")
-
-
 class TestCastMetaVote:
     def test_single_voter_all_in(self):
         ledger, agg = build()

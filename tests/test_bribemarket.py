@@ -187,7 +187,7 @@ class TestDollarsPerVote:
         agg.finalize_round(0, 2)
         market.settle_round(0)
         weight = float(agg.rounds[0].tally[0])
-        assert market.dollars_per_vote(0, 0) == pytest.approx(1000.0 / weight)
+        assert market.settlements[0].gauges[0].usd_per_vote == pytest.approx(1000.0 / weight)
 
     def test_forty_weight_units(self):
         # $1000 of bribes against exactly 40 weight units -> 25 $/vote
@@ -200,7 +200,7 @@ class TestDollarsPerVote:
         agg.finalize_round(0, 2)
         market.settle_round(0)
         assert agg.rounds[0].tally[0] == 40
-        assert market.dollars_per_vote(0, 0) == 25.0
+        assert market.settlements[0].gauges[0].usd_per_vote == 25.0
 
     @pytest.mark.parametrize(
         "usd,votes,expected",
@@ -220,24 +220,7 @@ class TestDollarsPerVote:
         agg.finalize_round(0, 2)
         market.settle_round(0)
         assert agg.rounds[0].tally[0] == votes
-        assert market.dollars_per_vote(0, 0) == pytest.approx(expected, abs=0.0005)
-
-    def test_unsettled_round_rejected(self):
-        _, agg, market = build()
-        agg.ensure_round(0)
-        with pytest.raises(BribeMarketError):
-            market.dollars_per_vote(0, 0)
-
-    def test_zero_vote_gauge_rejected(self):
-        ledger, agg, market = build()
-        gov_lock(ledger, agg, "A", U(10))
-        agg.ensure_round(0)
-        fund_and_post(ledger, market, "briber", 1, U(5))
-        agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
-        agg.finalize_round(0, 2)
-        market.settle_round(0)
-        with pytest.raises(BribeMarketError):
-            market.dollars_per_vote(0, 1)
+        assert market.settlements[0].gauges[0].usd_per_vote == pytest.approx(expected, abs=0.0005)
 
 
 class TestProrata:

@@ -129,6 +129,66 @@ class TestReport:
         assert "never active" in err
 
 
+
+@pytest.fixture(scope="module")
+def mature_trace(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("mature")
+    assert main(["run", "paper-mature", "--out", str(out_dir)]) == 0
+    return str(out_dir / "trace.ndjson")
+
+
+NO_SHARES = "error: no share rows in rounds 900..901\n"
+
+# (``report`` arguments after the trace path, minus --out) -> (exit code,
+# stderr, bytes of the written file or None when nothing may be written)
+REPORT_OUTCOMES = {
+    "participation --round 0..1": (1, "error: --round does not apply to participation\n", None),
+    "snapshots --round 0..1": (1, "error: --round does not apply to snapshots (epoch-keyed)\n", None),
+    "cost_per_vote --actor frax --avenue bribe --round 0..1": (
+        1, "error: --round does not apply to cost_per_vote\n", None,
+    ),
+    "share_table --round 3..1": (1, "error: --round range '3..1' is empty\n", None),
+    "round_results --round x": (1, "error: --round expects A..B, got 'x'\n", None),
+    "cost_per_vote": (1, "error: cost_per_vote needs --actor and --avenue\n", None),
+    "cost_per_vote --actor frax": (1, "error: cost_per_vote needs --actor and --avenue\n", None),
+    "cost_per_vote --avenue bribe --round 0..1": (
+        1, "error: cost_per_vote needs --actor and --avenue\n", None,
+    ),
+    "share_table --round 900..901": (2, NO_SHARES, None),
+    "pearson --round 900..901": (2, NO_SHARES, None),
+    "outliers --round 900..901": (2, NO_SHARES, None),
+    "diff_matrix --round 900..901": (2, NO_SHARES, None),
+    "round_results --round 900..901": (0, "", "round_id,gauge_id,meta_share,base_bps\n"),
+    "settlements --round 900..901": (
+        0, "", "round_id,gauge_id,bribe_usd,vote_weight,usd_per_vote\n",
+    ),
+    "round_results --round 900..901 --format json": (0, "", '{\n  "rows": []\n}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_OUTCOMES))
+def test_report_outcome(case, mature_trace, capsys, tmp_path):
+    code, err, written = REPORT_OUTCOMES[case]
+    out = tmp_path / "export"
+    result, _, stderr = run_cli(capsys, "report", mature_trace, "--metric", *case.split(), "--out", str(out))
+    assert (result, stderr) == (code, err)
+    assert (out.read_text() if out.exists() else None) == written
+
+
+@pytest.mark.parametrize(
+    "line,problem",
+    [("{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
+     ("[1, 2]", "record is not a JSON object")],
+)
+def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp_path):
+    path = tmp_path / "trace.ndjson"
+    header, first, *_ = open(mature_trace, encoding="utf-8").read().splitlines()
+    path.write_text(f"{header}\n{first}\n\n{line}\n")
+    code, _, err = run_cli(capsys, "report", str(path), "--metric", "snapshots", "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert err.startswith(f"error: {path}:4: {problem}")
+
+
 class TestUsage:
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "validate", "paper-mature", "--frobnicate")

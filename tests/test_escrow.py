@@ -142,7 +142,7 @@ class TestWithdraw:
             else:
                 escrow.withdraw("A", now)
             ledger.assert_conservation()
-            assert escrow.escrowed_total() == ledger.escrow_held["CRV"]
+            assert sum(lock.amount for lock in escrow.locks.values()) == ledger.escrow_held["CRV"]
         assert escrow.voting_weight("A", 11) == Fraction(5 * 19, 208)
 
 

@@ -1,11 +1,13 @@
-"""Golden trace digests: the first 16 hex digits of the sha256 of the
-``write_ndjson`` bytes.  A change that alters any trace byte fails here, even
-when every run still agrees with itself."""
+"""Golden digests: the first 16 hex digits of the sha256 of the
+``write_ndjson`` bytes, of ``summary.json`` and of ``report`` exports.  A
+change that alters any trace or export byte fails here, even when every run
+still agrees with itself."""
 
 import hashlib
 
 import pytest
 
+from vetokensim.cli import main
 from vetokensim.sim import load_scenario, run_scenario
 
 from test_acceptance import _randomized_config
@@ -17,10 +19,14 @@ GOLDEN = {
 }
 
 
+def file_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
 def trace_digest(config, tmp_path) -> str:
     path = tmp_path / "trace.ndjson"
     run_scenario(config).write_ndjson(str(path))
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return file_digest(path)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -30,3 +36,67 @@ def test_packaged_scenario_digest(name, tmp_path):
 
 def test_randomized_1000_digest(tmp_path):
     assert trace_digest(_randomized_config(), tmp_path) == "fc6bec74dcdcf34b"
+
+
+# Export digests, pinned the same way: (scenario, ``report`` arguments after
+# ``--metric``, format) -> digest of the written file.
+EXPORT_GOLDEN = {
+    ("paper-mature", "participation", "csv"): "0fc8999a4705c09f",
+    ("paper-mature", "participation", "json"): "1389786c0580c6af",
+    ("paper-mature", "share_table", "csv"): "3fc81f3b6e2851b8",
+    ("paper-mature", "share_table", "json"): "da20e3354bda010c",
+    ("paper-mature", "pearson", "csv"): "95a020334a71c36c",
+    ("paper-mature", "pearson", "json"): "3669f618704e93ec",
+    ("paper-mature", "outliers", "csv"): "22ba71efb8b65318",
+    ("paper-mature", "outliers", "json"): "a3a44060513eac81",
+    ("paper-mature", "diff_matrix", "csv"): "1352b2236df6338d",
+    ("paper-mature", "diff_matrix", "json"): "3c3f07d4252e4636",
+    ("paper-mature", "snapshots", "csv"): "9c82df2008980f9a",
+    ("paper-mature", "snapshots", "json"): "e40adb16a0e55b45",
+    ("paper-mature", "round_results", "csv"): "59e23542fbcbb80a",
+    ("paper-mature", "round_results", "json"): "8ef53e903c17f55a",
+    ("paper-mature", "settlements", "csv"): "81e2eeabedf86e31",
+    ("paper-mature", "settlements", "json"): "700e6ec30633ad6c",
+    ("paper-mature", "share_table --round 0..3", "csv"): "1a3b04339f49c114",
+    ("paper-mature", "share_table --round 0..3", "json"): "64e419b5adc227ca",
+    ("paper-mature", "round_results --round 0..3", "csv"): "58ac7fb948c883e0",
+    ("paper-mature", "round_results --round 0..3", "json"): "ae71c11fdb472b99",
+    ("paper-mature", "settlements --round 0..3", "csv"): "787ee3030814bf8e",
+    ("paper-mature", "settlements --round 0..3", "json"): "ce5873c9a2af5530",
+    ("frax-three-avenues", "cost_per_vote --actor frax --avenue direct-lock", "csv"): "af2a42da837d314b",
+    ("frax-three-avenues", "cost_per_vote --actor frax --avenue direct-lock", "json"): "347ddb7ea8640143",
+    ("frax-three-avenues", "cost_per_vote --actor frax --avenue aggregator-lock", "csv"): "43cfe205abba295b",
+    ("frax-three-avenues", "cost_per_vote --actor frax --avenue aggregator-lock", "json"): "0b19dee09ff7308e",
+    ("frax-three-avenues", "cost_per_vote --actor frax --avenue bribe", "csv"): "f783bc71a7fd0489",
+    ("frax-three-avenues", "cost_per_vote --actor frax --avenue bribe", "json"): "515bf1d248fe273d",
+}
+
+SUMMARY_GOLDEN = {
+    "paper-mature": "4477d1ac1be80e63",
+    "paper-bootstrap": "a5eac022273bb3db",
+    "frax-three-avenues": "f8a286792a526cee",
+}
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    """``vetokensim run`` output directory per packaged scenario, run once."""
+    root = tmp_path_factory.mktemp("runs")
+    for name in SUMMARY_GOLDEN:
+        assert main(["run", name, "--out", str(root / name)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
+def test_summary_digest(name, run_dirs):
+    assert file_digest(run_dirs / name / "summary.json") == SUMMARY_GOLDEN[name]
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_GOLDEN), ids=" ".join)
+def test_report_export_digest(case, run_dirs, tmp_path):
+    scenario, metric_args, fmt = case
+    out = tmp_path / f"export.{fmt}"
+    trace = str(run_dirs / scenario / "trace.ndjson")
+    argv = ["report", trace, "--metric", *metric_args.split(), "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    assert file_digest(out) == EXPORT_GOLDEN[case]
