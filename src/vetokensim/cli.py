@@ -92,8 +92,6 @@ def _parse_round_range(text: str) -> tuple[int, int]:
 
 def _phase_pearson(table: metrics.ShareTable, bootstrap_rounds: int) -> dict:
     def safe(rows):
-        if len(rows) < 2:
-            return None
         try:
             return metrics.pearson([(r.bribe_share, r.vote_share) for r in rows])
         except VeTokenSimError:
@@ -117,23 +115,17 @@ def _summarize(config, trace: SimTrace) -> dict:
         "epochs": len(trace),
         "rounds_settled": settled,
         "pearson": {"overall": None},
-        "participation": None,
-        "cost_per_vote": {},
+        "participation": dataclasses.asdict(metrics.participation_stats(trace)),
     }
     if settled:
         table = metrics.share_table(trace)
         summary["pearson"] = _phase_pearson(table, config.bootstrap_rounds)
-    summary["participation"] = dataclasses.asdict(metrics.participation_stats(trace))
-    for spec in config.agents:
-        per_avenue = {}
-        for avenue in metrics.AVENUES:
-            try:
-                series = metrics.cost_per_vote_series(trace, spec.account, avenue)
-            except VeTokenSimError:
-                continue
-            per_avenue[avenue] = series.final_usd_per_vote()
-        if per_avenue:
-            summary["cost_per_vote"][spec.account] = per_avenue
+    # account -> avenue -> final USD per vote, one trace pass per avenue
+    final: dict[str, dict] = {spec.account: {} for spec in config.agents}
+    for avenue in metrics.AVENUES:
+        for account, series in metrics.cost_per_vote(trace, avenue, final).items():
+            final[account][avenue] = series.final_usd_per_vote()
+    summary["cost_per_vote"] = {account: per_avenue for account, per_avenue in final.items() if per_avenue}
     return summary
 
 

@@ -1,6 +1,6 @@
 """Analysis of simulation traces: participation, bribe/vote shares,
 correlation, outlier classes, share-difference matrices, and cost per vote
-by acquisition avenue.
+by acquisition avenue (one pass per avenue for any number of accounts).
 
 Every function here is a pure read of an immutable trace.  Weight-typed trace
 fields arrive as exact rational strings and are converted to floats only at
@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import MetricsError
 from .sim import SimTrace
@@ -374,8 +374,9 @@ def settlements(trace: SimTrace) -> SettlementTable:
     return SettlementTable(rows)
 
 
-def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVoteSeries:
-    """Cumulative acquisition cost against cumulative votes, one row per epoch.
+def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, CostPerVoteSeries]:
+    """Cumulative acquisition cost against cumulative votes, one row per epoch,
+    in one pass, for each of ``actors`` that ever paid in ``avenue``.
 
     direct-lock: base-escrow lock cost at lock-time prices; votes are the
     actor's base weight exercised at each snapshot (scaled by allocated bps).
@@ -386,50 +387,49 @@ def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVot
     """
     if avenue not in AVENUES:
         raise MetricsError(f"unknown avenue {avenue!r}; expected one of {AVENUES}")
+    lock_escrow = {"direct-lock": "base", "aggregator-lock": "governance"}.get(avenue)
     protocol_account = trace.header.get("protocol_account")
-    cost = 0.0
-    votes = Fraction(0)
-    active = False
-    rows: list[tuple[int, float, float, float | None]] = []
+    votes = dict.fromkeys(actors, 0)  # an int until the first vote: cheap to test and convert
+    paid: dict[str, float] = {}  # USD so far; an actor is active once it has an entry
+    rows = {actor: [] for actor in votes}
     for row in trace:
-        epoch = row["epoch"]
-        if avenue == "direct-lock":
+        if lock_escrow:
             for event in row.get("lock_events", ()):
-                if event["account"] == actor and event["escrow"] == "base" and event["amount"] > 0:
-                    cost += event["usd_cost"]
-                    active = True
-            if row.get("snapshot") is not None:
-                allocation = row.get("base_votes", {}).get(actor)
-                if allocation:
-                    weight = Fraction(row["escrow_weights"]["base"].get(actor, "0"))
-                    votes += weight * Fraction(sum(allocation.values()), 10_000)
-        elif avenue == "aggregator-lock":
-            for event in row.get("lock_events", ()):
-                if event["account"] == actor and event["escrow"] == "governance" and event["amount"] > 0:
-                    cost += event["usd_cost"]
-                    active = True
-            finalized = row.get("round_finalized")
-            if finalized and actor in finalized.get("voter_mass", {}):
-                mass = Fraction(finalized["voter_mass"][actor])
-                total = Fraction(finalized["tally_total"])
+                actor = event["account"]
+                if actor in votes and event["escrow"] == lock_escrow and event["amount"] > 0:
+                    paid[actor] = paid.get(actor, 0.0) + event["usd_cost"]
+        if avenue == "direct-lock" and row.get("snapshot") is not None:
+            weights = row["escrow_weights"]["base"]
+            for actor, allocation in row.get("base_votes", {}).items():
+                if actor in votes and allocation:
+                    weight = Fraction(weights.get(actor, "0"))
+                    votes[actor] += weight * Fraction(sum(allocation.values()), 10_000)
+        elif avenue == "aggregator-lock" and row.get("round_finalized"):
+            finalized = row["round_finalized"]
+            total = Fraction(finalized["tally_total"])
+            if total:
                 pooled = Fraction(row["escrow_weights"]["base"].get(protocol_account, "0"))
-                if total:
-                    votes += mass / total * pooled
-        else:  # bribe
-            settlement = row.get("settlement")
-            if settlement:
-                for gs in settlement["gauges"].values():
-                    spend = gs["briber_usd"].get(actor)
-                    if spend is None:
-                        continue
-                    cost += spend
-                    votes += Fraction(gs["vote_weight"])
-                    active = True
-        usd_per_vote = cost / float(votes) if votes > 0 else None
-        rows.append((epoch, cost, float(votes), usd_per_vote))
-    if not active:
+                for actor, mass in finalized.get("voter_mass", {}).items():
+                    if actor in votes:
+                        votes[actor] += Fraction(mass) / total * pooled
+        elif avenue == "bribe" and row.get("settlement"):
+            for gs in row["settlement"]["gauges"].values():
+                for actor, spend in gs["briber_usd"].items():
+                    if actor in votes:
+                        paid[actor] = paid.get(actor, 0.0) + spend
+                        votes[actor] += Fraction(gs["vote_weight"])
+        for actor, series in rows.items():
+            spent, acquired = paid.get(actor, 0.0), float(votes[actor])
+            series.append((row["epoch"], spent, acquired, spent / acquired if votes[actor] > 0 else None))
+    return {actor: CostPerVoteSeries(avenue, actor, series) for actor, series in rows.items() if actor in paid}
+
+
+def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVoteSeries:
+    """One account's ``cost_per_vote``; an account never active in the avenue is an error."""
+    series = cost_per_vote(trace, avenue, [actor]).get(actor)
+    if series is None:
         raise MetricsError(f"account {actor} was never active in avenue {avenue}")
-    return CostPerVoteSeries(avenue, actor, rows)
+    return series
 
 
 # -- exports -------------------------------------------------------------------

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -179,6 +180,13 @@ def _as_int(value, context: str, minimum=None, maximum=None) -> int:
     return value
 
 
+def _as_float(value, context: str) -> float:
+    # the bound also rejects NaN, ±inf and integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _as_amount(value, context: str) -> int:
     try:
         return base_units(value)
@@ -240,9 +248,9 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
         raise ScenarioError(f"{context}.params.allocation: exceeds {BPS} bps")
     budget = params.get("budget_per_round", 0.0)
     if isinstance(budget, list):
-        budget = tuple(float(b) for b in budget)
+        budget = tuple(_as_float(b, f"{context}.params.budget_per_round[{i}]") for i, b in enumerate(budget))
     else:
-        budget = float(budget)
+        budget = _as_float(budget, f"{context}.params.budget_per_round")
     own_gauges = tuple(
         _as_int(g, f"{context}.params.own_gauges[{i}]", 0, gauge_count - 1)
         for i, g in enumerate(params.get("own_gauges", ()))
@@ -250,13 +258,15 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
     bribe_token = str(params.get("bribe_token", "BRIBE-USD"))
     if (own_gauges or budget) and bribe_token not in tokens:
         raise ScenarioError(f"{context}.params.bribe_token: unknown token {bribe_token}")
-    noise = float(params.get("noise", 0.0))
+    noise = _as_float(params.get("noise", 0.0), f"{context}.params.noise")
     if not 0.0 <= noise <= 1.0:
         raise ScenarioError(f"{context}.params.noise: must be within [0, 1]")
     exogenous = tuple(
-        (_as_int(int(g), f"{context}.params.exogenous_weights", 0, gauge_count - 1), float(w))
+        (_as_int(int(g), f"{context}.params.exogenous_weights", 0, gauge_count - 1),
+         _as_float(w, f"{context}.params.exogenous_weights.{g}"))
         for g, w in sorted(params.get("exogenous_weights", {}).items())
     )
+    tol = _as_float(params.get("tol", 1e-9), f"{context}.params.tol")
     try:
         return AgentSpec(
             account=account,
@@ -268,7 +278,7 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
             bribe_token=bribe_token,
             noise=noise,
             exogenous_weights=exogenous,
-            tol=float(params.get("tol", 1e-9)),
+            tol=tol,
         )
     except VeTokenSimError as exc:
         raise ScenarioError(f"{context}: {exc}") from None
@@ -301,7 +311,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         last = None
         for i, point in enumerate(points):
             epoch = _as_int(point[0], f"scenario.price_series.{token}[{i}]")
-            price = float(point[1])
+            price = _as_float(point[1], f"scenario.price_series.{token}[{i}]")
             if price < 0:
                 raise ScenarioError(f"scenario.price_series.{token}[{i}]: negative price")
             if last is not None and epoch <= last:

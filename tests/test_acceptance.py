@@ -78,6 +78,12 @@ def test_criterion_1_weight_formula():
 
 
 def _randomized_config(horizon=1000, n_gauges=12, seed=424242):
+    return scenario_from_dict(_randomized_scenario(horizon, n_gauges, seed))
+
+
+def _randomized_scenario(horizon=1000, n_gauges=12, seed=424242) -> dict:
+    """The raw scenario behind ``_randomized_config``: 24 agents over all
+    five strategies and all three avenues."""
     rng = random.Random(seed // 2)
     rounds = horizon // 2 + 1
     tokens = [{"symbol": s, "transferable": True} for s in ("CRV", "CVX", "cvxCRV", "BRIBE-USD")]
@@ -143,7 +149,7 @@ def _randomized_config(horizon=1000, n_gauges=12, seed=424242):
         balances.append([account, "BRIBE-USD", 60000])
         balances.append([account, "CVX", 50000])
 
-    return scenario_from_dict({
+    return {
         "name": "randomized-conservation",
         "horizon_epochs": horizon,
         "round_length": 2,
@@ -160,7 +166,7 @@ def _randomized_config(horizon=1000, n_gauges=12, seed=424242):
         "gauges": gauges,
         "emission_schedule": [{"start": 0, "end": horizon, "per_week": 1000000}],
         "agents": agents,
-    })
+    }
 
 
 @criterion("criterion 2: conservation over 1000 randomized epochs", 30.0)

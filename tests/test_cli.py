@@ -35,6 +35,57 @@ class TestValidate:
         assert set(os.listdir(tmp_path)) == before
 
 
+def _with_agent_params(**params) -> dict:
+    return make_scenario(agents=[{"account": "a", "strategy": "PassiveLocker", "params": params}])
+
+
+def _with_price(price) -> dict:
+    raw = make_scenario()
+    raw["price_series"]["CRV"] = [[0, price]]
+    return raw
+
+
+PRICE = "scenario.price_series.CRV[0]"
+PARAMS = "scenario.agents[0].params"
+
+# a scenario with one bad float field -> the exact validate error
+BAD_FLOATS = {
+    "nan price": (_with_price(float("nan")), f"{PRICE}: expected a finite number, got nan"),
+    "inf price": (_with_price(float("inf")), f"{PRICE}: expected a finite number, got inf"),
+    "string price": (_with_price("1.5"), f"{PRICE}: expected a finite number, got '1.5'"),
+    "bool price": (_with_price(True), f"{PRICE}: expected a finite number, got True"),
+    "huge price": (_with_price(10**400), f"{PRICE}: expected a finite number, got {10**400}"),
+    "negative price": (_with_price(-1.0), f"{PRICE}: negative price"),
+    "string noise": (_with_agent_params(noise="x"), f"{PARAMS}.noise: expected a finite number, got 'x'"),
+    "noise above one": (_with_agent_params(noise=1.5), f"{PARAMS}.noise: must be within [0, 1]"),
+    "nan budget": (
+        _with_agent_params(budget_per_round=float("nan")),
+        f"{PARAMS}.budget_per_round: expected a finite number, got nan",
+    ),
+    "string budget": (
+        _with_agent_params(budget_per_round="abc"),
+        f"{PARAMS}.budget_per_round: expected a finite number, got 'abc'",
+    ),
+    "string budget in list": (
+        _with_agent_params(budget_per_round=[1, "abc"]),
+        f"{PARAMS}.budget_per_round[1]: expected a finite number, got 'abc'",
+    ),
+    "string tol": (_with_agent_params(tol="x"), f"{PARAMS}.tol: expected a finite number, got 'x'"),
+    "string exogenous weight": (
+        _with_agent_params(exogenous_weights={"0": "x"}),
+        f"{PARAMS}.exogenous_weights.0: expected a finite number, got 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLOATS))
+def test_bad_float_field_exits_one(case, capsys, tmp_path):
+    raw, message = BAD_FLOATS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(capsys, "validate", str(path)) == (1, "", f"error: {message}\n")
+
+
 class TestRun:
     def test_outputs_exist(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

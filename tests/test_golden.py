@@ -3,14 +3,17 @@
 change that alters any trace or export byte fails here, even when every run
 still agrees with itself."""
 
+import contextlib
 import hashlib
+import io
+import json
 
 import pytest
 
 from vetokensim.cli import main
 from vetokensim.sim import load_scenario, run_scenario
 
-from test_acceptance import _randomized_config
+from test_acceptance import _randomized_config, _randomized_scenario
 
 GOLDEN = {
     "paper-mature": "6a78d72a89f10d40",
@@ -77,19 +80,52 @@ SUMMARY_GOLDEN = {
     "frax-three-avenues": "f8a286792a526cee",
 }
 
+# Digest of ``vetokensim run`` stdout, with the output directory written as
+# OUT: it pins every printed line, the account order of the cost-per-vote
+# lines included.
+STDOUT_GOLDEN = {
+    "paper-mature": "ed7f44a96afc2bcb",
+    "paper-bootstrap": "20afc171839bb008",
+    "frax-three-avenues": "8228ea28a24bb6a2",
+}
+
+
+def run_cli(scenario, out_dir) -> str:
+    """Run ``vetokensim run`` and return its stdout with ``out_dir`` as OUT."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    return stdout.getvalue().replace(str(out_dir), "OUT")
+
 
 @pytest.fixture(scope="module")
 def run_dirs(tmp_path_factory):
-    """``vetokensim run`` output directory per packaged scenario, run once."""
+    """``vetokensim run`` output directory per packaged scenario, run once;
+    each directory also keeps the run's stdout as ``stdout.txt``."""
     root = tmp_path_factory.mktemp("runs")
     for name in SUMMARY_GOLDEN:
-        assert main(["run", name, "--out", str(root / name)]) == 0
+        stdout = run_cli(name, root / name)
+        (root / name / "stdout.txt").write_text(stdout)
     return root
 
 
 @pytest.mark.parametrize("name", sorted(SUMMARY_GOLDEN))
 def test_summary_digest(name, run_dirs):
     assert file_digest(run_dirs / name / "summary.json") == SUMMARY_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
+def test_run_stdout_digest(name, run_dirs):
+    assert file_digest(run_dirs / name / "stdout.txt") == STDOUT_GOLDEN[name]
+
+
+def test_randomized_1000_run_digests(tmp_path):
+    # 24 accounts, with costs per vote in all three avenues
+    scenario = tmp_path / "randomized.json"
+    scenario.write_text(json.dumps(_randomized_scenario()))
+    stdout = run_cli(scenario, tmp_path / "out")
+    assert file_digest(tmp_path / "out" / "summary.json") == "6ad710951299c72e"
+    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == "4aa08564955bd28c"
 
 
 @pytest.mark.parametrize("case", sorted(EXPORT_GOLDEN), ids=" ".join)

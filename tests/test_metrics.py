@@ -278,69 +278,87 @@ class TestDiffMatrix:
         assert matrix.cells[1][1] is None  # round 1 never saw gauge 0
 
 
+def direct_lock_trace():
+    """frax locks $100 at epoch 0 and votes 250 weight at each of 4 snapshots;
+    curve locks $30 at epoch 1 and votes half of 500 weight; lurker votes
+    without ever locking, so it is never active."""
+    rows = []
+    for epoch in range(4):
+        row = epoch_row(
+            epoch,
+            base_votes={"frax": {"0": 10000}, "curve": {"0": 5000}, "lurker": {"0": 10000}},
+            snapshot={"relative_weights": {"0": "1"}, "emissions": {}, "emission_total": 0},
+        )
+        row["escrow_weights"]["base"].update(frax="250", curve="500", lurker="100")
+        if epoch < 2:
+            account, usd = [("frax", 100.0), ("curve", 30.0)][epoch]
+            row["lock_events"] = [
+                {"account": account, "escrow": "base", "amount": 1, "unlock_epoch": 208, "usd_cost": usd}
+            ]
+        rows.append(row)
+    return make_trace(rows)
+
+
+def aggregator_trace():
+    """frax locks 64.74e6 USD of governance tokens buying 2.88e9 pass-through
+    votes: half of each round's ballot mass times 1.44e9 pooled base weight,
+    over 4 rounds.  curve locks $10 and casts the other half."""
+    first = epoch_row(0)
+    first["lock_events"] = [
+        {"account": account, "escrow": "governance", "amount": 1, "unlock_epoch": 16, "usd_cost": usd}
+        for account, usd in (("frax", 64.74e6), ("curve", 10.0))
+    ]
+    rows = [first]
+    for round_id in range(4):
+        row = epoch_row(
+            round_id * 2 + 2,
+            round_finalized=finalized(
+                round_id,
+                {"0": "1440000000"},
+                voters=("frax", "curve"),
+                voter_mass={"frax": "720000000", "curve": "720000000"},
+            ),
+        )
+        row["escrow_weights"]["base"]["agg"] = "1440000000"
+        rows.append(row)
+    return make_trace(rows)
+
+
+def bribe_trace():
+    """frax spends 103.69e6 USD on gauge 0 against 6.72e9 voter weight units
+    over 4 rounds; curve spends $5 a round on gauge 1."""
+    rows = []
+    for round_id in range(4):
+        settlement = settlement_of(round_id, {0: 103.69e6 / 4}, {0: "1680000000"}, briber="frax")
+        settlement["gauges"]["1"] = settlement_of(round_id, {1: 5}, {1: "10"}, briber="curve")["gauges"]["1"]
+        rows.append(
+            epoch_row(
+                round_id * 2 + 2,
+                round_finalized=finalized(round_id, {"0": "1680000000", "1": "10"}),
+                settlement=settlement,
+            )
+        )
+    return make_trace(rows)
+
+
 class TestCostPerVote:
     def test_direct_lock_amortization(self):
-        # $100 lock exercising 250 weight at each of 4 snapshots: the series
-        # is 0.4, 0.2, 0.1333..., 0.1 and ends at ten cents per vote
-        rows = []
-        for epoch in range(4):
-            row = epoch_row(
-                epoch,
-                base_votes={"frax": {"0": 10000}},
-                snapshot={"relative_weights": {"0": "1"}, "emissions": {}, "emission_total": 0},
-            )
-            row["escrow_weights"]["base"]["frax"] = "250"
-            if epoch == 0:
-                row["lock_events"] = [
-                    {"account": "frax", "escrow": "base", "amount": 1, "unlock_epoch": 208, "usd_cost": 100.0}
-                ]
-            rows.append(row)
-        series = metrics.cost_per_vote_series(make_trace(rows), "frax", "direct-lock")
+        # the series is 0.4, 0.2, 0.1333..., 0.1 and ends at ten cents per vote
+        series = metrics.cost_per_vote_series(direct_lock_trace(), "frax", "direct-lock")
         values = [upv for _, _, _, upv in series.rows]
         assert values == pytest.approx([0.4, 0.2, 100 / 750, 0.1])
         assert all(b < a for a, b in zip(values, values[1:]))
         assert series.final_usd_per_vote() == pytest.approx(0.10)
 
     def test_aggregator_avenue_reproduces_headline_quotient(self):
-        # 64.74e6 USD of governance locks buying 2.88e9 pass-through votes
-        rows = []
-        first = epoch_row(0)
-        first["lock_events"] = [
-            {"account": "frax", "escrow": "governance", "amount": 1, "unlock_epoch": 16, "usd_cost": 64.74e6}
-        ]
-        rows.append(first)
-        for round_id in range(4):
-            row = epoch_row(
-                round_id * 2 + 2,
-                round_finalized=finalized(
-                    round_id,
-                    {"0": "720000000"},
-                    voters=("frax",),
-                    voter_mass={"frax": "720000000"},
-                ),
-            )
-            row["escrow_weights"]["base"]["agg"] = "720000000"
-            rows.append(row)
-        series = metrics.cost_per_vote_series(make_trace(rows), "frax", "aggregator-lock")
+        series = metrics.cost_per_vote_series(aggregator_trace(), "frax", "aggregator-lock")
         _, cost, votes, upv = series.rows[-1]
         assert cost == pytest.approx(64.74e6)
         assert votes == pytest.approx(2.88e9)
         assert abs(upv - 0.0225) < 0.0005
 
     def test_bribe_avenue_reproduces_headline_quotient(self):
-        # 103.69e6 USD of bribes against 6.72e9 voter weight units
-        rows = []
-        for round_id in range(4):
-            rows.append(
-                epoch_row(
-                    round_id * 2 + 2,
-                    round_finalized=finalized(round_id, {"0": "1680000000"}),
-                    settlement=settlement_of(
-                        round_id, {0: 103.69e6 / 4}, {0: "1680000000"}, briber="frax"
-                    ),
-                )
-            )
-        series = metrics.cost_per_vote_series(make_trace(rows), "frax", "bribe")
+        series = metrics.cost_per_vote_series(bribe_trace(), "frax", "bribe")
         _, cost, votes, upv = series.rows[-1]
         assert cost == pytest.approx(103.69e6)
         assert votes == pytest.approx(6.72e9)
@@ -362,6 +380,33 @@ class TestCostPerVote:
     def test_unknown_avenue_rejected(self):
         with pytest.raises(MetricsError):
             metrics.cost_per_vote_series(make_trace([epoch_row(0)]), "frax", "osmosis")
+        with pytest.raises(MetricsError, match="unknown avenue 'osmosis'"):
+            metrics.cost_per_vote(make_trace([epoch_row(0)]), "osmosis", ["frax"])
+
+    @pytest.mark.parametrize(
+        "trace,avenue,final",
+        [
+            # curve pays $30 for 4 x 250 direct votes, $10 for 4 x 7.2e8
+            # pass-through votes and $20 of bribes for 4 x 10 votes
+            (direct_lock_trace, "direct-lock", {"curve": 0.03, "frax": 0.1}),
+            (aggregator_trace, "aggregator-lock", {"curve": 10 / 2.88e9, "frax": 64.74e6 / 2.88e9}),
+            (bribe_trace, "bribe", {"curve": 0.5, "frax": 103.69e6 / 6.72e9}),
+        ],
+    )
+    def test_many_accounts_match_one_account_calls(self, trace, avenue, final):
+        trace = trace()
+        many = metrics.cost_per_vote(trace, avenue, ["lurker", "curve", "ghost", "frax"])
+        assert list(many) == ["curve", "frax"]  # the order asked for, active accounts only
+        for account, series in many.items():
+            assert series == metrics.cost_per_vote_series(trace, account, avenue)
+            assert series.final_usd_per_vote() == pytest.approx(final[account])
+
+    def test_never_active_accounts_are_absent(self):
+        trace = direct_lock_trace()
+        assert metrics.cost_per_vote(trace, "direct-lock", ["lurker", "ghost"]) == {}
+        assert metrics.cost_per_vote(trace, "aggregator-lock", ["frax", "curve"]) == {}
+        with pytest.raises(MetricsError, match="account lurker was never active in avenue direct-lock"):
+            metrics.cost_per_vote_series(trace, "lurker", "direct-lock")
 
 
 class TestTraceExtracts:
