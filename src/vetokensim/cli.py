@@ -123,8 +123,8 @@ def _summarize(config, trace: SimTrace) -> dict:
     # account -> avenue -> final USD per vote, one trace pass per avenue
     final: dict[str, dict] = {spec.account: {} for spec in config.agents}
     for avenue in metrics.AVENUES:
-        for account, series in metrics.cost_per_vote(trace, avenue, final).items():
-            final[account][avenue] = series.final_usd_per_vote()
+        for account, usd_per_vote in metrics.final_cost_per_vote(trace, avenue, final).items():
+            final[account][avenue] = usd_per_vote
     summary["cost_per_vote"] = {account: per_avenue for account, per_avenue in final.items() if per_avenue}
     return summary
 

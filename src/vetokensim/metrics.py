@@ -3,10 +3,13 @@ correlation, outlier classes, share-difference matrices, and cost per vote
 by acquisition avenue (one pass per avenue for any number of accounts).
 
 Every function here is a pure read of an immutable trace.  Weight-typed trace
-fields arrive as exact rational strings and are converted to floats only at
-the analytic boundary.  Every result is a ``Table`` whose one column schema
-drives both the CSV and the JSON export, with fixed decimal formatting (10
-significant digits) so repeated exports are byte-identical.
+fields arrive as exact ``n`` or ``n/d`` strings; they are read as ``(num,
+den)`` int pairs, summed exactly, and turned into a float by one int/int
+division, which is correctly rounded.  A missing field or a malformed ratio
+is a ``ScenarioError`` naming the epoch and the field path.  Every result is
+a ``Table`` whose one column schema drives both the CSV and the JSON export,
+with fixed decimal formatting (10 significant digits) so repeated exports are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -15,13 +18,81 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import MetricsError
+from .errors import MetricsError, ScenarioError
 from .sim import SimTrace
 
 AVENUES = ("direct-lock", "aggregator-lock", "bribe")
+
+ZERO = (0, 1)  # the ratio 0 as a (num, den) pair
+
+
+# -- trace fields --------------------------------------------------------------
+
+
+def _trace_error(row: dict, path: tuple, problem: str) -> ScenarioError:
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    return ScenarioError(f"trace epoch {row.get('epoch')}: {where[1:]}: {problem}")
+
+
+def _field(row: dict, *path):
+    """``row[path[0]][path[1]]...``; a missing field is an input error."""
+    value = row
+    for depth, key in enumerate(path):
+        try:
+            value = value[key]
+        except (KeyError, IndexError, TypeError):
+            raise _trace_error(row, path[: depth + 1], "required field missing") from None
+    return value
+
+
+def _object(row: dict, *path) -> dict:
+    """The JSON object at ``path`` in ``row``."""
+    value = _field(row, *path)
+    if not isinstance(value, dict):
+        raise _trace_error(row, path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _fields(row: dict, path: tuple, *keys) -> list:
+    """The values of ``keys`` in the object at ``path`` in ``row``."""
+    record = _object(row, *path)
+    try:
+        return [record[key] for key in keys]
+    except KeyError as exc:
+        raise _trace_error(row, (*path, exc.args[0]), "required field missing") from None
+
+
+def _ratio(text, row: dict, *path) -> tuple[int, int]:
+    """A trace weight ``"n"`` or ``"n/d"`` (``path`` in ``row``) as ``(n, d)``, n >= 0, d > 0."""
+    try:
+        num, slash, den = text.partition("/")
+        num, den = int(num), int(den) if slash else 1
+    except (AttributeError, ValueError):
+        num = den = -1
+    if num < 0 or den <= 0:
+        raise _trace_error(row, path, f"expected a ratio n or n/d, got {text!r}")
+    return num, den
+
+
+def _ratio_at(row: dict, *path) -> tuple[int, int]:
+    return _ratio(_field(row, *path), row, *path)
+
+
+def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The exact sum of two ratios, over the least common multiple of their
+    denominators (trace weights of one kind share a denominator, so it stays small)."""
+    (a_num, a_den), (b_num, b_den) = a, b
+    if a_den == b_den:
+        return a_num + b_num, a_den
+    common = math.gcd(a_den, b_den)
+    return a_num * (b_den // common) + b_num * (a_den // common), a_den // common * b_den
+
+
+def _quotient(a: tuple[int, int], b: tuple[int, int]) -> float:
+    """``a / b`` as a correctly rounded float; 0.0 when ``b`` is zero."""
+    return (a[0] * b[1]) / (a[1] * b[0]) if b[0] else 0.0
 
 
 class Table:
@@ -201,8 +272,7 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
         raise MetricsError("cannot compute participation over an empty trace")
     lockers: set[str] = set()
     voters: set[str] = set()
-    cast_weight = Fraction(0)
-    total_weight = Fraction(0)
+    cast_weight = total_weight = ZERO
     voters_per_round: list[int] = []
     for row in trace:
         locks = row.get("locks", {})
@@ -213,10 +283,9 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
         if finalized:
             voters.update(finalized.get("ballots", {}))
             voters_per_round.append(len(finalized.get("ballots", {})))
-            cast_weight += Fraction(finalized["tally_total"])
-            total_weight += Fraction(finalized["total_gov_weight"])
+            cast_weight = _add(cast_weight, _ratio_at(row, "round_finalized", "tally_total"))
+            total_weight = _add(total_weight, _ratio_at(row, "round_finalized", "total_gov_weight"))
     voter_fraction = len(voters) / len(lockers) if lockers else 0.0
-    weight_fraction = float(cast_weight / total_weight) if total_weight else 0.0
     mean_by_type = {
         "gauge": (sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0
     }
@@ -224,7 +293,7 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
         unique_lockers=len(lockers),
         unique_voters=len(voters),
         voter_fraction=voter_fraction,
-        weight_voting_fraction=weight_fraction,
+        weight_voting_fraction=_quotient(cast_weight, total_weight),
         mean_voters_by_proposal_type=mean_by_type,
     )
 
@@ -239,14 +308,22 @@ def share_table(trace: SimTrace) -> ShareTable:
         if not settlement or not finalized:
             continue
         settled += 1
-        round_id = settlement["round"]
-        bribe_usd = {int(g): gs["bribe_usd"] for g, gs in settlement["gauges"].items()}
-        votes = {int(g): Fraction(w) for g, w in finalized["tally"].items()}
+        round_id = _field(row, "settlement", "round")
+        bribe_usd = {
+            int(g): _field(row, "settlement", "gauges", g, "bribe_usd")
+            for g in _object(row, "settlement", "gauges")
+        }
+        votes = {
+            int(g): _ratio(w, row, "round_finalized", "tally", g)
+            for g, w in _object(row, "round_finalized", "tally").items()
+        }
         bribe_total = sum(bribe_usd.values())
-        vote_total = sum(votes.values(), Fraction(0))
+        vote_total = ZERO
+        for weight in votes.values():
+            vote_total = _add(vote_total, weight)
         for gauge_id in sorted(set(bribe_usd) | set(votes)):
             bribe_share = bribe_usd.get(gauge_id, 0.0) / bribe_total if bribe_total else 0.0
-            vote_share = float(votes.get(gauge_id, Fraction(0)) / vote_total) if vote_total else 0.0
+            vote_share = _quotient(votes.get(gauge_id, ZERO), vote_total)
             if bribe_share > 0 or vote_share > 0:
                 rows.append(ShareRow(round_id, gauge_id, bribe_share, vote_share))
     if settled == 0:
@@ -265,7 +342,8 @@ def pearson(pairs) -> float:
     mean_y = sum(y for _, y in points) / n
     var_x = sum((x - mean_x) ** 2 for x, _ in points)
     var_y = sum((y - mean_y) ** 2 for _, y in points)
-    if var_x == 0 or var_y == 0:
+    # a constant column is degenerate even when rounding puts its mean an ulp off
+    if var_x == 0 or var_y == 0 or len({x for x, _ in points}) == 1 or len({y for _, y in points}) == 1:
         raise MetricsError("pearson undefined for degenerate variance")
     cov = sum((x - mean_x) * (y - mean_y) for x, y in points)
     return cov / math.sqrt(var_x * var_y)
@@ -336,8 +414,10 @@ def gauge_snapshots(trace: SimTrace) -> SnapshotTable:
         if not snapshot:
             continue
         emissions = snapshot.get("emissions", {})
-        for gauge, weight in sorted(snapshot["relative_weights"].items(), key=lambda kv: int(kv[0])):
-            rows.append((row["epoch"], int(gauge), float(Fraction(weight)), emissions.get(gauge, 0)))
+        weights = _object(row, "snapshot", "relative_weights")
+        for gauge, weight in sorted(weights.items(), key=lambda kv: int(kv[0])):
+            num, den = _ratio(weight, row, "snapshot", "relative_weights", gauge)
+            rows.append((_field(row, "epoch"), int(gauge), num / den, emissions.get(gauge, 0)))
     return SnapshotTable(rows)
 
 
@@ -348,10 +428,11 @@ def round_results(trace: SimTrace) -> RoundResultTable:
         if not finalized:
             continue
         base = finalized.get("base_allocation") or {}
-        for gauge, share in sorted(finalized["result"].items(), key=lambda kv: int(kv[0])):
-            rows.append(
-                (finalized["round"], int(gauge), float(Fraction(share)), base.get(gauge, 0))
-            )
+        round_id = _field(row, "round_finalized", "round")
+        result = _object(row, "round_finalized", "result")
+        for gauge, share in sorted(result.items(), key=lambda kv: int(kv[0])):
+            num, den = _ratio(share, row, "round_finalized", "result", gauge)
+            rows.append((round_id, int(gauge), num / den, base.get(gauge, 0)))
     return RoundResultTable(rows)
 
 
@@ -361,17 +442,61 @@ def settlements(trace: SimTrace) -> SettlementTable:
         settlement = row.get("settlement")
         if not settlement:
             continue
-        for gauge, gs in sorted(settlement["gauges"].items(), key=lambda kv: int(kv[0])):
-            rows.append(
-                (
-                    settlement["round"],
-                    int(gauge),
-                    gs["bribe_usd"],
-                    float(Fraction(gs["vote_weight"])),
-                    gs["usd_per_vote"],
-                )
-            )
+        round_id = _field(row, "settlement", "round")
+        for gauge in sorted(_object(row, "settlement", "gauges"), key=int):
+            path = ("settlement", "gauges", gauge)
+            bribe_usd, weight, usd_per_vote = _fields(row, path, "bribe_usd", "vote_weight", "usd_per_vote")
+            num, den = _ratio(weight, row, *path, "vote_weight")
+            rows.append((round_id, int(gauge), bribe_usd, num / den, usd_per_vote))
     return SettlementTable(rows)
+
+
+def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict[str, tuple[int, int]]):
+    """The avenue rules of ``cost_per_vote``, folded row by row into ``paid``
+    (USD spent so far, per account that has paid) and ``votes`` (exact vote
+    total so far, per account keyed in it); yields each row's epoch once the
+    row is folded.  Every vote increment is non-negative."""
+    if avenue not in AVENUES:
+        raise MetricsError(f"unknown avenue {avenue!r}; expected one of {AVENUES}")
+    lock_escrow = {"direct-lock": "base", "aggregator-lock": "governance"}.get(avenue)
+    protocol_account = trace.header.get("protocol_account")
+    for row in trace:
+        if lock_escrow:
+            for i in range(len(row.get("lock_events", ()))):
+                actor, escrow, amount, usd_cost = _fields(
+                    row, ("lock_events", i), "account", "escrow", "amount", "usd_cost"
+                )
+                if actor in votes and escrow == lock_escrow and amount > 0:
+                    paid[actor] = paid.get(actor, 0.0) + usd_cost
+        if avenue == "direct-lock" and row.get("snapshot") is not None:
+            weights = _object(row, "escrow_weights", "base")
+            for actor, allocation in row.get("base_votes", {}).items():
+                if actor in votes and allocation:
+                    num, den = _ratio(weights.get(actor, "0"), row, "escrow_weights", "base", actor)
+                    votes[actor] = _add(votes[actor], (num * sum(allocation.values()), den * 10_000))
+        elif avenue == "aggregator-lock" and row.get("round_finalized"):
+            total_num, total_den = _ratio_at(row, "round_finalized", "tally_total")
+            if total_num:
+                pooled = _ratio(
+                    _object(row, "escrow_weights", "base").get(protocol_account, "0"),
+                    row, "escrow_weights", "base", protocol_account,
+                )
+                # mass / total * pooled, reduced so the running sum stays small
+                scale_num, scale_den = pooled[0] * total_den, pooled[1] * total_num
+                for actor, mass in row["round_finalized"].get("voter_mass", {}).items():
+                    if actor in votes:
+                        mass_num, mass_den = _ratio(mass, row, "round_finalized", "voter_mass", actor)
+                        num, den = mass_num * scale_num, mass_den * scale_den
+                        common = math.gcd(num, den)
+                        votes[actor] = _add(votes[actor], (num // common, den // common))
+        elif avenue == "bribe" and row.get("settlement"):
+            for gauge in _object(row, "settlement", "gauges"):
+                path = ("settlement", "gauges", gauge)
+                for actor, spend in _object(row, *path, "briber_usd").items():
+                    if actor in votes:
+                        paid[actor] = paid.get(actor, 0.0) + spend
+                        votes[actor] = _add(votes[actor], _ratio_at(row, *path, "vote_weight"))
+        yield _field(row, "epoch")
 
 
 def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, CostPerVoteSeries]:
@@ -385,43 +510,30 @@ def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[s
     bribe: the actor's bribe spend at settlement valuation; votes are all
     voter weight landing on the gauges the actor bribed.
     """
-    if avenue not in AVENUES:
-        raise MetricsError(f"unknown avenue {avenue!r}; expected one of {AVENUES}")
-    lock_escrow = {"direct-lock": "base", "aggregator-lock": "governance"}.get(avenue)
-    protocol_account = trace.header.get("protocol_account")
-    votes = dict.fromkeys(actors, 0)  # an int until the first vote: cheap to test and convert
-    paid: dict[str, float] = {}  # USD so far; an actor is active once it has an entry
+    votes = dict.fromkeys(actors, ZERO)
+    paid: dict[str, float] = {}
     rows = {actor: [] for actor in votes}
-    for row in trace:
-        if lock_escrow:
-            for event in row.get("lock_events", ()):
-                actor = event["account"]
-                if actor in votes and event["escrow"] == lock_escrow and event["amount"] > 0:
-                    paid[actor] = paid.get(actor, 0.0) + event["usd_cost"]
-        if avenue == "direct-lock" and row.get("snapshot") is not None:
-            weights = row["escrow_weights"]["base"]
-            for actor, allocation in row.get("base_votes", {}).items():
-                if actor in votes and allocation:
-                    weight = Fraction(weights.get(actor, "0"))
-                    votes[actor] += weight * Fraction(sum(allocation.values()), 10_000)
-        elif avenue == "aggregator-lock" and row.get("round_finalized"):
-            finalized = row["round_finalized"]
-            total = Fraction(finalized["tally_total"])
-            if total:
-                pooled = Fraction(row["escrow_weights"]["base"].get(protocol_account, "0"))
-                for actor, mass in finalized.get("voter_mass", {}).items():
-                    if actor in votes:
-                        votes[actor] += Fraction(mass) / total * pooled
-        elif avenue == "bribe" and row.get("settlement"):
-            for gs in row["settlement"]["gauges"].values():
-                for actor, spend in gs["briber_usd"].items():
-                    if actor in votes:
-                        paid[actor] = paid.get(actor, 0.0) + spend
-                        votes[actor] += Fraction(gs["vote_weight"])
+    for epoch in _cost_fold(trace, avenue, paid, votes):
         for actor, series in rows.items():
-            spent, acquired = paid.get(actor, 0.0), float(votes[actor])
-            series.append((row["epoch"], spent, acquired, spent / acquired if votes[actor] > 0 else None))
+            spent, (num, den) = paid.get(actor, 0.0), votes[actor]
+            acquired = num / den
+            series.append((epoch, spent, acquired, spent / acquired if num else None))
     return {actor: CostPerVoteSeries(avenue, actor, series) for actor, series in rows.items() if actor in paid}
+
+
+def final_cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, float | None]:
+    """``cost_per_vote(...)[actor].final_usd_per_vote()`` for the same accounts,
+    without the per-epoch rows: vote totals never decrease, so the last defined
+    USD per vote is the final spend over the final votes (None if no votes)."""
+    votes = dict.fromkeys(actors, ZERO)
+    paid: dict[str, float] = {}
+    for _ in _cost_fold(trace, avenue, paid, votes):
+        pass
+    return {
+        actor: paid[actor] / (num / den) if num else None
+        for actor, (num, den) in votes.items()
+        if actor in paid
+    }
 
 
 def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVoteSeries:

@@ -164,8 +164,27 @@ def _agent_dict(spec: AgentSpec) -> dict:
 # -- scenario parsing ---------------------------------------------------------
 
 
+def _as_object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected an object")
+    return value
+
+
+def _as_list(value, context: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{context}: expected a list")
+    return value
+
+
+def _as_tuple(value, context: str, size: int) -> list:
+    """A list of exactly ``size`` entries, such as an ``[epoch, price]`` point."""
+    if not isinstance(value, (list, tuple)) or len(value) != size:
+        raise ScenarioError(f"{context}: expected a list of {size} entries")
+    return value
+
+
 def _need(raw: dict, key: str, context: str):
-    if key not in raw:
+    if key not in _as_object(raw, context):
         raise ScenarioError(f"{context}.{key}: required field missing")
     return raw[key]
 
@@ -195,13 +214,11 @@ def _as_amount(value, context: str) -> int:
 
 
 def _parse_escrow(raw, context: str) -> EscrowParams:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{context}: expected an object")
     params = EscrowParams(
         token=str(_need(raw, "token", context)),
         max_lock_weeks=_as_int(_need(raw, "max_lock_weeks", context), f"{context}.max_lock_weeks", 1),
         min_lock_weeks=_as_int(raw.get("min_lock_weeks", 1), f"{context}.min_lock_weeks", 1),
-        whitelist=tuple(raw.get("whitelist", ())),
+        whitelist=tuple(_as_list(raw.get("whitelist", []), f"{context}.whitelist")),
         whitelist_enforced=bool(raw.get("whitelist_enforced", False)),
     )
     if params.min_lock_weeks > params.max_lock_weeks:
@@ -232,17 +249,16 @@ def _parse_lock_entry(raw, context: str, config_bounds) -> LockEntry:
 def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> AgentSpec:
     account = str(_need(raw, "account", context))
     strategy = str(_need(raw, "strategy", context))
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError(f"{context}.params: expected an object")
+    params = _as_object(raw.get("params", {}), f"{context}.params")
     schedule = tuple(
         _parse_lock_entry(entry, f"{context}.params.lock_schedule[{i}]", config_bounds)
-        for i, entry in enumerate(params.get("lock_schedule", ()))
+        for i, entry in enumerate(_as_list(params.get("lock_schedule", []), f"{context}.params.lock_schedule"))
     )
     allocation = []
-    for i, pair in enumerate(params.get("allocation", ())):
-        gauge_id = _as_int(pair[0], f"{context}.params.allocation[{i}]", 0, gauge_count - 1)
-        bps = _as_int(pair[1], f"{context}.params.allocation[{i}]", 0, BPS)
+    for i, pair in enumerate(_as_list(params.get("allocation", []), f"{context}.params.allocation")):
+        gauge_id, bps = _as_tuple(pair, f"{context}.params.allocation[{i}]", 2)
+        gauge_id = _as_int(gauge_id, f"{context}.params.allocation[{i}]", 0, gauge_count - 1)
+        bps = _as_int(bps, f"{context}.params.allocation[{i}]", 0, BPS)
         allocation.append((gauge_id, bps))
     if sum(b for _, b in allocation) > BPS:
         raise ScenarioError(f"{context}.params.allocation: exceeds {BPS} bps")
@@ -253,7 +269,7 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
         budget = _as_float(budget, f"{context}.params.budget_per_round")
     own_gauges = tuple(
         _as_int(g, f"{context}.params.own_gauges[{i}]", 0, gauge_count - 1)
-        for i, g in enumerate(params.get("own_gauges", ()))
+        for i, g in enumerate(_as_list(params.get("own_gauges", []), f"{context}.params.own_gauges"))
     )
     bribe_token = str(params.get("bribe_token", "BRIBE-USD"))
     if (own_gauges or budget) and bribe_token not in tokens:
@@ -261,11 +277,15 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
     noise = _as_float(params.get("noise", 0.0), f"{context}.params.noise")
     if not 0.0 <= noise <= 1.0:
         raise ScenarioError(f"{context}.params.noise: must be within [0, 1]")
-    exogenous = tuple(
-        (_as_int(int(g), f"{context}.params.exogenous_weights", 0, gauge_count - 1),
-         _as_float(w, f"{context}.params.exogenous_weights.{g}"))
-        for g, w in sorted(params.get("exogenous_weights", {}).items())
-    )
+    exogenous = []
+    weights = _as_object(params.get("exogenous_weights", {}), f"{context}.params.exogenous_weights")
+    for g, w in sorted(weights.items()):
+        try:
+            gauge_id = int(g)
+        except ValueError:
+            raise ScenarioError(f"{context}.params.exogenous_weights.{g}: expected a gauge id") from None
+        gauge_id = _as_int(gauge_id, f"{context}.params.exogenous_weights", 0, gauge_count - 1)
+        exogenous.append((gauge_id, _as_float(w, f"{context}.params.exogenous_weights.{g}")))
     tol = _as_float(params.get("tol", 1e-9), f"{context}.params.tol")
     try:
         return AgentSpec(
@@ -277,7 +297,7 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
             own_gauges=own_gauges,
             bribe_token=bribe_token,
             noise=noise,
-            exogenous_weights=exogenous,
+            exogenous_weights=tuple(exogenous),
             tol=tol,
         )
     except VeTokenSimError as exc:
@@ -296,7 +316,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
     tokens = []
     seen_tokens: set[str] = set()
-    for i, entry in enumerate(_need(raw, "tokens", "scenario")):
+    for i, entry in enumerate(_as_list(_need(raw, "tokens", "scenario"), "scenario.tokens")):
         symbol = str(_need(entry, "symbol", f"scenario.tokens[{i}]"))
         if not symbol or symbol in seen_tokens:
             raise ScenarioError(f"scenario.tokens[{i}].symbol: empty or duplicate symbol {symbol!r}")
@@ -304,14 +324,15 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         tokens.append(TokenSpec(symbol, bool(entry.get("transferable", True))))
 
     prices: dict[str, tuple[tuple[int, float], ...]] = {}
-    for token, points in _need(raw, "price_series", "scenario").items():
+    for token, points in _as_object(_need(raw, "price_series", "scenario"), "scenario.price_series").items():
         if token not in seen_tokens:
             raise ScenarioError(f"scenario.price_series.{token}: unknown token")
         parsed = []
         last = None
-        for i, point in enumerate(points):
-            epoch = _as_int(point[0], f"scenario.price_series.{token}[{i}]")
-            price = _as_float(point[1], f"scenario.price_series.{token}[{i}]")
+        for i, point in enumerate(_as_list(points, f"scenario.price_series.{token}")):
+            epoch, price = _as_tuple(point, f"scenario.price_series.{token}[{i}]", 2)
+            epoch = _as_int(epoch, f"scenario.price_series.{token}[{i}]")
+            price = _as_float(price, f"scenario.price_series.{token}[{i}]")
             if price < 0:
                 raise ScenarioError(f"scenario.price_series.{token}[{i}]: negative price")
             if last is not None and epoch <= last:
@@ -328,8 +349,9 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             )
 
     balances = []
-    for i, row in enumerate(raw.get("initial_balances", ())):
-        account, token, amount = str(row[0]), str(row[1]), row[2]
+    for i, row in enumerate(_as_list(raw.get("initial_balances", []), "scenario.initial_balances")):
+        account, token, amount = _as_tuple(row, f"scenario.initial_balances[{i}]", 3)
+        account, token = str(account), str(token)
         if token not in seen_tokens:
             raise ScenarioError(f"scenario.initial_balances[{i}]: unknown token {token}")
         balances.append((account, token, _as_amount(amount, f"scenario.initial_balances[{i}]")))
@@ -353,16 +375,18 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ScenarioError("scenario.aggregator.gov_token: must match scenario.gov_escrow.token")
 
     gauges = []
-    for i, entry in enumerate(_need(raw, "gauges", "scenario")):
+    for i, entry in enumerate(_as_list(_need(raw, "gauges", "scenario"), "scenario.gauges")):
+        context = f"scenario.gauges[{i}]"
         shares = []
-        for j, pair in enumerate(_need(entry, "lp_accounts", f"scenario.gauges[{i}]")):
-            shares.append((str(pair[0]), _as_int(pair[1], f"scenario.gauges[{i}].lp_accounts[{j}]", 1)))
+        for j, pair in enumerate(_as_list(_need(entry, "lp_accounts", context), f"{context}.lp_accounts")):
+            account, bps = _as_tuple(pair, f"{context}.lp_accounts[{j}]", 2)
+            shares.append((str(account), _as_int(bps, f"{context}.lp_accounts[{j}]", 1)))
         if sum(bps for _, bps in shares) != BPS:
-            raise ScenarioError(f"scenario.gauges[{i}].lp_accounts: shares must sum to {BPS} bps")
-        gauges.append(GaugeSpec(str(_need(entry, "name", f"scenario.gauges[{i}]")), tuple(shares)))
+            raise ScenarioError(f"{context}.lp_accounts: shares must sum to {BPS} bps")
+        gauges.append(GaugeSpec(str(_need(entry, "name", context)), tuple(shares)))
 
     emissions = []
-    for i, entry in enumerate(raw.get("emission_schedule", ())):
+    for i, entry in enumerate(_as_list(raw.get("emission_schedule", []), "scenario.emission_schedule")):
         start = _as_int(_need(entry, "start", f"scenario.emission_schedule[{i}]"), f"scenario.emission_schedule[{i}].start", 0)
         end = _as_int(_need(entry, "end", f"scenario.emission_schedule[{i}]"), f"scenario.emission_schedule[{i}].end", 1)
         per_week = _as_amount(_need(entry, "per_week", f"scenario.emission_schedule[{i}]"), f"scenario.emission_schedule[{i}].per_week")
@@ -380,7 +404,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     }
     agents = []
     seen_accounts: set[str] = set()
-    for i, entry in enumerate(raw.get("agents", ())):
+    for i, entry in enumerate(_as_list(raw.get("agents", []), "scenario.agents")):
         spec = _parse_agent(entry, f"scenario.agents[{i}]", seen_tokens, len(gauges), bounds)
         if spec.account in seen_accounts:
             raise ScenarioError(f"scenario.agents[{i}].account: duplicate account {spec.account}")
@@ -398,7 +422,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         tokens=tuple(tokens),
         price_series=prices,
         initial_balances=tuple(balances),
-        contract_accounts=tuple(raw.get("contract_accounts", ())),
+        contract_accounts=tuple(_as_list(raw.get("contract_accounts", []), "scenario.contract_accounts")),
         base_escrow=base_escrow,
         gov_escrow=gov_escrow,
         aggregator=aggregator,
@@ -593,7 +617,8 @@ class World:
             token_prices=dict(prices_now),
             gov_max_lock_weeks=gov_escrow.config.max_lock_weeks,
             base_max_lock_weeks=self.base_escrow.config.max_lock_weeks,
-            noise_seed=_noise_seed(self.config.rng_seed, spec.account, rnd.round_id),
+            # only ``_apply_noise`` reads the seed, and only when there is noise
+            noise_seed=_noise_seed(self.config.rng_seed, spec.account, rnd.round_id) if spec.noise else 0,
         )
 
     # -- applying actions -------------------------------------------------------

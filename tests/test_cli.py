@@ -40,8 +40,12 @@ def _with_agent_params(**params) -> dict:
 
 
 def _with_price(price) -> dict:
+    return _with_price_points([[0, price]])
+
+
+def _with_price_points(points) -> dict:
     raw = make_scenario()
-    raw["price_series"]["CRV"] = [[0, price]]
+    raw["price_series"]["CRV"] = points
     return raw
 
 
@@ -81,6 +85,50 @@ BAD_FLOATS = {
 @pytest.mark.parametrize("case", sorted(BAD_FLOATS))
 def test_bad_float_field_exits_one(case, capsys, tmp_path):
     raw, message = BAD_FLOATS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(capsys, "validate", str(path)) == (1, "", f"error: {message}\n")
+
+
+def _with_agent(agent) -> dict:
+    return make_scenario(agents=[agent])
+
+
+def _with_gauge(gauge) -> dict:
+    return make_scenario(gauges=[gauge])
+
+
+# a scenario with a field of the wrong shape -> the exact validate error
+BAD_SHAPES = {
+    "tokens not a list": (make_scenario(tokens=5), "scenario.tokens: expected a list"),
+    "price_series a list": (make_scenario(price_series=[]), "scenario.price_series: expected an object"),
+    "one-entry price point": (_with_price_points([[0]]), f"{PRICE}: expected a list of 2 entries"),
+    "short balance": (make_scenario(initial_balances=[["a", "CRV"]]),
+                      "scenario.initial_balances[0]: expected a list of 3 entries"),
+    "agent not an object": (_with_agent(5), "scenario.agents[0]: expected an object"),
+    "lock entry not an object": (
+        _with_agent_params(lock_schedule=["base"]),
+        f"{PARAMS}.lock_schedule[0]: expected an object",
+    ),
+    "gauge not an object": (_with_gauge("g0"), "scenario.gauges[0]: expected an object"),
+    "one-entry lp pair": (
+        _with_gauge({"name": "g0", "lp_accounts": [["lp0"]]}),
+        "scenario.gauges[0].lp_accounts[0]: expected a list of 2 entries",
+    ),
+    "exogenous key not a gauge id": (
+        _with_agent_params(exogenous_weights={"x": 1.0}),
+        f"{PARAMS}.exogenous_weights.x: expected a gauge id",
+    ),
+    "exogenous weights a list": (
+        _with_agent_params(exogenous_weights=[1]),
+        f"{PARAMS}.exogenous_weights: expected an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_bad_shape_exits_one(case, capsys, tmp_path):
+    raw, message = BAD_SHAPES[case]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert run_cli(capsys, "validate", str(path)) == (1, "", f"error: {message}\n")
@@ -238,6 +286,56 @@ def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp
     code, _, err = run_cli(capsys, "report", str(path), "--metric", "snapshots", "--out", str(tmp_path / "s.csv"))
     assert code == 1
     assert err.startswith(f"error: {path}:4: {problem}")
+
+
+BARE_ROUND = {"epoch": 0, "settlement": {"round": 0}, "round_finalized": {"round": 0}}
+RESULT = {"round": 0, "tally_total": "1", "total_gov_weight": "1", "result": {"0": "1/0"}}
+DIRECT_LOCK = {
+    "epoch": 5,
+    "snapshot": {"relative_weights": {"0": "x"}},
+    "escrow_weights": {"base": {"a": "x"}},
+    "base_votes": {"a": {"0": 10000}},
+    "lock_events": [{"account": "a", "escrow": "base", "amount": 1, "usd_cost": 1.0}],
+}
+BRIBE = {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"briber_usd": {"b": 1.0}, "vote_weight": "1/-2"}}}}
+RATIO = "expected a ratio n or n/d, got"
+
+# (trace row after a header, ``report`` arguments after --metric) -> stderr
+BAD_TRACE_FIELDS = {
+    "participation of a bare round": (BARE_ROUND, "participation",
+                                      "epoch 0: round_finalized.tally_total: required field missing"),
+    "share_table of a bare round": (BARE_ROUND, "share_table",
+                                    "epoch 0: settlement.gauges: required field missing"),
+    "settlements of a bare round": (BARE_ROUND, "settlements",
+                                    "epoch 0: settlement.gauges: required field missing"),
+    "round_results of a bare round": (BARE_ROUND, "round_results",
+                                      "epoch 0: round_finalized.result: required field missing"),
+    "settlement gauges a list": ({"epoch": 2, "settlement": {"round": 0, "gauges": []}}, "settlements",
+                                 "epoch 2: settlement.gauges: expected an object, got list"),
+    "zero denominator": ({"epoch": 2, "round_finalized": RESULT}, "round_results",
+                         f"epoch 2: round_finalized.result.0: {RATIO} '1/0'"),
+    "word weight in a snapshot": (DIRECT_LOCK, "snapshots", f"epoch 5: snapshot.relative_weights.0: {RATIO} 'x'"),
+    "word weight in a direct-lock vote": (DIRECT_LOCK, "cost_per_vote --actor a --avenue direct-lock",
+                                          f"epoch 5: escrow_weights.base.a: {RATIO} 'x'"),
+    "lock event without cost": (
+        {"epoch": 1, "lock_events": [{"account": "a", "escrow": "base", "amount": 1}]},
+        "cost_per_vote --actor a --avenue direct-lock",
+        "epoch 1: lock_events[0].usd_cost: required field missing",
+    ),
+    "negative bribe vote weight": (BRIBE, "cost_per_vote --actor b --avenue bribe",
+                                   f"epoch 4: settlement.gauges.2.vote_weight: {RATIO} '1/-2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACE_FIELDS))
+def test_bad_trace_field_exits_one(case, capsys, tmp_path):
+    row, metric_args, problem = BAD_TRACE_FIELDS[case]
+    path = tmp_path / "trace.ndjson"
+    path.write_text(json.dumps({"type": "header", "protocol_account": "agg"}) + "\n" + json.dumps(row) + "\n")
+    out = tmp_path / "export.csv"
+    result = run_cli(capsys, "report", str(path), "--metric", *metric_args.split(), "--out", str(out))
+    assert result == (1, "", f"error: trace {problem}\n")
+    assert not out.exists()
 
 
 class TestUsage:

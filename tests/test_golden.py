@@ -7,12 +7,14 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from vetokensim.cli import main
 from vetokensim.sim import load_scenario, run_scenario
 
+from conftest import make_scenario
 from test_acceptance import _randomized_config, _randomized_scenario
 
 GOLDEN = {
@@ -119,13 +121,82 @@ def test_run_stdout_digest(name, run_dirs):
     assert file_digest(run_dirs / name / "stdout.txt") == STDOUT_GOLDEN[name]
 
 
-def test_randomized_1000_run_digests(tmp_path):
-    # 24 accounts, with costs per vote in all three avenues
-    scenario = tmp_path / "randomized.json"
-    scenario.write_text(json.dumps(_randomized_scenario()))
+def run_digests(raw: dict, tmp_path) -> tuple[str, str]:
+    """Digests of ``summary.json`` and of stdout for ``vetokensim run`` of ``raw``."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(raw))
     stdout = run_cli(scenario, tmp_path / "out")
-    assert file_digest(tmp_path / "out" / "summary.json") == "6ad710951299c72e"
-    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == "4aa08564955bd28c"
+    return file_digest(tmp_path / "out" / "summary.json"), hashlib.sha256(stdout.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def randomized_run(tmp_path_factory):
+    """``vetokensim run`` of randomized-1000: 24 accounts, with costs per vote in all three avenues."""
+    out = tmp_path_factory.mktemp("randomized")
+    return out, run_digests(_randomized_scenario(), out)
+
+
+def test_randomized_1000_run_digests(randomized_run):
+    _, digests = randomized_run
+    assert digests == ("6ad710951299c72e", "4aa08564955bd28c")
+
+
+# cost_per_vote CSV for one paying account per avenue on the randomized-1000 trace
+RANDOMIZED_COST_GOLDEN = {
+    ("passive-0", "direct-lock"): "88049d99c1d43200",
+    ("fixed-0", "aggregator-lock"): "f42afdd083f5ef81",
+    ("promo-0", "bribe"): "d1fc52b40f48e0f1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANDOMIZED_COST_GOLDEN), ids=" ".join)
+def test_randomized_1000_cost_per_vote_digest(case, randomized_run, tmp_path):
+    out_dir, _ = randomized_run
+    actor, avenue = case
+    out = tmp_path / "cost.csv"
+    trace = str(out_dir / "out" / "trace.ndjson")
+    assert main(["report", trace, "--metric", "cost_per_vote", "--actor", actor, "--avenue", avenue,
+                 "--out", str(out)]) == 0
+    assert file_digest(out) == RANDOMIZED_COST_GOLDEN[case]
+
+
+def _direct_lockers_scenario(lockers=48, horizon=24, seed=2024) -> dict:
+    """Accounts that only lock in the base escrow, most of them voting their
+    base weight on their own gauges every epoch (zero-budget SelfPromoters)
+    and relocking from time to time; the last two never vote."""
+    rng = random.Random(seed)
+    agents, balances = [], []
+    for i in range(lockers):
+        account = f"locker-{i:02d}"
+        start = rng.randint(0, 3)
+        schedule = [{"epoch": start, "kind": "base", "amount": rng.randint(100, 10000),
+                     "weeks": rng.randint(26, 208)}]
+        epoch = start + rng.randint(3, 9)
+        while epoch < horizon:
+            top_up = rng.randint(1, 2000) if rng.random() < 0.5 else 0
+            schedule.append({"epoch": epoch, "kind": "base", "amount": top_up, "weeks": rng.randint(52, 208)})
+            epoch += rng.randint(3, 9)
+        strategy, params = "SelfPromoter", {"own_gauges": sorted(rng.sample(range(4), rng.randint(1, 2)))}
+        if i >= lockers - 2:
+            strategy, params = "PassiveLocker", {}
+        agents.append({"account": account, "strategy": strategy, "params": {**params, "lock_schedule": schedule}})
+        balances.append([account, "CRV", sum(entry["amount"] for entry in schedule)])
+    raw = make_scenario(
+        name="direct-lockers",
+        horizon_epochs=horizon,
+        rng_seed=seed,
+        initial_balances=balances,
+        gauges=[{"name": f"pool-{g}", "lp_accounts": [[f"lp-{g}", 10000]]} for g in range(4)],
+        emission_schedule=[{"start": 0, "end": horizon, "per_week": 1000}],
+        agents=agents,
+    )
+    raw["price_series"]["CRV"] = [[0, 1.25], [horizon // 2, 0.8]]
+    return raw
+
+
+def test_direct_lockers_run_digests(tmp_path):
+    # the summary's direct-lock fold over many accounts with changing weights
+    assert run_digests(_direct_lockers_scenario(), tmp_path) == ("06bf4821acb57a28", "6d2bd22e48c554a2")
 
 
 @pytest.mark.parametrize("case", sorted(EXPORT_GOLDEN), ids=" ".join)

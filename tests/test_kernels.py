@@ -3,10 +3,13 @@ reference implementations of the same rules."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vetokensim.bribemarket import _prorata
+from vetokensim.errors import ScenarioError
+from vetokensim.metrics import ZERO, _add, _quotient, _ratio
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import BPS, EmissionSchedule, GaugeController, shares_to_bps
 from vetokensim.ledger import Ledger
@@ -135,3 +138,50 @@ class TestRelativeWeights:
         assert weights == expected
         assert all(isinstance(w, Fraction) for w in weights.values())
         assert sum(weights.values()) == (1 if total else 0)
+
+
+# trace weight strings: reduced as the simulator writes them, or unreduced
+RATIO_PARTS = st.tuples(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=10**40))
+RATIO_TEXT = st.one_of(
+    RATIO_PARTS.map(lambda nd: str(Fraction(*nd))),
+    RATIO_PARTS.map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+ROW = {"epoch": 7}
+
+
+class TestTraceRatios:
+    @given(text=RATIO_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_division_matches_fraction_float(self, text):
+        num, den = _ratio(text, ROW, "w")
+        assert Fraction(num, den) == Fraction(text)
+        assert num / den == float(Fraction(text))
+
+    @given(texts=st.lists(RATIO_TEXT, max_size=30), divisor=RATIO_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_running_sum_matches_fraction_sum(self, texts, divisor):
+        total = ZERO
+        for text in texts:
+            total = _add(total, _ratio(text, ROW, "w"))
+        reference = sum((Fraction(text) for text in texts), Fraction(0))
+        assert Fraction(*total) == reference
+        assert total[0] / total[1] == float(reference)
+        divisor_value = Fraction(divisor)
+        expected = float(reference / divisor_value) if divisor_value else 0.0
+        assert _quotient(total, _ratio(divisor, ROW, "w")) == expected
+
+    @given(num=st.integers(min_value=0, max_value=10**30), den=st.integers(min_value=1, max_value=10**6),
+           copies=st.integers(min_value=1, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_denominator_stays(self, num, den, copies):
+        # the common case: every weight over one escrow denominator
+        total = ZERO
+        for _ in range(copies):
+            total = _add(total, (num, den))
+        assert total == (num * copies, den)
+
+    @pytest.mark.parametrize("text", ["x", "1/0", "-1", "1/-2", "", "1/", "/2", "1.5", "1/2/3", None, 5])
+    def test_malformed_ratio_names_the_field(self, text):
+        with pytest.raises(ScenarioError) as caught:
+            _ratio(text, ROW, "round_finalized", "tally", "3")
+        assert str(caught.value) == f"trace epoch 7: round_finalized.tally.3: expected a ratio n or n/d, got {text!r}"

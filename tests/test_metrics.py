@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vetokensim import metrics
 from vetokensim.errors import MetricsError
 from vetokensim.metrics import ShareRow, ShareTable
-from vetokensim.sim import SimTrace
+from vetokensim.sim import SimTrace, load_scenario, packaged_scenarios, run_scenario
 
 
 def epoch_row(epoch, **overrides):
@@ -198,6 +198,12 @@ class TestPearson:
             metrics.pearson([(1, 0), (1, 1)])
         with pytest.raises(MetricsError):
             metrics.pearson([(1, 2)])
+
+    def test_constant_column_with_rounded_mean(self):
+        # the mean of three 0.003s is 0.0030000000000000005, so the sum of
+        # squares is not exactly zero; the column is constant all the same
+        with pytest.raises(MetricsError, match="degenerate variance"):
+            metrics.pearson([(0.003, 0.0), (0.003, 0.0), (0.003, 0.001)])
 
     @given(
         # well-conditioned grid values: a shift must never erase the variance
@@ -407,6 +413,28 @@ class TestCostPerVote:
         assert metrics.cost_per_vote(trace, "aggregator-lock", ["frax", "curve"]) == {}
         with pytest.raises(MetricsError, match="account lurker was never active in avenue direct-lock"):
             metrics.cost_per_vote_series(trace, "lurker", "direct-lock")
+
+
+@pytest.fixture(scope="module")
+def scenario_traces():
+    """(config, trace) of each packaged scenario and of randomized-1000."""
+    from test_acceptance import _randomized_config  # it imports this module
+
+    configs = [load_scenario(name) for name in sorted(packaged_scenarios())] + [_randomized_config()]
+    return [(config, run_scenario(config)) for config in configs]
+
+
+@pytest.mark.parametrize("avenue", metrics.AVENUES)
+def test_final_cost_per_vote_is_the_last_series_value(avenue, scenario_traces):
+    for config, trace in scenario_traces:
+        accounts = [spec.account for spec in config.agents]
+        series = metrics.cost_per_vote(trace, avenue, accounts)
+        final = metrics.final_cost_per_vote(trace, avenue, accounts)
+        assert list(final) == list(series)
+        assert final == {account: rows.final_usd_per_vote() for account, rows in series.items()}
+    # every avenue has paying accounts in at least one of the traces
+    assert any(metrics.final_cost_per_vote(trace, avenue, [spec.account for spec in config.agents])
+               for config, trace in scenario_traces)
 
 
 class TestTraceExtracts:
