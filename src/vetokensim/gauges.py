@@ -2,16 +2,17 @@
 
 Vote allocations are expressed in basis points of a voter's weight and persist
 until replaced, so a stale allocation keeps steering snapshots with whatever
-decayed weight its owner still has.  Emission splits are exact: flooring
-remainders are reassigned by the documented rules so each week's mint total
-equals the schedule to the base unit.
+decayed weight its owner still has.  A snapshot holds one integer numerator
+per gauge (escrow weight numerator times bps); their sum is the denominator.
+Emission splits are exact: flooring remainders are reassigned by the
+documented rules so each week's mint total equals the schedule to the base
+unit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import GaugeError
 from .escrow import Escrow
@@ -52,7 +53,6 @@ class Gauge:
     gauge_id: int
     name: str
     lp_accounts: list[tuple[str, int]]
-    active: bool = True
 
 
 class EmissionSchedule:
@@ -95,7 +95,7 @@ class GaugeController:
         self.emission_token = emission_token
         self.gauges: dict[int, Gauge] = {}
         self.allocations: dict[str, VoteAllocation] = {}
-        self.snapshots: dict[int, dict[int, Fraction]] = {}
+        self.snapshot: tuple[int, dict[int, int]] | None = None  # (epoch, weights)
         self._next_id = 0
 
     def add_gauge(self, name: str, lp_accounts) -> int:
@@ -112,16 +112,12 @@ class GaugeController:
         self.gauges[gauge_id] = Gauge(gauge_id, name, shares)
         return gauge_id
 
-    def active_gauge_ids(self) -> list[int]:
-        return sorted(g for g, gauge in self.gauges.items() if gauge.active)
-
     def check_allocation(self, allocation) -> dict[int, int]:
         """Validate a (gauge id, bps) list and return it as a dict (zeros dropped)."""
         seen: dict[int, int] = {}
         for gauge_id, bps in allocation:
-            gauge = self.gauges.get(gauge_id)
-            if gauge is None or not gauge.active:
-                raise GaugeError(f"unknown or inactive gauge {gauge_id}")
+            if gauge_id not in self.gauges:
+                raise GaugeError(f"unknown gauge {gauge_id}")
             if not isinstance(bps, int) or bps < 0:
                 raise GaugeError(f"bps for gauge {gauge_id} must be a non-negative int")
             if gauge_id in seen:
@@ -139,8 +135,9 @@ class GaugeController:
         self.allocations[account] = replaced
         return replaced
 
-    def relative_weights(self, now: int) -> dict[int, Fraction]:
-        # integer numerators over weight_denominator * BPS; divided once per gauge
+    def relative_weights(self, now: int) -> dict[int, int]:
+        """Each gauge's weight numerator at ``now``; a gauge's relative weight is
+        its numerator over the sum of all of them (all zero: no weight anywhere)."""
         raw = dict.fromkeys(self.gauges, 0)
         for account, allocation in self.allocations.items():
             weight = self.escrow.weight_numerator(account, now)
@@ -148,25 +145,23 @@ class GaugeController:
                 continue
             for gauge_id, bps in allocation.by_gauge.items():
                 raw[gauge_id] += weight * bps
-        total = sum(raw.values())
-        if total == 0:
-            return {gauge_id: Fraction(0) for gauge_id in raw}
-        return {gauge_id: Fraction(value, total) for gauge_id, value in raw.items()}
+        return raw
 
-    def take_snapshot(self, now: int) -> dict[int, Fraction]:
+    def take_snapshot(self, now: int) -> dict[int, int]:
         weights = self.relative_weights(now)
-        self.snapshots[now] = weights
+        self.snapshot = (now, weights)
         return weights
 
     def distribute_emissions(self, now: int) -> list[tuple[int, str, int]]:
         """Mint this week's emission to each gauge's lp accounts, exactly."""
-        weights = self.snapshots.get(now)
-        if weights is None:
+        if self.snapshot is None or self.snapshot[0] != now:
             raise GaugeError(f"no weight snapshot for epoch {now}")
+        weights = self.snapshot[1]
         emission = self.schedule.amount_for(now)
-        if emission == 0 or all(w == 0 for w in weights.values()):
+        total = sum(weights.values())
+        if emission == 0 or total == 0:
             return []
-        per_gauge = {g: emission * w.numerator // w.denominator for g, w in weights.items()}
+        per_gauge = {g: emission * num // total for g, num in weights.items()}
         leftover = emission - sum(per_gauge.values())
         if leftover:
             top = max(weights, key=lambda g: (weights[g], -g))

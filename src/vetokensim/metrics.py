@@ -55,6 +55,27 @@ def _object(row: dict, *path) -> dict:
     return value
 
 
+def _optional(row: dict, *path) -> dict:
+    """The JSON object at ``path`` in ``row``, or ``{}`` where a field on the
+    way is absent or null."""
+    parent = _optional(row, *path[:-1]) if len(path) > 1 else row
+    return {} if parent.get(path[-1]) is None else _object(row, *path)
+
+
+def _gauge_id(row: dict, *path) -> int:
+    """The gauge-id key that ends ``path`` in ``row``, as an int."""
+    key = path[-1]
+    if not (key.isascii() and key.isdigit()):
+        raise _trace_error(row, path, f"expected a gauge id, got {key!r}")
+    return int(key)
+
+
+def _gauge_items(row: dict, *path) -> list[tuple[int, str, object]]:
+    """``(gauge id, key, value)`` for each entry of the object at ``path`` in
+    ``row``, in gauge-id order."""
+    return sorted((_gauge_id(row, *path, key), key, value) for key, value in _object(row, *path).items())
+
+
 def _fields(row: dict, path: tuple, *keys) -> list:
     """The values of ``keys`` in the object at ``path`` in ``row``."""
     record = _object(row, *path)
@@ -275,14 +296,13 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
     cast_weight = total_weight = ZERO
     voters_per_round: list[int] = []
     for row in trace:
-        locks = row.get("locks", {})
-        lockers.update(locks.get("base", {}))
-        lockers.update(locks.get("governance", {}))
-        voters.update(row.get("base_votes", {}))
-        finalized = row.get("round_finalized")
-        if finalized:
-            voters.update(finalized.get("ballots", {}))
-            voters_per_round.append(len(finalized.get("ballots", {})))
+        lockers.update(_optional(row, "locks", "base"))
+        lockers.update(_optional(row, "locks", "governance"))
+        voters.update(_optional(row, "base_votes"))
+        if row.get("round_finalized"):
+            ballots = _optional(row, "round_finalized", "ballots")
+            voters.update(ballots)
+            voters_per_round.append(len(ballots))
             cast_weight = _add(cast_weight, _ratio_at(row, "round_finalized", "tally_total"))
             total_weight = _add(total_weight, _ratio_at(row, "round_finalized", "total_gov_weight"))
     voter_fraction = len(voters) / len(lockers) if lockers else 0.0
@@ -310,11 +330,11 @@ def share_table(trace: SimTrace) -> ShareTable:
         settled += 1
         round_id = _field(row, "settlement", "round")
         bribe_usd = {
-            int(g): _field(row, "settlement", "gauges", g, "bribe_usd")
+            _gauge_id(row, "settlement", "gauges", g): _field(row, "settlement", "gauges", g, "bribe_usd")
             for g in _object(row, "settlement", "gauges")
         }
         votes = {
-            int(g): _ratio(w, row, "round_finalized", "tally", g)
+            _gauge_id(row, "round_finalized", "tally", g): _ratio(w, row, "round_finalized", "tally", g)
             for g, w in _object(row, "round_finalized", "tally").items()
         }
         bribe_total = sum(bribe_usd.values())
@@ -413,11 +433,10 @@ def gauge_snapshots(trace: SimTrace) -> SnapshotTable:
         snapshot = row.get("snapshot")
         if not snapshot:
             continue
-        emissions = snapshot.get("emissions", {})
-        weights = _object(row, "snapshot", "relative_weights")
-        for gauge, weight in sorted(weights.items(), key=lambda kv: int(kv[0])):
+        emissions = _optional(row, "snapshot", "emissions")
+        for gauge_id, gauge, weight in _gauge_items(row, "snapshot", "relative_weights"):
             num, den = _ratio(weight, row, "snapshot", "relative_weights", gauge)
-            rows.append((_field(row, "epoch"), int(gauge), num / den, emissions.get(gauge, 0)))
+            rows.append((_field(row, "epoch"), gauge_id, num / den, emissions.get(gauge, 0)))
     return SnapshotTable(rows)
 
 
@@ -427,12 +446,11 @@ def round_results(trace: SimTrace) -> RoundResultTable:
         finalized = row.get("round_finalized")
         if not finalized:
             continue
-        base = finalized.get("base_allocation") or {}
+        base = _optional(row, "round_finalized", "base_allocation")
         round_id = _field(row, "round_finalized", "round")
-        result = _object(row, "round_finalized", "result")
-        for gauge, share in sorted(result.items(), key=lambda kv: int(kv[0])):
+        for gauge_id, gauge, share in _gauge_items(row, "round_finalized", "result"):
             num, den = _ratio(share, row, "round_finalized", "result", gauge)
-            rows.append((round_id, int(gauge), num / den, base.get(gauge, 0)))
+            rows.append((round_id, gauge_id, num / den, base.get(gauge, 0)))
     return RoundResultTable(rows)
 
 
@@ -443,11 +461,11 @@ def settlements(trace: SimTrace) -> SettlementTable:
         if not settlement:
             continue
         round_id = _field(row, "settlement", "round")
-        for gauge in sorted(_object(row, "settlement", "gauges"), key=int):
+        for gauge_id, gauge, _ in _gauge_items(row, "settlement", "gauges"):
             path = ("settlement", "gauges", gauge)
             bribe_usd, weight, usd_per_vote = _fields(row, path, "bribe_usd", "vote_weight", "usd_per_vote")
             num, den = _ratio(weight, row, *path, "vote_weight")
-            rows.append((round_id, int(gauge), bribe_usd, num / den, usd_per_vote))
+            rows.append((round_id, gauge_id, bribe_usd, num / den, usd_per_vote))
     return SettlementTable(rows)
 
 
@@ -470,10 +488,11 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
                     paid[actor] = paid.get(actor, 0.0) + usd_cost
         if avenue == "direct-lock" and row.get("snapshot") is not None:
             weights = _object(row, "escrow_weights", "base")
-            for actor, allocation in row.get("base_votes", {}).items():
+            for actor, allocation in _optional(row, "base_votes").items():
                 if actor in votes and allocation:
+                    bps = sum(_object(row, "base_votes", actor).values())
                     num, den = _ratio(weights.get(actor, "0"), row, "escrow_weights", "base", actor)
-                    votes[actor] = _add(votes[actor], (num * sum(allocation.values()), den * 10_000))
+                    votes[actor] = _add(votes[actor], (num * bps, den * 10_000))
         elif avenue == "aggregator-lock" and row.get("round_finalized"):
             total_num, total_den = _ratio_at(row, "round_finalized", "tally_total")
             if total_num:
@@ -483,7 +502,7 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
                 )
                 # mass / total * pooled, reduced so the running sum stays small
                 scale_num, scale_den = pooled[0] * total_den, pooled[1] * total_num
-                for actor, mass in row["round_finalized"].get("voter_mass", {}).items():
+                for actor, mass in _optional(row, "round_finalized", "voter_mass").items():
                     if actor in votes:
                         mass_num, mass_den = _ratio(mass, row, "round_finalized", "voter_mass", actor)
                         num, den = mass_num * scale_num, mass_den * scale_den

@@ -33,39 +33,15 @@ from .bribemarket import BribeMarket
 from .errors import LedgerError, ScenarioError, SimulationError, VeTokenSimError
 from .escrow import Escrow, EscrowConfig
 from .gauges import BPS, EmissionSchedule, GaugeController
-from .ledger import Ledger, PriceSeries, base_units
+from .ledger import Ledger, PriceSeries, Token, base_units
 
 MAX_SEED = 2**64 - 1
-
-
-@dataclass(frozen=True)
-class TokenSpec:
-    symbol: str
-    transferable: bool = True
 
 
 @dataclass(frozen=True)
 class GaugeSpec:
     name: str
     lp_accounts: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class EscrowParams:
-    token: str
-    max_lock_weeks: int
-    min_lock_weeks: int = 1
-    whitelist: tuple[str, ...] = ()
-    whitelist_enforced: bool = False
-
-    def to_config(self) -> EscrowConfig:
-        return EscrowConfig(
-            token=self.token,
-            max_lock_weeks=self.max_lock_weeks,
-            min_lock_weeks=self.min_lock_weeks,
-            whitelist=frozenset(self.whitelist),
-            whitelist_enforced=self.whitelist_enforced,
-        )
 
 
 @dataclass(frozen=True)
@@ -80,11 +56,11 @@ class ScenarioConfig:
     name: str
     horizon_epochs: int
     rng_seed: int
-    tokens: tuple[TokenSpec, ...]
+    tokens: tuple[Token, ...]
     price_series: dict[str, tuple[tuple[int, float], ...]]
     initial_balances: tuple[tuple[str, str, int], ...]
-    base_escrow: EscrowParams
-    gov_escrow: EscrowParams
+    base_escrow: EscrowConfig
+    gov_escrow: EscrowConfig
     aggregator: AggregatorParams
     gauges: tuple[GaugeSpec, ...]
     emission_schedule: tuple[tuple[int, int, int], ...]
@@ -129,7 +105,7 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _escrow_dict(params: EscrowParams) -> dict:
+def _escrow_dict(params: EscrowConfig) -> dict:
     return {
         "token": params.token,
         "min_lock_weeks": params.min_lock_weeks,
@@ -213,17 +189,20 @@ def _as_amount(value, context: str) -> int:
         raise ScenarioError(f"{context}: {exc}") from None
 
 
-def _parse_escrow(raw, context: str) -> EscrowParams:
-    params = EscrowParams(
-        token=str(_need(raw, "token", context)),
-        max_lock_weeks=_as_int(_need(raw, "max_lock_weeks", context), f"{context}.max_lock_weeks", 1),
-        min_lock_weeks=_as_int(raw.get("min_lock_weeks", 1), f"{context}.min_lock_weeks", 1),
+def _parse_escrow(raw, context: str) -> EscrowConfig:
+    token = str(_need(raw, "token", context))
+    max_lock_weeks = _as_int(_need(raw, "max_lock_weeks", context), f"{context}.max_lock_weeks", 1)
+    min_lock_weeks = _as_int(raw.get("min_lock_weeks", 1), f"{context}.min_lock_weeks", 1)
+    if min_lock_weeks > max_lock_weeks:
+        raise ScenarioError(f"{context}.min_lock_weeks: exceeds max_lock_weeks")
+    return EscrowConfig(
+        token=token,
+        max_lock_weeks=max_lock_weeks,
+        min_lock_weeks=min_lock_weeks,
+        # a tuple keeps the listed order, which config_digest hashes
         whitelist=tuple(_as_list(raw.get("whitelist", []), f"{context}.whitelist")),
         whitelist_enforced=bool(raw.get("whitelist_enforced", False)),
     )
-    if params.min_lock_weeks > params.max_lock_weeks:
-        raise ScenarioError(f"{context}.min_lock_weeks: exceeds max_lock_weeks")
-    return params
 
 
 def _parse_lock_entry(raw, context: str, config_bounds) -> LockEntry:
@@ -321,7 +300,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if not symbol or symbol in seen_tokens:
             raise ScenarioError(f"scenario.tokens[{i}].symbol: empty or duplicate symbol {symbol!r}")
         seen_tokens.add(symbol)
-        tokens.append(TokenSpec(symbol, bool(entry.get("transferable", True))))
+        tokens.append(Token(symbol, bool(entry.get("transferable", True))))
 
     prices: dict[str, tuple[tuple[int, float], ...]] = {}
     for token, points in _as_object(_need(raw, "price_series", "scenario"), "scenario.price_series").items():
@@ -513,7 +492,8 @@ class SimTrace:
 
 
 def _ratio_str(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for num >= 0, den > 0, without building a Fraction."""
+    """The one writer of trace ratios: ``str(Fraction(num, den))`` for num >= 0,
+    den > 0, without building a Fraction."""
     common = math.gcd(num, den)
     num, den = num // common, den // common
     return str(num) if den == 1 else f"{num}/{den}"
@@ -544,7 +524,7 @@ class World:
         for account, token, amount in config.initial_balances:
             self.ledger.mint(token, account, amount)
         contract_accounts = frozenset(config.contract_accounts)
-        self.base_escrow = Escrow(config.base_escrow.to_config(), self.ledger, contract_accounts)
+        self.base_escrow = Escrow(config.base_escrow, self.ledger, contract_accounts)
         schedule = EmissionSchedule(config.emission_schedule)
         self.controller = GaugeController(
             self.base_escrow, self.ledger, schedule, config.base_escrow.token
@@ -556,7 +536,7 @@ class World:
             protocol_account=config.aggregator.protocol_account,
             wrapper_token=config.aggregator.wrapper_token,
             gov_token=config.aggregator.gov_token,
-            gov_escrow_config=config.gov_escrow.to_config(),
+            gov_escrow_config=config.gov_escrow,
             contract_accounts=contract_accounts,
             round_length=config.round_length,
         )
@@ -594,7 +574,7 @@ class World:
 
     def _prev_round_weights(self, round_id: int) -> dict[int, float]:
         prev = self.aggregator.rounds.get(round_id - 1)
-        if prev is None or prev.tally_num is None:
+        if prev is None:
             return {}
         return {g: num / prev.cut_den for g, num in prev.tally_num.items()}
 
@@ -697,7 +677,7 @@ class World:
         bribes = self._round_bribes_usd(rnd.round_id, epoch)
         prev = self._prev_round_weights(rnd.round_id)
         prices_now = {t: self.prices.usd_price(t, epoch) for t in sorted(self.ledger.tokens)}
-        active = tuple(self.controller.active_gauge_ids())
+        active = tuple(self.controller.gauges)
         row_events = {
             "lock_events": [],
             "deposit_events": [],
@@ -725,7 +705,7 @@ class World:
                 except VeTokenSimError as exc:
                     raise SimulationError(f"epoch {epoch}, round {closing_id}: {exc}") from exc
                 finalized_row = self._finalized_row(closing)
-                settlement_row = self._settlement_row(settlement)
+                settlement_row = self._settlement_row(settlement, closing.cut_den)
 
         snapshot_row = None
         if epoch % self.config.base_snapshot_cadence == 0:
@@ -737,8 +717,9 @@ class World:
             per_gauge: dict[str, int] = {}
             for gauge_id, _, amount in emission_events:
                 per_gauge[str(gauge_id)] = per_gauge.get(str(gauge_id), 0) + amount
+            total = sum(weights.values()) or 1  # no weight anywhere: every gauge reads "0"
             snapshot_row = {
-                "relative_weights": {str(g): str(w) for g, w in sorted(weights.items())},
+                "relative_weights": {str(g): _ratio_str(n, total) for g, n in sorted(weights.items())},
                 "emissions": per_gauge,
                 "emission_total": sum(per_gauge.values()),
             }
@@ -751,6 +732,7 @@ class World:
 
     def _finalized_row(self, rnd) -> dict:
         weight_den, cut_den = rnd.weight_den, rnd.cut_den
+        tally_total = sum(rnd.tally_num.values())
         return {
             "round": rnd.round_id,
             "open_epoch": rnd.open_epoch,
@@ -761,9 +743,9 @@ class World:
                 v: _ratio_str(sum(per.values()), cut_den) for v, per in sorted(rnd.voter_gauge_num.items())
             },
             "tally": {str(g): _ratio_str(n, cut_den) for g, n in sorted(rnd.tally_num.items())},
-            "tally_total": _ratio_str(sum(rnd.tally_num.values()), cut_den),
-            "total_gov_weight": str(rnd.total_gov_weight),
-            "result": {str(g): str(s) for g, s in sorted(rnd.result.items())},
+            "tally_total": _ratio_str(tally_total, cut_den),
+            "total_gov_weight": _ratio_str(rnd.total_gov_num, weight_den),
+            "result": {str(g): _ratio_str(n, tally_total) for g, n in sorted(rnd.tally_num.items())},
             "base_allocation": (
                 {str(g): bps for g, bps in sorted(rnd.base_allocation.items())}
                 if rnd.base_allocation
@@ -771,14 +753,14 @@ class World:
             ),
         }
 
-    def _settlement_row(self, settlement) -> dict:
+    def _settlement_row(self, settlement, cut_den: int) -> dict:
         gauges = {}
         for gauge_id, gs in sorted(settlement.gauges.items()):
             gauges[str(gauge_id)] = {
                 "deposits": dict(sorted(gs.deposits.items())),
                 "bribe_usd": gs.bribe_usd,
                 "briber_usd": dict(sorted(gs.briber_usd.items())),
-                "vote_weight": str(gs.vote_weight),
+                "vote_weight": _ratio_str(gs.vote_num, cut_den),
                 "usd_per_vote": gs.usd_per_vote,
                 "payouts": {v: dict(sorted(t.items())) for v, t in sorted(gs.payouts.items())},
                 "refunds": {b: dict(sorted(t.items())) for b, t in sorted(gs.refunds.items())},

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from vetokensim.ledger import Ledger, PriceSeries, base_units
+from vetokensim.sim import run_scenario
 
 U = base_units
 
@@ -45,6 +46,16 @@ def make_scenario(**overrides) -> dict:
     raw = copy.deepcopy(SCENARIO_TEMPLATE)
     raw.update(overrides)
     return raw
+
+
+@pytest.fixture(scope="session")
+def randomized_1000():
+    """(config, trace) of the randomized-1000 scenario, run once per session;
+    its consumers only read the trace."""
+    from test_acceptance import _randomized_config  # it imports this module
+
+    config = _randomized_config()
+    return config, run_scenario(config)
 
 
 @pytest.fixture

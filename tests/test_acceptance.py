@@ -370,8 +370,8 @@ def test_criterion_7_oracle_equivalence():
         settlement = market.settle_round(0)
         for g, total in deposits.items():
             weights = {
-                v: per[g] for v, per in rnd.voter_gauge_weight.items()
-                if per.get(g, Fraction(0)) > 0
+                v: Fraction(per[g], rnd.cut_den) for v, per in rnd.voter_gauge_num.items()
+                if per.get(g, 0) > 0
             }
             gs = settlement.gauges[g]
             if not weights:

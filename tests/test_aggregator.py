@@ -18,7 +18,7 @@ def build(whitelisted=True, gauges=2):
     ledger = Ledger()
     for symbol in ("CRV", "CVX", "cvxCRV"):
         ledger.register_token(symbol)
-    whitelist = frozenset([PROTOCOL]) if whitelisted else frozenset()
+    whitelist = (PROTOCOL,) if whitelisted else ()
     base_escrow = Escrow(
         EscrowConfig(token="CRV", max_lock_weeks=208, whitelist=whitelist, whitelist_enforced=True),
         ledger,
@@ -44,6 +44,12 @@ def build(whitelisted=True, gauges=2):
 def gov_lock(ledger, agg, account, tokens, weeks=16, now=0):
     ledger.mint("CVX", account, U(tokens))
     agg.lock_governance(account, U(tokens), now + weeks, now)
+
+
+def result_shares(rnd):
+    """Exact meta-round result shares from the round's tally numerators."""
+    total = sum(rnd.tally_num.values())
+    return {g: Fraction(num, total) for g, num in rnd.tally_num.items()}
 
 
 class TestDepositAndLock:
@@ -120,8 +126,8 @@ class TestCastMetaVote:
         gov_lock(ledger, agg, "A", 10)
         agg.ensure_round(0)
         agg.cast_meta_vote("A", 0, [(0, 10000)], 1)
-        result, allocation = agg.finalize_round(0, 2)
-        assert result == {0: Fraction(1)}
+        allocation = agg.finalize_round(0, 2)
+        assert result_shares(agg.rounds[0]) == {0: Fraction(1)}
         assert allocation == {0: 10000}
 
     def test_recast_replaces(self):
@@ -130,8 +136,8 @@ class TestCastMetaVote:
         agg.ensure_round(0)
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.cast_meta_vote("A", 0, [(1, 10000)], 1)
-        result, _ = agg.finalize_round(0, 2)
-        assert result == {1: Fraction(1)}
+        agg.finalize_round(0, 2)
+        assert result_shares(agg.rounds[0]) == {1: Fraction(1)}
 
     def test_zero_weight_voter_rejected(self):
         ledger, agg = build()
@@ -168,8 +174,8 @@ class TestFinalizeRound:
         agg.ensure_round(0)
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.cast_meta_vote("B", 0, [(1, 10000)], 0)
-        result, allocation = agg.finalize_round(0, 2)
-        assert result == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+        allocation = agg.finalize_round(0, 2)
+        assert result_shares(agg.rounds[0]) == {0: Fraction(1, 4), 1: Fraction(3, 4)}
         assert allocation == {0: 2500, 1: 7500}
         # the pooled base vote was recast to match
         assert agg.controller.allocations[PROTOCOL].by_gauge == {0: 2500, 1: 7500}
@@ -184,8 +190,8 @@ class TestFinalizeRound:
         agg.finalize_round(0, 2)
         before = dict(agg.controller.allocations[PROTOCOL].by_gauge)
         agg.ensure_round(2)
-        result, allocation = agg.finalize_round(1, 4)
-        assert result == {} and allocation is None
+        allocation = agg.finalize_round(1, 4)
+        assert agg.rounds[1].finalized and agg.rounds[1].tally_num == {} and allocation is None
         assert agg.controller.allocations[PROTOCOL].by_gauge == before
 
     def test_double_finalize_rejected(self):
@@ -215,7 +221,8 @@ class TestFinalizeRound:
         agg.ensure_round(0)
         for account, splits in voters.items():
             agg.cast_meta_vote(account, 0, list(enumerate(splits)), 1)
-        result, allocation = agg.finalize_round(0, 2)
+        allocation = agg.finalize_round(0, 2)
+        result = result_shares(agg.rounds[0])
 
         tally = {}
         for account, splits in voters.items():
@@ -235,5 +242,5 @@ class TestFinalizeRound:
         gov_lock(ledger, agg, "abstainer", 1000)  # locked but never votes
         agg.ensure_round(0)
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
-        result, _ = agg.finalize_round(0, 2)
-        assert result == {0: Fraction(1)}
+        agg.finalize_round(0, 2)
+        assert result_shares(agg.rounds[0]) == {0: Fraction(1)}

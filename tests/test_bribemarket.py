@@ -154,9 +154,9 @@ class TestSettleRound:
 
             for g, total in deposits.items():
                 weights = {
-                    v: per[g]
-                    for v, per in rnd.voter_gauge_weight.items()
-                    if per.get(g, Fraction(0)) > 0
+                    v: Fraction(per[g], rnd.cut_den)
+                    for v, per in rnd.voter_gauge_num.items()
+                    if per.get(g, 0) > 0
                 }
                 gs = settlement.gauges[g]
                 if not weights:
@@ -186,7 +186,9 @@ class TestDollarsPerVote:
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
         market.settle_round(0)
-        weight = float(agg.rounds[0].tally[0])
+        rnd = agg.rounds[0]
+        weight = rnd.tally_num[0] / rnd.cut_den
+        assert market.settlements[0].gauges[0].vote_num == rnd.tally_num[0]
         assert market.settlements[0].gauges[0].usd_per_vote == pytest.approx(1000.0 / weight)
 
     def test_forty_weight_units(self):
@@ -199,7 +201,7 @@ class TestDollarsPerVote:
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
         market.settle_round(0)
-        assert agg.rounds[0].tally[0] == 40
+        assert Fraction(agg.rounds[0].tally_num[0], agg.rounds[0].cut_den) == 40
         assert market.settlements[0].gauges[0].usd_per_vote == 25.0
 
     @pytest.mark.parametrize(
@@ -219,7 +221,7 @@ class TestDollarsPerVote:
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
         market.settle_round(0)
-        assert agg.rounds[0].tally[0] == votes
+        assert Fraction(agg.rounds[0].tally_num[0], agg.rounds[0].cut_den) == votes
         assert market.settlements[0].gauges[0].usd_per_vote == pytest.approx(expected, abs=0.0005)
 
 

@@ -324,6 +324,14 @@ BAD_TRACE_FIELDS = {
     ),
     "negative bribe vote weight": (BRIBE, "cost_per_vote --actor b --avenue bribe",
                                    f"epoch 4: settlement.gauges.2.vote_weight: {RATIO} '1/-2'"),
+    "word gauge id in a snapshot": ({"epoch": 3, "snapshot": {"relative_weights": {"x": "1"}}}, "snapshots",
+                                    "epoch 3: snapshot.relative_weights.x: expected a gauge id, got 'x'"),
+    "base votes a list": (dict(DIRECT_LOCK, base_votes=[1]), "cost_per_vote --actor a --avenue direct-lock",
+                          "epoch 5: base_votes: expected an object, got list"),
+    "snapshot emissions a list": ({"epoch": 3, "snapshot": {"relative_weights": {"0": "1"}, "emissions": [1]}},
+                                  "snapshots", "epoch 3: snapshot.emissions: expected an object, got list"),
+    "base allocation a list": ({"epoch": 2, "round_finalized": dict(RESULT, base_allocation=[1])}, "round_results",
+                               "epoch 2: round_finalized.base_allocation: expected an object, got list"),
 }
 
 

@@ -18,7 +18,7 @@ def fresh(max_weeks=208, whitelist=(), enforced=False, contracts=()):
     config = EscrowConfig(
         token="CRV",
         max_lock_weeks=max_weeks,
-        whitelist=frozenset(whitelist),
+        whitelist=tuple(whitelist),
         whitelist_enforced=enforced,
     )
     return ledger, Escrow(config, ledger, frozenset(contracts))

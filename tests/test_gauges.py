@@ -26,6 +26,12 @@ def give_weight(ledger, escrow, account, tokens, weeks=208, now=0):
     escrow.create_lock(account, U(tokens), now + weeks, now)
 
 
+def shares(weights):
+    """Exact relative weights from ``relative_weights`` numerators."""
+    total = sum(weights.values())
+    return {g: Fraction(num, total) if total else Fraction(0) for g, num in weights.items()}
+
+
 class TestAddGauge:
     def test_first_id_is_zero(self):
         _, _, controller = build()
@@ -49,7 +55,7 @@ class TestVoteForGaugeWeights:
         controller.add_gauge("g0", [("P", 10000)])
         give_weight(ledger, escrow, "A", 100)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
-        assert controller.relative_weights(0) == {0: Fraction(1)}
+        assert shares(controller.relative_weights(0)) == {0: Fraction(1)}
 
     def test_split_allocation(self):
         ledger, escrow, controller = build()
@@ -57,7 +63,7 @@ class TestVoteForGaugeWeights:
         controller.add_gauge("g1", [("Q", 10000)])
         give_weight(ledger, escrow, "A", 100)
         controller.vote_for_gauge_weights("A", [(0, 6000), (1, 4000)], 0)
-        weights = controller.relative_weights(0)
+        weights = shares(controller.relative_weights(0))
         assert weights[0] == Fraction(6, 10)
         assert weights[1] == Fraction(4, 10)
 
@@ -90,7 +96,7 @@ class TestVoteForGaugeWeights:
         give_weight(ledger, escrow, "B", 100, weeks=208)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
         controller.vote_for_gauge_weights("B", [(1, 10000)], 0)
-        later = controller.relative_weights(50)
+        later = shares(controller.relative_weights(50))
         # A decays to 50/208 weight, B to 158/208; shares follow with no re-vote
         assert later[0] == Fraction(50, 50 + 158)
         assert later[1] == Fraction(158, 50 + 158)
@@ -106,12 +112,13 @@ class TestRelativeWeights:
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
         controller.vote_for_gauge_weights("B", [(1, 10000)], 0)
         weights = controller.relative_weights(0)
-        assert weights == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+        assert weights[1] == 3 * weights[0]
+        assert shares(weights) == {0: Fraction(1, 4), 1: Fraction(3, 4)}
 
     def test_no_votes_all_zero_and_no_emissions(self):
         _, _, controller = build(schedule_entries=[(0, 10, U(1000))])
         controller.add_gauge("g0", [("P", 10000)])
-        assert controller.relative_weights(0) == {0: Fraction(0)}
+        assert controller.relative_weights(0) == {0: 0}
         controller.take_snapshot(0)
         assert controller.distribute_emissions(0) == []
 
@@ -135,7 +142,7 @@ class TestRelativeWeights:
                 raw[g] += escrow.voting_weight(account, now) * Fraction(bps, BPS)
         total = sum(raw.values(), Fraction(0))
         expected = {g: raw[g] / total for g in range(3)}
-        assert controller.relative_weights(now) == expected
+        assert shares(controller.relative_weights(now)) == expected
 
     def test_snapshot_recompute_is_idempotent(self):
         ledger, escrow, controller = build()

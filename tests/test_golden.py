@@ -15,7 +15,7 @@ from vetokensim.cli import main
 from vetokensim.sim import load_scenario, run_scenario
 
 from conftest import make_scenario
-from test_acceptance import _randomized_config, _randomized_scenario
+from test_acceptance import _randomized_scenario
 
 GOLDEN = {
     "paper-mature": "6a78d72a89f10d40",
@@ -28,19 +28,19 @@ def file_digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def trace_digest(config, tmp_path) -> str:
+def trace_digest(trace, tmp_path) -> str:
     path = tmp_path / "trace.ndjson"
-    run_scenario(config).write_ndjson(str(path))
+    trace.write_ndjson(str(path))
     return file_digest(path)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_packaged_scenario_digest(name, tmp_path):
-    assert trace_digest(load_scenario(name), tmp_path) == GOLDEN[name]
+    assert trace_digest(run_scenario(load_scenario(name)), tmp_path) == GOLDEN[name]
 
 
-def test_randomized_1000_digest(tmp_path):
-    assert trace_digest(_randomized_config(), tmp_path) == "fc6bec74dcdcf34b"
+def test_randomized_1000_digest(randomized_1000, tmp_path):
+    assert trace_digest(randomized_1000[1], tmp_path) == "fc6bec74dcdcf34b"
 
 
 # Export digests, pinned the same way: (scenario, ``report`` arguments after

@@ -4,7 +4,7 @@ reference implementations of the same rules."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vetokensim.bribemarket import _prorata
@@ -13,6 +13,7 @@ from vetokensim.metrics import ZERO, _add, _quotient, _ratio
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import BPS, EmissionSchedule, GaugeController, shares_to_bps
 from vetokensim.ledger import Ledger
+from vetokensim.sim import _ratio_str
 
 
 def reference_shares_to_bps(shares, total_bps=BPS):
@@ -135,9 +136,26 @@ class TestRelativeWeights:
         expected = {g: w / total for g, w in raw.items()} if total else raw
 
         weights = controller.relative_weights(now)
-        assert weights == expected
-        assert all(isinstance(w, Fraction) for w in weights.values())
-        assert sum(weights.values()) == (1 if total else 0)
+        assert all(isinstance(num, int) for num in weights.values())
+        denominator = sum(weights.values())
+        assert (denominator > 0) == (total > 0)
+        assert {g: Fraction(num, denominator or 1) for g, num in weights.items()} == expected
+
+
+class TestRatioWriter:
+    @given(
+        num=st.integers(min_value=0, max_value=10**40),
+        den=st.integers(min_value=1, max_value=10**40),
+        scale=st.integers(min_value=1, max_value=10**6),
+    )
+    @example(num=0, den=1, scale=1)
+    @example(num=0, den=208 * 10**22, scale=1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_str(self, num, den, scale):
+        # every trace ratio goes through this one writer; it must print exactly
+        # what str(Fraction) prints, reduced or not, zero included
+        assert _ratio_str(num, den) == str(Fraction(num, den))
+        assert _ratio_str(num * scale, den * scale) == str(Fraction(num, den))
 
 
 # trace weight strings: reduced as the simulator writes them, or unreduced

@@ -416,12 +416,10 @@ class TestCostPerVote:
 
 
 @pytest.fixture(scope="module")
-def scenario_traces():
+def scenario_traces(randomized_1000):
     """(config, trace) of each packaged scenario and of randomized-1000."""
-    from test_acceptance import _randomized_config  # it imports this module
-
-    configs = [load_scenario(name) for name in sorted(packaged_scenarios())] + [_randomized_config()]
-    return [(config, run_scenario(config)) for config in configs]
+    configs = [load_scenario(name) for name in sorted(packaged_scenarios())]
+    return [(config, run_scenario(config)) for config in configs] + [randomized_1000]
 
 
 @pytest.mark.parametrize("avenue", metrics.AVENUES)
