@@ -75,7 +75,6 @@ class AgentSpec:
     bribe_token: str = "BRIBE-USD"
     noise: float = 0.0
     exogenous_weights: tuple[tuple[int, float], ...] = ()
-    tol: float = 1e-9
     # epoch -> schedule entries due then, in schedule order; built once here
     schedule_by_epoch: dict[int, list[LockEntry]] = field(init=False, repr=False, compare=False)
 
@@ -258,9 +257,7 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
 
     if spec.strategy == "BribeFollowerEquilibrium":
         if gov_weight > 0 and positive_bribes:
-            split = equilibrium_allocation(
-                positive_bribes, gov_weight, dict(spec.exogenous_weights), spec.tol
-            )
+            split = equilibrium_allocation(positive_bribes, gov_weight, dict(spec.exogenous_weights))
             total = sum(split.values())
             ballot = shares_to_bps({g: amount / total for g, amount in split.items()})
             ballot = _apply_noise(ballot, obs, spec.noise)

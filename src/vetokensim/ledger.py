@@ -22,7 +22,9 @@ ONE = 10**DECIMALS
 
 
 def base_units(tokens) -> int:
-    """Convert a token quantity (int, str or Decimal) to base units, exactly."""
+    """Convert a token quantity (int, float, str or Decimal) to base units, exactly."""
+    if not isinstance(tokens, (int, float, str, Decimal)):
+        raise LedgerError(f"unparseable token amount: {tokens!r}")
     if isinstance(tokens, float):
         # go through repr so 0.5 means five tenths, not its binary expansion
         tokens = repr(tokens)
@@ -30,6 +32,8 @@ def base_units(tokens) -> int:
         scaled = Decimal(tokens).scaleb(DECIMALS)
     except InvalidOperation as exc:
         raise LedgerError(f"unparseable token amount: {tokens!r}") from exc
+    if not scaled.is_finite():
+        raise LedgerError(f"unparseable token amount: {tokens!r}")
     if scaled != scaled.to_integral_value():
         raise LedgerError(f"{tokens!r} has more than {DECIMALS} fractional digits")
     units = int(scaled)

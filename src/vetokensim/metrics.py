@@ -2,13 +2,14 @@
 correlation, outlier classes, share-difference matrices, and cost per vote
 by acquisition avenue (one pass per avenue for any number of accounts).
 
-Every function here is a pure read of an immutable trace.  Weight-typed trace
-fields arrive as exact ``n`` or ``n/d`` strings; they are read as ``(num,
-den)`` int pairs, summed exactly, and turned into a float by one int/int
-division, which is correctly rounded.  A missing field or a malformed ratio
-is a ``ScenarioError`` naming the epoch and the field path.  Every result is
-a ``Table`` whose one column schema drives both the CSV and the JSON export,
-with fixed decimal formatting (10 significant digits) so repeated exports are
+Every function here is a pure read of an immutable trace, through the typed
+reader ``sim.Fields``.  Weight-typed trace fields arrive as exact ``n`` or
+``n/d`` strings; they are read as ``(num, den)`` int pairs, summed exactly, and
+turned into a float by one int/int division, which is correctly rounded.  A
+missing field, a malformed ratio or a field of the wrong type is a
+``ScenarioError`` naming the epoch and the field path.  Every result is a
+``Table`` whose one column schema drives both the CSV and the JSON export, with
+fixed decimal formatting (10 significant digits) so repeated exports are
 byte-identical.
 """
 
@@ -20,85 +21,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-from .errors import MetricsError, ScenarioError
-from .sim import SimTrace
+from .errors import MetricsError
+from .sim import Fields, SimTrace
 
 AVENUES = ("direct-lock", "aggregator-lock", "bribe")
 
 ZERO = (0, 1)  # the ratio 0 as a (num, den) pair
 
 
-# -- trace fields --------------------------------------------------------------
-
-
-def _trace_error(row: dict, path: tuple, problem: str) -> ScenarioError:
-    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
-    return ScenarioError(f"trace epoch {row.get('epoch')}: {where[1:]}: {problem}")
-
-
-def _field(row: dict, *path):
-    """``row[path[0]][path[1]]...``; a missing field is an input error."""
-    value = row
-    for depth, key in enumerate(path):
-        try:
-            value = value[key]
-        except (KeyError, IndexError, TypeError):
-            raise _trace_error(row, path[: depth + 1], "required field missing") from None
-    return value
-
-
-def _object(row: dict, *path) -> dict:
-    """The JSON object at ``path`` in ``row``."""
-    value = _field(row, *path)
-    if not isinstance(value, dict):
-        raise _trace_error(row, path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _optional(row: dict, *path) -> dict:
-    """The JSON object at ``path`` in ``row``, or ``{}`` where a field on the
-    way is absent or null."""
-    parent = _optional(row, *path[:-1]) if len(path) > 1 else row
-    return {} if parent.get(path[-1]) is None else _object(row, *path)
-
-
-def _gauge_id(row: dict, *path) -> int:
-    """The gauge-id key that ends ``path`` in ``row``, as an int."""
-    key = path[-1]
-    if not (key.isascii() and key.isdigit()):
-        raise _trace_error(row, path, f"expected a gauge id, got {key!r}")
-    return int(key)
-
-
-def _gauge_items(row: dict, *path) -> list[tuple[int, str, object]]:
-    """``(gauge id, key, value)`` for each entry of the object at ``path`` in
-    ``row``, in gauge-id order."""
-    return sorted((_gauge_id(row, *path, key), key, value) for key, value in _object(row, *path).items())
-
-
-def _fields(row: dict, path: tuple, *keys) -> list:
-    """The values of ``keys`` in the object at ``path`` in ``row``."""
-    record = _object(row, *path)
-    try:
-        return [record[key] for key in keys]
-    except KeyError as exc:
-        raise _trace_error(row, (*path, exc.args[0]), "required field missing") from None
-
-
-def _ratio(text, row: dict, *path) -> tuple[int, int]:
-    """A trace weight ``"n"`` or ``"n/d"`` (``path`` in ``row``) as ``(n, d)``, n >= 0, d > 0."""
-    try:
-        num, slash, den = text.partition("/")
-        num, den = int(num), int(den) if slash else 1
-    except (AttributeError, ValueError):
-        num = den = -1
-    if num < 0 or den <= 0:
-        raise _trace_error(row, path, f"expected a ratio n or n/d, got {text!r}")
-    return num, den
-
-
-def _ratio_at(row: dict, *path) -> tuple[int, int]:
-    return _ratio(_field(row, *path), row, *path)
+# -- exact ratio arithmetic ---------------------------------------------------
 
 
 def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -295,16 +226,16 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
     voters: set[str] = set()
     cast_weight = total_weight = ZERO
     voters_per_round: list[int] = []
-    for row in trace:
-        lockers.update(_optional(row, "locks", "base"))
-        lockers.update(_optional(row, "locks", "governance"))
-        voters.update(_optional(row, "base_votes"))
-        if row.get("round_finalized"):
-            ballots = _optional(row, "round_finalized", "ballots")
+    for f in trace.fields():
+        lockers.update(f.object("locks", "base", default={}))
+        lockers.update(f.object("locks", "governance", default={}))
+        voters.update(f.object("base_votes", default={}))
+        if f.object("round_finalized", default={}):
+            ballots = f.object("round_finalized", "ballots", default={})
             voters.update(ballots)
             voters_per_round.append(len(ballots))
-            cast_weight = _add(cast_weight, _ratio_at(row, "round_finalized", "tally_total"))
-            total_weight = _add(total_weight, _ratio_at(row, "round_finalized", "total_gov_weight"))
+            cast_weight = _add(cast_weight, f.ratio("round_finalized", "tally_total"))
+            total_weight = _add(total_weight, f.ratio("round_finalized", "total_gov_weight"))
     voter_fraction = len(voters) / len(lockers) if lockers else 0.0
     mean_by_type = {
         "gauge": (sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0
@@ -322,21 +253,15 @@ def share_table(trace: SimTrace) -> ShareTable:
     """One row per (settled round, gauge) with any bribes or votes."""
     rows: list[ShareRow] = []
     settled = 0
-    for row in trace:
-        settlement = row.get("settlement")
-        finalized = row.get("round_finalized")
-        if not settlement or not finalized:
+    for f in trace.fields():
+        if not f.object("settlement", default={}) or not f.object("round_finalized", default={}):
             continue
         settled += 1
-        round_id = _field(row, "settlement", "round")
-        bribe_usd = {
-            _gauge_id(row, "settlement", "gauges", g): _field(row, "settlement", "gauges", g, "bribe_usd")
-            for g in _object(row, "settlement", "gauges")
-        }
-        votes = {
-            _gauge_id(row, "round_finalized", "tally", g): _ratio(w, row, "round_finalized", "tally", g)
-            for g, w in _object(row, "round_finalized", "tally").items()
-        }
+        round_id = f.integer("settlement", "round")
+        gauges, tally = f.at("settlement", "gauges"), f.at("round_finalized", "tally")
+        # summed in trace order, as the float total has always been
+        bribe_usd = {gauges.gauge_id(g): gauges.number(g, "bribe_usd") for g in gauges.root}
+        votes = {tally.gauge_id(g): tally.ratio(g) for g in tally.root}
         bribe_total = sum(bribe_usd.values())
         vote_total = ZERO
         for weight in votes.values():
@@ -369,7 +294,12 @@ def pearson(pairs) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
-def classify_outliers(table: ShareTable, low: float = 0.8, high: float = 1.2, small: float = 0.01) -> list[str]:
+# a vote share below OUTLIER_SMALL is negligible; otherwise a vote/bribe share
+# ratio below OUTLIER_LOW is under, above OUTLIER_HIGH over, else it follows
+OUTLIER_LOW, OUTLIER_HIGH, OUTLIER_SMALL = 0.8, 1.2, 0.01
+
+
+def classify_outliers(table: ShareTable) -> list[str]:
     """Per-row class: negligible takes precedence, then the vote/bribe ratio.
 
     Rows with no bribes but a non-negligible vote share count as "over".
@@ -378,23 +308,23 @@ def classify_outliers(table: ShareTable, low: float = 0.8, high: float = 1.2, sm
         raise MetricsError("cannot classify an empty share table")
     classes = []
     for row in table.rows:
-        if row.vote_share < small:
+        if row.vote_share < OUTLIER_SMALL:
             classes.append("negligible")
         elif row.bribe_share == 0:
             classes.append("over")
         else:
             ratio = row.vote_share / row.bribe_share
-            if ratio < low:
+            if ratio < OUTLIER_LOW:
                 classes.append("under")
-            elif ratio > high:
+            elif ratio > OUTLIER_HIGH:
                 classes.append("over")
             else:
                 classes.append("follows")
     return classes
 
 
-def outlier_table(table: ShareTable, low: float = 0.8, high: float = 1.2, small: float = 0.01) -> OutlierTable:
-    classes = classify_outliers(table, low, high, small)
+def outlier_table(table: ShareTable) -> OutlierTable:
+    classes = classify_outliers(table)
     return OutlierTable(
         [
             (row.round_id, row.gauge_id, row.bribe_share, row.vote_share, cls)
@@ -429,43 +359,40 @@ def diff_matrix(table: ShareTable) -> DiffMatrix:
 
 def gauge_snapshots(trace: SimTrace) -> SnapshotTable:
     rows = []
-    for row in trace:
-        snapshot = row.get("snapshot")
-        if not snapshot:
+    for f in trace.fields():
+        if not f.object("snapshot", default={}):
             continue
-        emissions = _optional(row, "snapshot", "emissions")
-        for gauge_id, gauge, weight in _gauge_items(row, "snapshot", "relative_weights"):
-            num, den = _ratio(weight, row, "snapshot", "relative_weights", gauge)
-            rows.append((_field(row, "epoch"), gauge_id, num / den, emissions.get(gauge, 0)))
+        epoch = f.integer("epoch")
+        emissions = f.at("snapshot", "emissions", default={})
+        for gauge_id, gauge in f.gauge_items("snapshot", "relative_weights"):
+            num, den = f.ratio("snapshot", "relative_weights", gauge)
+            rows.append((epoch, gauge_id, num / den, emissions.integer(gauge, default=0)))
     return SnapshotTable(rows)
 
 
 def round_results(trace: SimTrace) -> RoundResultTable:
     rows = []
-    for row in trace:
-        finalized = row.get("round_finalized")
-        if not finalized:
+    for f in trace.fields():
+        if not f.object("round_finalized", default={}):
             continue
-        base = _optional(row, "round_finalized", "base_allocation")
-        round_id = _field(row, "round_finalized", "round")
-        for gauge_id, gauge, share in _gauge_items(row, "round_finalized", "result"):
-            num, den = _ratio(share, row, "round_finalized", "result", gauge)
-            rows.append((round_id, gauge_id, num / den, base.get(gauge, 0)))
+        base = f.at("round_finalized", "base_allocation", default={})
+        round_id = f.integer("round_finalized", "round")
+        for gauge_id, gauge in f.gauge_items("round_finalized", "result"):
+            num, den = f.ratio("round_finalized", "result", gauge)
+            rows.append((round_id, gauge_id, num / den, base.integer(gauge, default=0)))
     return RoundResultTable(rows)
 
 
 def settlements(trace: SimTrace) -> SettlementTable:
     rows = []
-    for row in trace:
-        settlement = row.get("settlement")
-        if not settlement:
+    for f in trace.fields():
+        if not f.object("settlement", default={}):
             continue
-        round_id = _field(row, "settlement", "round")
-        for gauge_id, gauge, _ in _gauge_items(row, "settlement", "gauges"):
-            path = ("settlement", "gauges", gauge)
-            bribe_usd, weight, usd_per_vote = _fields(row, path, "bribe_usd", "vote_weight", "usd_per_vote")
-            num, den = _ratio(weight, row, *path, "vote_weight")
-            rows.append((round_id, gauge_id, bribe_usd, num / den, usd_per_vote))
+        round_id = f.integer("settlement", "round")
+        for gauge_id, gauge in f.gauge_items("settlement", "gauges"):
+            g = f.at("settlement", "gauges", gauge)
+            bribe_usd, (num, den) = g.number("bribe_usd"), g.ratio("vote_weight")
+            rows.append((round_id, gauge_id, bribe_usd, num / den, g.number("usd_per_vote", null=True)))
     return SettlementTable(rows)
 
 
@@ -477,45 +404,45 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
     if avenue not in AVENUES:
         raise MetricsError(f"unknown avenue {avenue!r}; expected one of {AVENUES}")
     lock_escrow = {"direct-lock": "base", "aggregator-lock": "governance"}.get(avenue)
-    protocol_account = trace.header.get("protocol_account")
-    for row in trace:
+    if avenue == "aggregator-lock":
+        protocol_account = Fields(trace.header, "trace header: ").string("protocol_account")
+    for f in trace.fields():
         if lock_escrow:
-            for i in range(len(row.get("lock_events", ()))):
-                actor, escrow, amount, usd_cost = _fields(
-                    row, ("lock_events", i), "account", "escrow", "amount", "usd_cost"
-                )
-                if actor in votes and escrow == lock_escrow and amount > 0:
-                    paid[actor] = paid.get(actor, 0.0) + usd_cost
-        if avenue == "direct-lock" and row.get("snapshot") is not None:
-            weights = _object(row, "escrow_weights", "base")
-            for actor, allocation in _optional(row, "base_votes").items():
-                if actor in votes and allocation:
-                    bps = sum(_object(row, "base_votes", actor).values())
-                    num, den = _ratio(weights.get(actor, "0"), row, "escrow_weights", "base", actor)
+            for event in f.each("lock_events", default=()):
+                actor = event.string("account")
+                if actor in votes and event.string("escrow") == lock_escrow and event.integer("amount") > 0:
+                    paid[actor] = paid.get(actor, 0.0) + event.number("usd_cost")
+        if avenue == "direct-lock" and f.value("snapshot", default=None) is not None:
+            weights = f.at("escrow_weights", "base")
+            ballots = f.at("base_votes", default={})
+            for actor in ballots.root:
+                ballot = ballots.object(actor, default={}) if actor in votes else None
+                if ballot:
+                    bps = 0
+                    for gauge in ballot:
+                        bps += ballots.integer(actor, gauge, minimum=0)
+                    num, den = weights.ratio(actor, default="0")
                     votes[actor] = _add(votes[actor], (num * bps, den * 10_000))
-        elif avenue == "aggregator-lock" and row.get("round_finalized"):
-            total_num, total_den = _ratio_at(row, "round_finalized", "tally_total")
+        elif avenue == "aggregator-lock" and f.object("round_finalized", default={}):
+            total_num, total_den = f.ratio("round_finalized", "tally_total")
             if total_num:
-                pooled = _ratio(
-                    _object(row, "escrow_weights", "base").get(protocol_account, "0"),
-                    row, "escrow_weights", "base", protocol_account,
-                )
+                pooled = f.at("escrow_weights", "base").ratio(protocol_account, default="0")
                 # mass / total * pooled, reduced so the running sum stays small
                 scale_num, scale_den = pooled[0] * total_den, pooled[1] * total_num
-                for actor, mass in _optional(row, "round_finalized", "voter_mass").items():
+                for actor in f.object("round_finalized", "voter_mass", default={}):
                     if actor in votes:
-                        mass_num, mass_den = _ratio(mass, row, "round_finalized", "voter_mass", actor)
+                        mass_num, mass_den = f.ratio("round_finalized", "voter_mass", actor)
                         num, den = mass_num * scale_num, mass_den * scale_den
                         common = math.gcd(num, den)
                         votes[actor] = _add(votes[actor], (num // common, den // common))
-        elif avenue == "bribe" and row.get("settlement"):
-            for gauge in _object(row, "settlement", "gauges"):
-                path = ("settlement", "gauges", gauge)
-                for actor, spend in _object(row, *path, "briber_usd").items():
+        elif avenue == "bribe" and f.object("settlement", default={}):
+            for gauge in f.object("settlement", "gauges"):
+                g = f.at("settlement", "gauges", gauge)
+                for actor in g.object("briber_usd"):
                     if actor in votes:
-                        paid[actor] = paid.get(actor, 0.0) + spend
-                        votes[actor] = _add(votes[actor], _ratio_at(row, *path, "vote_weight"))
-        yield _field(row, "epoch")
+                        paid[actor] = paid.get(actor, 0.0) + g.number("briber_usd", actor)
+                        votes[actor] = _add(votes[actor], g.ratio("vote_weight"))
+        yield f.integer("epoch")
 
 
 def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, CostPerVoteSeries]:
@@ -577,10 +504,7 @@ def _fnum(cells) -> list:
 
 
 def export(obj, fmt: str, path: str) -> None:
-    """Write a metric table (or a trace) to disk, byte-stably."""
-    if isinstance(obj, SimTrace):
-        obj.write_ndjson(path)
-        return
+    """Write a metric table to disk, byte-stably."""
     if fmt not in ("csv", "json"):
         raise MetricsError(f"unknown export format {fmt!r}")
     if not isinstance(obj, Table):

@@ -140,132 +140,73 @@ def _agent_dict(spec: AgentSpec) -> dict:
 # -- scenario parsing ---------------------------------------------------------
 
 
-def _as_object(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{context}: expected an object")
-    return value
-
-
-def _as_list(value, context: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{context}: expected a list")
-    return value
-
-
-def _as_tuple(value, context: str, size: int) -> list:
-    """A list of exactly ``size`` entries, such as an ``[epoch, price]`` point."""
-    if not isinstance(value, (list, tuple)) or len(value) != size:
-        raise ScenarioError(f"{context}: expected a list of {size} entries")
-    return value
-
-
-def _need(raw: dict, key: str, context: str):
-    if key not in _as_object(raw, context):
-        raise ScenarioError(f"{context}.{key}: required field missing")
-    return raw[key]
-
-
-def _as_int(value, context: str, minimum=None, maximum=None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{context}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{context}: {value} is below the minimum of {minimum}")
-    if maximum is not None and value > maximum:
-        raise ScenarioError(f"{context}: {value} is above the maximum of {maximum}")
-    return value
-
-
-def _as_float(value, context: str) -> float:
-    # the bound also rejects NaN, ±inf and integers too large for a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_amount(value, context: str) -> int:
-    try:
-        return base_units(value)
-    except VeTokenSimError as exc:
-        raise ScenarioError(f"{context}: {exc}") from None
-
-
-def _parse_escrow(raw, context: str) -> EscrowConfig:
-    token = str(_need(raw, "token", context))
-    max_lock_weeks = _as_int(_need(raw, "max_lock_weeks", context), f"{context}.max_lock_weeks", 1)
-    min_lock_weeks = _as_int(raw.get("min_lock_weeks", 1), f"{context}.min_lock_weeks", 1)
+def _parse_escrow(f: Fields, tokens) -> EscrowConfig:
+    token = f.string("token")
+    if token not in tokens:
+        raise f.error(f"unknown token {token}", "token")
+    max_lock_weeks = f.integer("max_lock_weeks", minimum=1)
+    min_lock_weeks = f.integer("min_lock_weeks", minimum=1, default=1)
     if min_lock_weeks > max_lock_weeks:
-        raise ScenarioError(f"{context}.min_lock_weeks: exceeds max_lock_weeks")
+        raise f.error("exceeds max_lock_weeks", "min_lock_weeks")
     return EscrowConfig(
         token=token,
         max_lock_weeks=max_lock_weeks,
         min_lock_weeks=min_lock_weeks,
         # a tuple keeps the listed order, which config_digest hashes
-        whitelist=tuple(_as_list(raw.get("whitelist", []), f"{context}.whitelist")),
-        whitelist_enforced=bool(raw.get("whitelist_enforced", False)),
+        whitelist=tuple(f.string("whitelist", i) for i, _ in enumerate(f.list("whitelist", default=[]))),
+        whitelist_enforced=bool(f.value("whitelist_enforced", default=False)),
     )
 
 
-def _parse_lock_entry(raw, context: str, config_bounds) -> LockEntry:
-    kind = _need(raw, "kind", context)
+def _parse_lock_entry(f: Fields, config_bounds) -> LockEntry:
+    kind = f.value("kind")
     if kind not in ("base", "gov", "deposit"):
-        raise ScenarioError(f"{context}.kind: must be base, gov or deposit, got {kind!r}")
-    epoch = _as_int(_need(raw, "epoch", context), f"{context}.epoch", 0)
-    amount = _as_amount(_need(raw, "amount", context), f"{context}.amount")
-    weeks = _as_int(raw.get("weeks", 0), f"{context}.weeks", 0)
+        raise f.error(f"must be base, gov or deposit, got {kind!r}", "kind")
+    epoch = f.integer("epoch", minimum=0)
+    amount = f.amount("amount")
+    weeks = f.integer("weeks", minimum=0, default=0)
     if kind in ("base", "gov"):
         min_weeks, max_weeks = config_bounds[kind]
         if amount > 0 and not min_weeks <= weeks <= max_weeks:
-            raise ScenarioError(
-                f"{context}.weeks: lock duration {weeks} outside [{min_weeks}, {max_weeks}]"
-            )
+            raise f.error(f"lock duration {weeks} outside [{min_weeks}, {max_weeks}]", "weeks")
         if amount == 0 and not 0 <= weeks <= max_weeks:
-            raise ScenarioError(f"{context}.weeks: extension {weeks} outside [0, {max_weeks}]")
+            raise f.error(f"extension {weeks} outside [0, {max_weeks}]", "weeks")
     elif amount == 0:
-        raise ScenarioError(f"{context}.amount: deposits must be positive")
+        raise f.error("deposits must be positive", "amount")
     return LockEntry(epoch=epoch, kind=kind, amount=amount, weeks=weeks)
 
 
-def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> AgentSpec:
-    account = str(_need(raw, "account", context))
-    strategy = str(_need(raw, "strategy", context))
-    params = _as_object(raw.get("params", {}), f"{context}.params")
-    schedule = tuple(
-        _parse_lock_entry(entry, f"{context}.params.lock_schedule[{i}]", config_bounds)
-        for i, entry in enumerate(_as_list(params.get("lock_schedule", []), f"{context}.params.lock_schedule"))
-    )
-    allocation = []
-    for i, pair in enumerate(_as_list(params.get("allocation", []), f"{context}.params.allocation")):
-        gauge_id, bps = _as_tuple(pair, f"{context}.params.allocation[{i}]", 2)
-        gauge_id = _as_int(gauge_id, f"{context}.params.allocation[{i}]", 0, gauge_count - 1)
-        bps = _as_int(bps, f"{context}.params.allocation[{i}]", 0, BPS)
-        allocation.append((gauge_id, bps))
+def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
+    account = f.string("account")
+    strategy = f.string("strategy")
+    params = f.at("params", default={})
+    schedule = tuple(_parse_lock_entry(entry, config_bounds) for entry in params.each("lock_schedule", default=[]))
+    allocation = [
+        (pair.integer(0, minimum=0, maximum=gauge_count - 1), pair.integer(1, minimum=0, maximum=BPS))
+        for pair in params.each("allocation", size=2, default=[])
+    ]
     if sum(b for _, b in allocation) > BPS:
-        raise ScenarioError(f"{context}.params.allocation: exceeds {BPS} bps")
-    budget = params.get("budget_per_round", 0.0)
+        raise params.error(f"exceeds {BPS} bps", "allocation")
+    budget = params.value("budget_per_round", default=0.0)
     if isinstance(budget, list):
-        budget = tuple(_as_float(b, f"{context}.params.budget_per_round[{i}]") for i, b in enumerate(budget))
+        budget = tuple(params.number("budget_per_round", i) for i, _ in enumerate(budget))
     else:
-        budget = _as_float(budget, f"{context}.params.budget_per_round")
+        budget = params.number("budget_per_round", default=0.0)
     own_gauges = tuple(
-        _as_int(g, f"{context}.params.own_gauges[{i}]", 0, gauge_count - 1)
-        for i, g in enumerate(_as_list(params.get("own_gauges", []), f"{context}.params.own_gauges"))
+        params.integer("own_gauges", i, minimum=0, maximum=gauge_count - 1)
+        for i, _ in enumerate(params.list("own_gauges", default=[]))
     )
-    bribe_token = str(params.get("bribe_token", "BRIBE-USD"))
+    bribe_token = params.string("bribe_token", default="BRIBE-USD")
     if (own_gauges or budget) and bribe_token not in tokens:
-        raise ScenarioError(f"{context}.params.bribe_token: unknown token {bribe_token}")
-    noise = _as_float(params.get("noise", 0.0), f"{context}.params.noise")
+        raise params.error(f"unknown token {bribe_token}", "bribe_token")
+    noise = params.number("noise", default=0.0)
     if not 0.0 <= noise <= 1.0:
-        raise ScenarioError(f"{context}.params.noise: must be within [0, 1]")
+        raise params.error("must be within [0, 1]", "noise")
     exogenous = []
-    weights = _as_object(params.get("exogenous_weights", {}), f"{context}.params.exogenous_weights")
-    for g, w in sorted(weights.items()):
-        try:
-            gauge_id = int(g)
-        except ValueError:
-            raise ScenarioError(f"{context}.params.exogenous_weights.{g}: expected a gauge id") from None
-        gauge_id = _as_int(gauge_id, f"{context}.params.exogenous_weights", 0, gauge_count - 1)
-        exogenous.append((gauge_id, _as_float(w, f"{context}.params.exogenous_weights.{g}")))
-    tol = _as_float(params.get("tol", 1e-9), f"{context}.params.tol")
+    for gauge_id, key in params.gauge_items("exogenous_weights", default={}):
+        if gauge_id >= gauge_count:
+            raise params.error(f"{gauge_id} is above the maximum of {gauge_count - 1}", "exogenous_weights", key)
+        exogenous.append((gauge_id, params.number("exogenous_weights", key)))
     try:
         return AgentSpec(
             account=account,
@@ -277,105 +218,84 @@ def _parse_agent(raw, context: str, tokens, gauge_count, config_bounds) -> Agent
             bribe_token=bribe_token,
             noise=noise,
             exogenous_weights=tuple(exogenous),
-            tol=tol,
         )
     except VeTokenSimError as exc:
-        raise ScenarioError(f"{context}: {exc}") from None
+        raise f.error(str(exc)) from None
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario: top level must be an object")
-    name = str(_need(raw, "name", "scenario"))
-    horizon = _as_int(_need(raw, "horizon_epochs", "scenario"), "scenario.horizon_epochs", 1)
-    seed = _as_int(_need(raw, "rng_seed", "scenario"), "scenario.rng_seed", 0, MAX_SEED)
-    round_length = _as_int(raw.get("round_length", 2), "scenario.round_length", 1)
-    cadence = _as_int(raw.get("base_snapshot_cadence", 1), "scenario.base_snapshot_cadence", 1)
-    bootstrap_rounds = _as_int(raw.get("bootstrap_rounds", 0), "scenario.bootstrap_rounds", 0)
-
+    f = Fields(raw, "scenario")
     tokens = []
     seen_tokens: set[str] = set()
-    for i, entry in enumerate(_as_list(_need(raw, "tokens", "scenario"), "scenario.tokens")):
-        symbol = str(_need(entry, "symbol", f"scenario.tokens[{i}]"))
+    for entry in f.each("tokens"):
+        symbol = entry.string("symbol")
         if not symbol or symbol in seen_tokens:
-            raise ScenarioError(f"scenario.tokens[{i}].symbol: empty or duplicate symbol {symbol!r}")
+            raise entry.error(f"empty or duplicate symbol {symbol!r}", "symbol")
         seen_tokens.add(symbol)
-        tokens.append(Token(symbol, bool(entry.get("transferable", True))))
+        tokens.append(Token(symbol, bool(entry.value("transferable", default=True))))
 
     prices: dict[str, tuple[tuple[int, float], ...]] = {}
-    for token, points in _as_object(_need(raw, "price_series", "scenario"), "scenario.price_series").items():
+    for token in f.object("price_series"):
         if token not in seen_tokens:
-            raise ScenarioError(f"scenario.price_series.{token}: unknown token")
+            raise f.error("unknown token", "price_series", token)
         parsed = []
         last = None
-        for i, point in enumerate(_as_list(points, f"scenario.price_series.{token}")):
-            epoch, price = _as_tuple(point, f"scenario.price_series.{token}[{i}]", 2)
-            epoch = _as_int(epoch, f"scenario.price_series.{token}[{i}]")
-            price = _as_float(price, f"scenario.price_series.{token}[{i}]")
+        for point in f.each("price_series", token, size=2):
+            epoch, price = point.integer(0), point.number(1)
             if price < 0:
-                raise ScenarioError(f"scenario.price_series.{token}[{i}]: negative price")
+                raise point.error("negative price")
             if last is not None and epoch <= last:
-                raise ScenarioError(f"scenario.price_series.{token}[{i}]: epochs must increase")
+                raise point.error("epochs must increase")
             last = epoch
             parsed.append((epoch, price))
         if not parsed:
-            raise ScenarioError(f"scenario.price_series.{token}: needs at least one point")
+            raise f.error("needs at least one point", "price_series", token)
         prices[token] = tuple(parsed)
     for symbol in seen_tokens:
         if symbol not in prices or prices[symbol][0][0] > 0:
-            raise ScenarioError(
-                f"scenario.price_series.{symbol}: every token needs a price at or before epoch 0"
-            )
+            raise f.error("every token needs a price at or before epoch 0", "price_series", symbol)
 
     balances = []
-    for i, row in enumerate(_as_list(raw.get("initial_balances", []), "scenario.initial_balances")):
-        account, token, amount = _as_tuple(row, f"scenario.initial_balances[{i}]", 3)
-        account, token = str(account), str(token)
+    for row in f.each("initial_balances", size=3, default=[]):
+        account, token = row.string(0), row.string(1)
         if token not in seen_tokens:
-            raise ScenarioError(f"scenario.initial_balances[{i}]: unknown token {token}")
-        balances.append((account, token, _as_amount(amount, f"scenario.initial_balances[{i}]")))
+            raise row.error(f"unknown token {token}")
+        balances.append((account, token, row.amount(2)))
 
-    base_escrow = _parse_escrow(_need(raw, "base_escrow", "scenario"), "scenario.base_escrow")
-    gov_escrow = _parse_escrow(_need(raw, "gov_escrow", "scenario"), "scenario.gov_escrow")
-    for label, params in (("base_escrow", base_escrow), ("gov_escrow", gov_escrow)):
-        if params.token not in seen_tokens:
-            raise ScenarioError(f"scenario.{label}.token: unknown token {params.token}")
+    base_escrow = _parse_escrow(f.at("base_escrow"), seen_tokens)
+    gov_escrow = _parse_escrow(f.at("gov_escrow"), seen_tokens)
 
-    agg_raw = _need(raw, "aggregator", "scenario")
+    agg = f.at("aggregator")
     aggregator = AggregatorParams(
-        protocol_account=str(_need(agg_raw, "protocol_account", "scenario.aggregator")),
-        wrapper_token=str(_need(agg_raw, "wrapper_token", "scenario.aggregator")),
-        gov_token=str(_need(agg_raw, "gov_token", "scenario.aggregator")),
+        protocol_account=agg.string("protocol_account"),
+        wrapper_token=agg.string("wrapper_token"),
+        gov_token=agg.string("gov_token"),
     )
     for key in ("wrapper_token", "gov_token"):
         if getattr(aggregator, key) not in seen_tokens:
-            raise ScenarioError(f"scenario.aggregator.{key}: unknown token")
+            raise agg.error("unknown token", key)
     if aggregator.gov_token != gov_escrow.token:
-        raise ScenarioError("scenario.aggregator.gov_token: must match scenario.gov_escrow.token")
+        raise agg.error("must match scenario.gov_escrow.token", "gov_token")
 
     gauges = []
-    for i, entry in enumerate(_as_list(_need(raw, "gauges", "scenario"), "scenario.gauges")):
-        context = f"scenario.gauges[{i}]"
-        shares = []
-        for j, pair in enumerate(_as_list(_need(entry, "lp_accounts", context), f"{context}.lp_accounts")):
-            account, bps = _as_tuple(pair, f"{context}.lp_accounts[{j}]", 2)
-            shares.append((str(account), _as_int(bps, f"{context}.lp_accounts[{j}]", 1)))
+    for entry in f.each("gauges"):
+        shares = [(pair.string(0), pair.integer(1, minimum=1)) for pair in entry.each("lp_accounts", size=2)]
         if sum(bps for _, bps in shares) != BPS:
-            raise ScenarioError(f"{context}.lp_accounts: shares must sum to {BPS} bps")
-        gauges.append(GaugeSpec(str(_need(entry, "name", context)), tuple(shares)))
+            raise entry.error(f"shares must sum to {BPS} bps", "lp_accounts")
+        gauges.append(GaugeSpec(entry.string("name"), tuple(shares)))
 
     emissions = []
-    for i, entry in enumerate(_as_list(raw.get("emission_schedule", []), "scenario.emission_schedule")):
-        start = _as_int(_need(entry, "start", f"scenario.emission_schedule[{i}]"), f"scenario.emission_schedule[{i}].start", 0)
-        end = _as_int(_need(entry, "end", f"scenario.emission_schedule[{i}]"), f"scenario.emission_schedule[{i}].end", 1)
-        per_week = _as_amount(_need(entry, "per_week", f"scenario.emission_schedule[{i}]"), f"scenario.emission_schedule[{i}].per_week")
+    for entry in f.each("emission_schedule", default=[]):
+        start = entry.integer("start", minimum=0)
+        end = entry.integer("end", minimum=1)
+        per_week = entry.amount("per_week")
         if end <= start:
-            raise ScenarioError(f"scenario.emission_schedule[{i}].end: must exceed start")
+            raise entry.error("must exceed start", "end")
         emissions.append((start, end, per_week))
     try:
         EmissionSchedule(emissions)
     except VeTokenSimError as exc:
-        raise ScenarioError(f"scenario.emission_schedule: {exc}") from None
+        raise f.error(str(exc), "emission_schedule") from None
 
     bounds = {
         "base": (base_escrow.min_lock_weeks, base_escrow.max_lock_weeks),
@@ -383,29 +303,31 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     }
     agents = []
     seen_accounts: set[str] = set()
-    for i, entry in enumerate(_as_list(raw.get("agents", []), "scenario.agents")):
-        spec = _parse_agent(entry, f"scenario.agents[{i}]", seen_tokens, len(gauges), bounds)
+    for entry in f.each("agents", default=[]):
+        spec = _parse_agent(entry, seen_tokens, len(gauges), bounds)
         if spec.account in seen_accounts:
-            raise ScenarioError(f"scenario.agents[{i}].account: duplicate account {spec.account}")
+            raise entry.error(f"duplicate account {spec.account}", "account")
         seen_accounts.add(spec.account)
         agents.append(spec)
 
     return ScenarioConfig(
-        name=name,
-        description=str(raw.get("description", "")),
-        horizon_epochs=horizon,
-        rng_seed=seed,
-        round_length=round_length,
-        base_snapshot_cadence=cadence,
-        bootstrap_rounds=bootstrap_rounds,
+        name=f.string("name"),
+        description=f.string("description", default=""),
+        horizon_epochs=f.integer("horizon_epochs", minimum=1),
+        rng_seed=f.integer("rng_seed", minimum=0, maximum=MAX_SEED),
+        round_length=f.integer("round_length", minimum=1, default=2),
+        base_snapshot_cadence=f.integer("base_snapshot_cadence", minimum=1, default=1),
+        bootstrap_rounds=f.integer("bootstrap_rounds", minimum=0, default=0),
         tokens=tuple(tokens),
         price_series=prices,
         initial_balances=tuple(balances),
-        contract_accounts=tuple(_as_list(raw.get("contract_accounts", []), "scenario.contract_accounts")),
+        contract_accounts=tuple(
+            f.string("contract_accounts", i) for i, _ in enumerate(f.list("contract_accounts", default=[]))
+        ),
         base_escrow=base_escrow,
         gov_escrow=gov_escrow,
         aggregator=aggregator,
-        bribe_escrow_account=str(raw.get("bribe_escrow_account", "bribe-market-escrow")),
+        bribe_escrow_account=f.string("bribe_escrow_account", default="bribe-market-escrow"),
         gauges=tuple(gauges),
         emission_schedule=tuple(emissions),
         agents=tuple(sorted(agents, key=lambda a: a.account)),
@@ -418,8 +340,8 @@ def packaged_scenarios() -> dict[str, str]:
     root = resources.files(__package__) / "scenarios"
     for item in sorted(root.iterdir(), key=lambda p: p.name):
         if item.name.endswith(".json"):
-            data = json.loads(item.read_text())
-            out[data["name"]] = data.get("description", "")
+            f = Fields(json.loads(item.read_text()), f"{item.name}: ")
+            out[f.string("name")] = f.string("description", default="")
     return out
 
 
@@ -458,6 +380,11 @@ class SimTrace:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def fields(self):
+        """A ``Fields`` reader of each row, naming errors ``trace epoch N: path``."""
+        for row in self.rows:
+            yield Fields(row, f"trace epoch {row.get('epoch')}: ")
+
     def to_lines(self) -> list[str]:
         dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return [dump({"type": "header", **self.header})] + [dump(row) for row in self.rows]
@@ -489,6 +416,148 @@ class SimTrace:
         if header is None:
             raise ScenarioError(f"{path}: trace has no header record")
         return cls(header, rows)
+
+
+_REQUIRED = object()  # the default of a read whose field must be present
+
+
+class Fields:
+    """Typed reads from a decoded JSON document (a scenario or a trace record)
+    by a path of object keys and list indexes, such as ``("agents", 0, "params")``.
+
+    A missing required field or a value of the wrong type raises ``ScenarioError``
+    naming ``prefix`` and the path, such as ``scenario.agents[0].params.noise`` or
+    ``trace epoch 3: snapshot.emissions`` (after a prefix ending in a space the
+    first key takes no dot); the text is built only when it raises.  A read given
+    ``default`` returns it where a field on the way is absent or null.
+    """
+
+    __slots__ = ("root", "prefix", "base", "whole")
+
+    def __init__(self, root, prefix: str, base: tuple = (), whole: bool = False):
+        self.root, self.prefix, self.base = root, prefix, base
+        self.whole = whole  # errors name the list at ``base``, not an entry of it
+
+    def error(self, problem: str, *path) -> ScenarioError:
+        where = self.prefix
+        for key in self.base if self.whole else self.base + path:
+            where += f"[{key}]" if isinstance(key, int) else key if where.endswith(" ") else f".{key}"
+        return ScenarioError(f"{where}: {problem}")
+
+    def value(self, *path, default=_REQUIRED):
+        """The value at ``path``, of any type."""
+        return self._get(path, default)
+
+    def _get(self, path: tuple, default):
+        node = self.root
+        try:
+            for key in path:
+                node = node[key]
+        except (KeyError, IndexError, TypeError):
+            if type(node) is dict and default is not _REQUIRED:
+                return default  # a key on the way is absent
+            # walk again, step by step, to return the default or say what failed
+            node = self.root
+            for depth, key in enumerate(path):
+                if isinstance(key, int):
+                    if not isinstance(node, (list, tuple)):
+                        raise self.error("expected a list", *path[:depth])
+                    found = key < len(node)
+                elif isinstance(node, dict):
+                    found = key in node
+                else:
+                    raise self.error(f"expected an object, got {type(node).__name__}", *path[:depth])
+                if found:
+                    node = node[key]
+                if not found or (node is None and default is not _REQUIRED):
+                    if default is _REQUIRED:
+                        raise self.error("required field missing", *path[: depth + 1])
+                    return default
+        return default if node is None and default is not _REQUIRED else node
+
+    def object(self, *path, default=_REQUIRED) -> dict:
+        value = self._get(path, default)
+        if not isinstance(value, dict):
+            raise self.error(f"expected an object, got {type(value).__name__}", *path)
+        return value
+
+    def list(self, *path, size: int | None = None, default=_REQUIRED):
+        value = self._get(path, default)
+        if not isinstance(value, (list, tuple)) or size is not None and len(value) != size:
+            raise self.error("expected a list" if size is None else f"expected a list of {size} entries", *path)
+        return value
+
+    def integer(self, *path, minimum=None, maximum=None, default=_REQUIRED) -> int:
+        value = self._get(path, default)
+        if type(value) is not int:
+            raise self.error(f"expected an integer, got {value!r}", *path)
+        if minimum is not None and value < minimum:
+            raise self.error(f"{value} is below the minimum of {minimum}", *path)
+        if maximum is not None and value > maximum:
+            raise self.error(f"{value} is above the maximum of {maximum}", *path)
+        return value
+
+    def number(self, *path, null: bool = False, default=_REQUIRED) -> float | None:
+        """A finite number as a float; with ``null``, JSON null reads as None."""
+        value = self._get(path, default)
+        if value is None and null:
+            return None
+        # the bound also rejects NaN, ±inf and integers too large for a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise self.error(f"expected a finite number{' or null' if null else ''}, got {value!r}", *path)
+        return float(value)
+
+    def amount(self, *path) -> int:
+        """A token quantity, a number or a decimal string, in base units."""
+        try:
+            return base_units(self._get(path, _REQUIRED))
+        except VeTokenSimError as exc:
+            raise self.error(str(exc), *path) from None
+
+    def string(self, *path, default=_REQUIRED) -> str:
+        value = self._get(path, default)
+        if not isinstance(value, str):
+            raise self.error(f"expected a string, got {value!r}", *path)
+        return value
+
+    def gauge_id(self, *path) -> int:
+        """The gauge-id key that ends ``path``, as an int."""
+        if not (path[-1].isascii() and path[-1].isdigit()):
+            raise self.error(f"expected a gauge id, got {path[-1]!r}", *path)
+        return int(path[-1])
+
+    def gauge_items(self, *path, default=_REQUIRED) -> list[tuple[int, str]]:
+        """``(gauge id, key)`` per key of the object at ``path``, by gauge id."""
+        return sorted((self.gauge_id(*path, key), key) for key in self.object(*path, default=default))
+
+    def ratio(self, *path, default=_REQUIRED) -> tuple[int, int]:
+        """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)``, n >= 0, d > 0."""
+        text = self._get(path, default)
+        try:
+            num, slash, den = text.partition("/")
+            num, den = int(num), int(den) if slash else 1
+        except (AttributeError, ValueError):
+            num = den = -1
+        if num < 0 or den <= 0:
+            raise self.error(f"expected a ratio n or n/d, got {text!r}", *path)
+        return num, den
+
+    def at(self, *path, default=_REQUIRED) -> Fields:
+        """A reader of the object at ``path``."""
+        return Fields(self.object(*path, default=default), self.prefix, self.base + path)
+
+    def each(self, *path, size: int | None = None, default=_REQUIRED):
+        """A reader of each entry of the list at ``path``: an object, or with
+        ``size`` a list of that many entries (an ``[epoch, price]`` point, say)
+        whose errors name that list."""
+        base = self.base + path
+        for i, entry in enumerate(self.list(*path, default=default)):
+            if size is None:
+                yield Fields(entry, self.prefix, base + (i,)) if type(entry) is dict else self.at(*path, i)
+            elif isinstance(entry, (list, tuple)) and len(entry) == size:
+                yield Fields(entry, self.prefix, base + (i,), whole=True)
+            else:
+                self.list(*path, i, size=size)  # raises
 
 
 def _ratio_str(num: int, den: int) -> str:

@@ -74,10 +74,13 @@ BAD_FLOATS = {
         _with_agent_params(budget_per_round=[1, "abc"]),
         f"{PARAMS}.budget_per_round[1]: expected a finite number, got 'abc'",
     ),
-    "string tol": (_with_agent_params(tol="x"), f"{PARAMS}.tol: expected a finite number, got 'x'"),
     "string exogenous weight": (
         _with_agent_params(exogenous_weights={"0": "x"}),
         f"{PARAMS}.exogenous_weights.0: expected a finite number, got 'x'",
+    ),
+    "inf lock amount": (
+        _with_agent_params(lock_schedule=[{"epoch": 0, "kind": "base", "amount": float("inf"), "weeks": 4}]),
+        f"{PARAMS}.lock_schedule[0].amount: unparseable token amount: 'inf'",
     ),
 }
 
@@ -101,27 +104,39 @@ def _with_gauge(gauge) -> dict:
 # a scenario with a field of the wrong shape -> the exact validate error
 BAD_SHAPES = {
     "tokens not a list": (make_scenario(tokens=5), "scenario.tokens: expected a list"),
-    "price_series a list": (make_scenario(price_series=[]), "scenario.price_series: expected an object"),
+    "price_series a list": (make_scenario(price_series=[]), "scenario.price_series: expected an object, got list"),
     "one-entry price point": (_with_price_points([[0]]), f"{PRICE}: expected a list of 2 entries"),
     "short balance": (make_scenario(initial_balances=[["a", "CRV"]]),
                       "scenario.initial_balances[0]: expected a list of 3 entries"),
-    "agent not an object": (_with_agent(5), "scenario.agents[0]: expected an object"),
+    "agent not an object": (_with_agent(5), "scenario.agents[0]: expected an object, got int"),
     "lock entry not an object": (
         _with_agent_params(lock_schedule=["base"]),
-        f"{PARAMS}.lock_schedule[0]: expected an object",
+        f"{PARAMS}.lock_schedule[0]: expected an object, got str",
     ),
-    "gauge not an object": (_with_gauge("g0"), "scenario.gauges[0]: expected an object"),
+    "gauge not an object": (_with_gauge("g0"), "scenario.gauges[0]: expected an object, got str"),
     "one-entry lp pair": (
         _with_gauge({"name": "g0", "lp_accounts": [["lp0"]]}),
         "scenario.gauges[0].lp_accounts[0]: expected a list of 2 entries",
     ),
     "exogenous key not a gauge id": (
         _with_agent_params(exogenous_weights={"x": 1.0}),
-        f"{PARAMS}.exogenous_weights.x: expected a gauge id",
+        f"{PARAMS}.exogenous_weights.x: expected a gauge id, got 'x'",
     ),
     "exogenous weights a list": (
         _with_agent_params(exogenous_weights=[1]),
-        f"{PARAMS}.exogenous_weights: expected an object",
+        f"{PARAMS}.exogenous_weights: expected an object, got list",
+    ),
+    "lock amount a list": (
+        _with_agent_params(lock_schedule=[{"epoch": 0, "kind": "base", "amount": [1], "weeks": 4}]),
+        f"{PARAMS}.lock_schedule[0].amount: unparseable token amount: [1]",
+    ),
+    "contract account not a string": (
+        make_scenario(contract_accounts=[[1]]),
+        "scenario.contract_accounts[0]: expected a string, got [1]",
+    ),
+    "whitelist entry not a string": (
+        make_scenario(gov_escrow={"token": "CVX", "max_lock_weeks": 16, "whitelist": ["agg", 7]}),
+        "scenario.gov_escrow.whitelist[1]: expected a string, got 7",
     ),
 }
 
@@ -332,6 +347,41 @@ BAD_TRACE_FIELDS = {
                                   "snapshots", "epoch 3: snapshot.emissions: expected an object, got list"),
     "base allocation a list": ({"epoch": 2, "round_finalized": dict(RESULT, base_allocation=[1])}, "round_results",
                                "epoch 2: round_finalized.base_allocation: expected an object, got list"),
+    "word bps in a base vote": (dict(DIRECT_LOCK, base_votes={"a": {"0": "x"}}),
+                                "cost_per_vote --actor a --avenue direct-lock",
+                                "epoch 5: base_votes.a.0: expected an integer, got 'x'"),
+    "negative bps in a base vote": (dict(DIRECT_LOCK, base_votes={"a": {"0": -1}}),
+                                    "cost_per_vote --actor a --avenue direct-lock",
+                                    "epoch 5: base_votes.a.0: -1 is below the minimum of 0"),
+    "word lock amount": (
+        {"epoch": 1, "lock_events": [{"account": "a", "escrow": "base", "amount": "1", "usd_cost": 1.0}]},
+        "cost_per_vote --actor a --avenue direct-lock",
+        "epoch 1: lock_events[0].amount: expected an integer, got '1'",
+    ),
+    "word lock cost": (
+        {"epoch": 1, "lock_events": [{"account": "a", "escrow": "base", "amount": 1, "usd_cost": "1"}]},
+        "cost_per_vote --actor a --avenue direct-lock",
+        "epoch 1: lock_events[0].usd_cost: expected a finite number, got '1'",
+    ),
+    "lock events not a list": ({"epoch": 1, "lock_events": 5}, "cost_per_vote --actor a --avenue direct-lock",
+                               "epoch 1: lock_events: expected a list"),
+    "word briber spend": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"briber_usd": {"b": "1"}, "vote_weight": "1"}}}},
+        "cost_per_vote --actor b --avenue bribe",
+        "epoch 4: settlement.gauges.2.briber_usd.b: expected a finite number, got '1'",
+    ),
+    "word bribe total": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": "1", "vote_weight": "1",
+                                                                 "usd_per_vote": None}}}},
+        "settlements",
+        "epoch 4: settlement.gauges.2.bribe_usd: expected a finite number, got '1'",
+    ),
+    "word usd per vote": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": 1.0, "vote_weight": "1",
+                                                                 "usd_per_vote": "x"}}}},
+        "settlements",
+        "epoch 4: settlement.gauges.2.usd_per_vote: expected a finite number or null, got 'x'",
+    ),
 }
 
 

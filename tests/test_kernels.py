@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from vetokensim.bribemarket import _prorata
 from vetokensim.errors import ScenarioError
-from vetokensim.metrics import ZERO, _add, _quotient, _ratio
+from vetokensim.metrics import ZERO, _add, _quotient
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import BPS, EmissionSchedule, GaugeController, shares_to_bps
 from vetokensim.ledger import Ledger
-from vetokensim.sim import _ratio_str
+from vetokensim.sim import Fields, _ratio_str
 
 
 def reference_shares_to_bps(shares, total_bps=BPS):
@@ -164,14 +164,17 @@ RATIO_TEXT = st.one_of(
     RATIO_PARTS.map(lambda nd: str(Fraction(*nd))),
     RATIO_PARTS.map(lambda nd: f"{nd[0]}/{nd[1]}"),
 )
-ROW = {"epoch": 7}
+
+
+def _ratio(text):
+    return Fields({"w": text}, "trace epoch 7: ").ratio("w")
 
 
 class TestTraceRatios:
     @given(text=RATIO_TEXT)
     @settings(max_examples=300, deadline=None)
     def test_division_matches_fraction_float(self, text):
-        num, den = _ratio(text, ROW, "w")
+        num, den = _ratio(text)
         assert Fraction(num, den) == Fraction(text)
         assert num / den == float(Fraction(text))
 
@@ -180,13 +183,13 @@ class TestTraceRatios:
     def test_running_sum_matches_fraction_sum(self, texts, divisor):
         total = ZERO
         for text in texts:
-            total = _add(total, _ratio(text, ROW, "w"))
+            total = _add(total, _ratio(text))
         reference = sum((Fraction(text) for text in texts), Fraction(0))
         assert Fraction(*total) == reference
         assert total[0] / total[1] == float(reference)
         divisor_value = Fraction(divisor)
         expected = float(reference / divisor_value) if divisor_value else 0.0
-        assert _quotient(total, _ratio(divisor, ROW, "w")) == expected
+        assert _quotient(total, _ratio(divisor)) == expected
 
     @given(num=st.integers(min_value=0, max_value=10**30), den=st.integers(min_value=1, max_value=10**6),
            copies=st.integers(min_value=1, max_value=20))
@@ -201,5 +204,5 @@ class TestTraceRatios:
     @pytest.mark.parametrize("text", ["x", "1/0", "-1", "1/-2", "", "1/", "/2", "1.5", "1/2/3", None, 5])
     def test_malformed_ratio_names_the_field(self, text):
         with pytest.raises(ScenarioError) as caught:
-            _ratio(text, ROW, "round_finalized", "tally", "3")
+            Fields({"round_finalized": {"tally": {"3": text}}}, "trace epoch 7: ").ratio("round_finalized", "tally", "3")
         assert str(caught.value) == f"trace epoch 7: round_finalized.tally.3: expected a ratio n or n/d, got {text!r}"
