@@ -112,7 +112,7 @@ def _summarize(config, trace: SimTrace) -> dict:
     settled = sum(1 for row in trace if row.get("settlement"))
     summary: dict = {
         "scenario": config.name,
-        "epochs": len(trace),
+        "epochs": len(trace.rows),
         "rounds_settled": settled,
         "pearson": {"overall": None},
         "participation": dataclasses.asdict(metrics.participation_stats(trace)),

@@ -2,15 +2,16 @@
 correlation, outlier classes, share-difference matrices, and cost per vote
 by acquisition avenue (one pass per avenue for any number of accounts).
 
-Every function here is a pure read of an immutable trace, through the typed
-reader ``sim.Fields``.  Weight-typed trace fields arrive as exact ``n`` or
-``n/d`` strings; they are read as ``(num, den)`` int pairs, summed exactly, and
-turned into a float by one int/int division, which is correctly rounded.  A
-missing field, a malformed ratio or a field of the wrong type is a
-``ScenarioError`` naming the epoch and the field path.  Every result is a
-``Table`` whose one column schema drives both the CSV and the JSON export, with
-fixed decimal formatting (10 significant digits) so repeated exports are
-byte-identical.
+Every function here is a pure read of an immutable trace in one pass over its
+rows, through the typed reader ``sim.Fields``; a trace read from a file parses
+each row as the pass reaches it.  Weight-typed trace fields arrive as exact
+``n`` or ``n/d`` strings; they are read as ``(num, den)`` int pairs, summed
+exactly, and turned into a float by one int/int division, which is correctly
+rounded.  A missing field, a malformed ratio (or one above the largest float)
+or a field of the wrong type is a ``ScenarioError`` naming the epoch and the
+field path.  Every result is a ``Table`` whose one column schema drives both
+the CSV and the JSON export, with fixed decimal formatting (10 significant
+digits) so repeated exports are byte-identical.
 """
 
 from __future__ import annotations
@@ -220,13 +221,13 @@ class Correlation(Table):
 
 def participation_stats(trace: SimTrace) -> ParticipationStats:
     """Whole-trace participation counts and fractions."""
-    if len(trace) == 0:
-        raise MetricsError("cannot compute participation over an empty trace")
+    epochs = 0
     lockers: set[str] = set()
     voters: set[str] = set()
     cast_weight = total_weight = ZERO
     voters_per_round: list[int] = []
     for f in trace.fields():
+        epochs += 1
         lockers.update(f.object("locks", "base", default={}))
         lockers.update(f.object("locks", "governance", default={}))
         voters.update(f.object("base_votes", default={}))
@@ -236,6 +237,8 @@ def participation_stats(trace: SimTrace) -> ParticipationStats:
             voters_per_round.append(len(ballots))
             cast_weight = _add(cast_weight, f.ratio("round_finalized", "tally_total"))
             total_weight = _add(total_weight, f.ratio("round_finalized", "total_gov_weight"))
+    if epochs == 0:
+        raise MetricsError("cannot compute participation over an empty trace")
     voter_fraction = len(voters) / len(lockers) if lockers else 0.0
     mean_by_type = {
         "gauge": (sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0

@@ -154,7 +154,7 @@ def _parse_escrow(f: Fields, tokens) -> EscrowConfig:
         min_lock_weeks=min_lock_weeks,
         # a tuple keeps the listed order, which config_digest hashes
         whitelist=tuple(f.string("whitelist", i) for i, _ in enumerate(f.list("whitelist", default=[]))),
-        whitelist_enforced=bool(f.value("whitelist_enforced", default=False)),
+        whitelist_enforced=f.boolean("whitelist_enforced", default=False),
     )
 
 
@@ -232,7 +232,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if not symbol or symbol in seen_tokens:
             raise entry.error(f"empty or duplicate symbol {symbol!r}", "symbol")
         seen_tokens.add(symbol)
-        tokens.append(Token(symbol, bool(entry.value("transferable", default=True))))
+        tokens.append(Token(symbol, entry.boolean("transferable", default=True)))
 
     prices: dict[str, tuple[tuple[int, float], ...]] = {}
     for token in f.object("price_series"):
@@ -365,57 +365,78 @@ def load_scenario(source: str) -> ScenarioConfig:
 
 
 class SimTrace:
-    """Header plus one append-only row per epoch; ndjson on disk."""
+    """Header plus one row per epoch; ndjson on disk, the header on line 1.
 
-    def __init__(self, header: dict, rows=None):
+    ``rows`` is any iterable that can be walked more than once: the list that
+    ``run_scenario`` builds, or the file that ``read_ndjson`` parses again on
+    each pass, one line at a time.
+    """
+
+    def __init__(self, header: dict, rows):
         self.header = header
-        self.rows: list[dict] = list(rows) if rows else []
-
-    def append(self, row: dict) -> None:
-        self.rows.append(row)
+        self.rows = rows
 
     def __iter__(self):
         return iter(self.rows)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def fields(self):
         """A ``Fields`` reader of each row, naming errors ``trace epoch N: path``."""
-        for row in self.rows:
+        for row in self:
             yield Fields(row, f"trace epoch {row.get('epoch')}: ")
 
-    def to_lines(self) -> list[str]:
+    def lines(self):
+        """The ndjson lines, header first, each dumped when it is reached."""
         dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        return [dump({"type": "header", **self.header})] + [dump(row) for row in self.rows]
+        yield dump({"type": "header", **self.header})
+        for row in self:
+            yield dump(row)
 
     def write_ndjson(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(self.to_lines()) + "\n")
+            for line in self.lines():
+                handle.write(line + "\n")
 
     @classmethod
     def read_ndjson(cls, path: str) -> "SimTrace":
-        header = None
-        rows = []
+        """The trace at ``path``.  Only line 1, the header, is read here; each
+        pass over the rows parses the rest one line at a time."""
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
+            first = handle.readline()
+        header = _ndjson_record(path, 1, first) if first.strip() else {}
+        if header.pop("type", None) != "header":
+            raise ScenarioError(f"{path}:1: expected the trace header record")
+        return cls(header, _NdjsonRows(path))
+
+
+def _ndjson_record(path: str, lineno: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+    if not isinstance(record, dict):
+        raise ScenarioError(f"{path}:{lineno}: record is not a JSON object")
+    return record
+
+
+class _NdjsonRows:
+    """The records after the header line of an ndjson trace, parsed anew on
+    each pass and handed out one at a time, so a pass holds one row.  Blank
+    lines are skipped; a bad line or a second header fails at its line."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __iter__(self):
+        path = self.path
+        with open(path, "r", encoding="utf-8") as handle:
+            handle.readline()  # the header, checked by ``SimTrace.read_ndjson``
+            for lineno, line in enumerate(handle, 2):
+                if line.isspace():
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ScenarioError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-                if not isinstance(record, dict):
-                    raise ScenarioError(f"{path}:{lineno}: record is not a JSON object")
+                record = _ndjson_record(path, lineno, line)
                 if record.get("type") == "header":
-                    record.pop("type")
-                    header = record
-                else:
-                    rows.append(record)
-        if header is None:
-            raise ScenarioError(f"{path}: trace has no header record")
-        return cls(header, rows)
+                    raise ScenarioError(f"{path}:{lineno}: a second header record")
+                yield record
 
 
 _REQUIRED = object()  # the default of a read whose field must be present
@@ -497,6 +518,13 @@ class Fields:
             raise self.error(f"{value} is above the maximum of {maximum}", *path)
         return value
 
+    def boolean(self, *path, default=_REQUIRED) -> bool:
+        """JSON ``true`` or ``false``; any other value fails, the string "false" too."""
+        value = self._get(path, default)
+        if type(value) is not bool:
+            raise self.error(f"expected true or false, got {value!r}", *path)
+        return value
+
     def number(self, *path, null: bool = False, default=_REQUIRED) -> float | None:
         """A finite number as a float; with ``null``, JSON null reads as None."""
         value = self._get(path, default)
@@ -531,7 +559,8 @@ class Fields:
         return sorted((self.gauge_id(*path, key), key) for key in self.object(*path, default=default))
 
     def ratio(self, *path, default=_REQUIRED) -> tuple[int, int]:
-        """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)``, n >= 0, d > 0."""
+        """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)``, n >= 0, d > 0, whose
+        value a float can hold, since readers divide it into one."""
         text = self._get(path, default)
         try:
             num, slash, den = text.partition("/")
@@ -540,6 +569,10 @@ class Fields:
             num = den = -1
         if num < 0 or den <= 0:
             raise self.error(f"expected a ratio n or n/d, got {text!r}", *path)
+        try:
+            num / den
+        except OverflowError:
+            raise self.error(f"expected a ratio at most the largest float, got {text!r}", *path) from None
         return num, den
 
     def at(self, *path, default=_REQUIRED) -> Fields:
@@ -874,7 +907,4 @@ class World:
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     world = World(config)
-    trace = SimTrace(world.header())
-    for epoch in range(config.horizon_epochs):
-        trace.append(world.step(epoch))
-    return trace
+    return SimTrace(world.header(), [world.step(epoch) for epoch in range(config.horizon_epochs)])

@@ -174,7 +174,7 @@ def test_criterion_2_conservation():
     config = _randomized_config()
     assert len(config.agents) >= 20 and len(config.gauges) >= 10
     trace = run_scenario(config)
-    assert len(trace) == 1000
+    assert len(trace.rows) == 1000
     for row in trace:
         for token, totals in row["token_totals"].items():
             assert totals["balances"] + totals["escrow_held"] == totals["minted"], (

@@ -138,6 +138,14 @@ BAD_SHAPES = {
         make_scenario(gov_escrow={"token": "CVX", "max_lock_weeks": 16, "whitelist": ["agg", 7]}),
         "scenario.gov_escrow.whitelist[1]: expected a string, got 7",
     ),
+    "whitelist_enforced a string": (
+        make_scenario(base_escrow={"token": "CRV", "max_lock_weeks": 208, "whitelist_enforced": "false"}),
+        "scenario.base_escrow.whitelist_enforced: expected true or false, got 'false'",
+    ),
+    "transferable a number": (
+        make_scenario(tokens=[{"symbol": "CRV", "transferable": 0}]),
+        "scenario.tokens[0].transferable: expected true or false, got 0",
+    ),
 }
 
 
@@ -314,6 +322,8 @@ DIRECT_LOCK = {
 }
 BRIBE = {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"briber_usd": {"b": 1.0}, "vote_weight": "1/-2"}}}}
 RATIO = "expected a ratio n or n/d, got"
+HUGE = "1" + "0" * 400  # above the largest float
+TOO_LARGE = "expected a ratio at most the largest float, got"
 
 # (trace row after a header, ``report`` arguments after --metric) -> stderr
 BAD_TRACE_FIELDS = {
@@ -382,6 +392,18 @@ BAD_TRACE_FIELDS = {
         "settlements",
         "epoch 4: settlement.gauges.2.usd_per_vote: expected a finite number or null, got 'x'",
     ),
+    "vote weight above the largest float": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": 1.0, "vote_weight": HUGE,
+                                                                 "usd_per_vote": None}}}},
+        "settlements",
+        f"epoch 4: settlement.gauges.2.vote_weight: {TOO_LARGE} '{HUGE}'",
+    ),
+    "relative weight above the largest float": (
+        {"epoch": 3, "snapshot": {"relative_weights": {"0": HUGE + "/3"}}}, "snapshots",
+        f"epoch 3: snapshot.relative_weights.0: {TOO_LARGE} '{HUGE}/3'",
+    ),
+    "meta share above the largest float": ({"epoch": 2, "round_finalized": dict(RESULT, result={"0": HUGE})},
+                                           "round_results", f"epoch 2: round_finalized.result.0: {TOO_LARGE} '{HUGE}'"),
 }
 
 

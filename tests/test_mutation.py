@@ -72,7 +72,7 @@ def short_trace(tmp_path_factory):
     frax-three-avenues cut to 6 epochs."""
     config = load_scenario("frax-three-avenues")
     config.horizon_epochs = 6
-    header, *lines = run_scenario(config).to_lines()
+    header, *lines = run_scenario(config).lines()
     rows = [json.loads(line) for line in lines]
     sites = [(i, path) for i, row in enumerate(rows) for path in _paths(row)]
     return tmp_path_factory.mktemp("mutation"), header, rows, sites

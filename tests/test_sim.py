@@ -98,7 +98,7 @@ class TestRunScenario:
     def test_empty_horizon_one(self):
         config = scenario_from_dict(make_scenario(horizon_epochs=1))
         trace = run_scenario(config)
-        assert len(trace) == 1
+        assert len(trace.rows) == 1
         row = trace.rows[0]
         for token, totals in row["token_totals"].items():
             assert totals["minted"] == 0
@@ -167,8 +167,8 @@ class TestRunScenario:
 
     def test_two_runs_identical_lines(self):
         config = load_scenario("paper-bootstrap")
-        first = run_scenario(config).to_lines()
-        second = run_scenario(config).to_lines()
+        first = list(run_scenario(config).lines())
+        second = list(run_scenario(config).lines())
         assert first == second
 
     def test_conservation_recorded_every_epoch(self):
@@ -193,7 +193,7 @@ class TestTraceIO:
         trace.write_ndjson(str(path))
         loaded = SimTrace.read_ndjson(str(path))
         assert loaded.header == json.loads(json.dumps(trace.header))
-        assert loaded.rows == json.loads(json.dumps(trace.rows))
+        assert list(loaded) == json.loads(json.dumps(trace.rows))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "broken.ndjson"
