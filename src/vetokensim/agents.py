@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import AgentError
 from .gauges import BPS, shares_to_bps
-from .ledger import ONE, check_amount
+from .ledger import ONE
 
 STRATEGIES = (
     "PassiveLocker",
@@ -58,11 +58,6 @@ class LockEntry:
     amount: int
     weeks: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("base", "gov", "deposit"):
-            raise AgentError(f"unknown lock entry kind {self.kind!r}")
-        check_amount(self.amount)
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -83,12 +78,6 @@ class AgentSpec:
         for entry in self.lock_schedule:
             by_epoch.setdefault(entry.epoch, []).append(entry)
         object.__setattr__(self, "schedule_by_epoch", by_epoch)
-        if self.strategy not in STRATEGIES:
-            raise AgentError(f"unknown strategy {self.strategy!r} for {self.account}")
-        if not 0.0 <= self.noise <= 1.0:
-            raise AgentError(f"noise for {self.account} must be within [0, 1]")
-        if self.strategy == "SelfPromoter" and not self.own_gauges:
-            raise AgentError(f"SelfPromoter {self.account} needs at least one own gauge")
 
     def budget_for_round(self, round_id: int) -> float:
         if isinstance(self.budget_per_round, (int, float)):

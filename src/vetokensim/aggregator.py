@@ -69,8 +69,6 @@ class Aggregator:
         contract_accounts=frozenset(),
         round_length: int = 2,
     ):
-        if round_length < 1:
-            raise AggregatorError("round_length must be at least one week")
         self.ledger = ledger
         self.base_escrow = base_escrow
         self.controller = controller

@@ -179,7 +179,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    trace = SimTrace.read_ndjson(args.trace)
     round_range = _parse_round_range(args.round) if args.round else None
     round_keyed, source, derive = REPORTS[args.metric]
     if args.metric == "cost_per_vote" and not (args.actor and args.avenue):
@@ -187,7 +186,7 @@ def _cmd_report(args) -> int:
     if round_range and not round_keyed:
         note = " (epoch-keyed)" if args.metric == "snapshots" else ""
         raise _UsageError(f"--round does not apply to {args.metric}{note}")
-    table = source(trace, args)
+    table = source(SimTrace.read_ndjson(args.trace), args)
     if round_range:
         table = table.in_rounds(*round_range)
     if derive:

@@ -29,13 +29,6 @@ class EscrowConfig:
     whitelist: tuple[str, ...] = ()
     whitelist_enforced: bool = False
 
-    def __post_init__(self):
-        if not 1 <= self.min_lock_weeks <= self.max_lock_weeks:
-            raise EscrowError(
-                f"need 1 <= min_lock_weeks <= max_lock_weeks, got "
-                f"[{self.min_lock_weeks}, {self.max_lock_weeks}]"
-            )
-
 
 @dataclass
 class Lock:

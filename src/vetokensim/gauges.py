@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import GaugeError
 from .escrow import Escrow
-from .ledger import Ledger, check_amount
+from .ledger import Ledger
 
 BPS = 10_000
 
@@ -59,16 +59,7 @@ class EmissionSchedule:
     """Per-week emission amounts over non-overlapping half-open ranges [start, end)."""
 
     def __init__(self, entries=()):
-        self.entries: list[tuple[int, int, int]] = []
-        last_end = None
-        for start, end, per_week in sorted(entries):
-            if end <= start:
-                raise GaugeError(f"emission range [{start}, {end}) is empty")
-            check_amount(per_week)
-            if last_end is not None and start < last_end:
-                raise GaugeError(f"emission ranges overlap at epoch {start}")
-            self.entries.append((start, end, per_week))
-            last_end = end
+        self.entries: list[tuple[int, int, int]] = sorted(entries)
 
     def amount_for(self, epoch: int) -> int:
         for start, end, per_week in self.entries:
@@ -99,17 +90,10 @@ class GaugeController:
         self._next_id = 0
 
     def add_gauge(self, name: str, lp_accounts) -> int:
-        shares = list(lp_accounts)
-        if not shares:
-            raise GaugeError("a gauge needs at least one liquidity account")
-        for account, bps in shares:
-            if not isinstance(bps, int) or bps <= 0:
-                raise GaugeError(f"lp share for {account} must be a positive int of bps")
-        if sum(bps for _, bps in shares) != BPS:
-            raise GaugeError(f"lp shares for gauge {name!r} must sum to {BPS} bps")
+        """Add a gauge whose (account, bps) LP shares sum to ``BPS``."""
         gauge_id = self._next_id
         self._next_id += 1
-        self.gauges[gauge_id] = Gauge(gauge_id, name, shares)
+        self.gauges[gauge_id] = Gauge(gauge_id, name, list(lp_accounts))
         return gauge_id
 
     def check_allocation(self, allocation) -> dict[int, int]:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-from .errors import MetricsError
+from .errors import MetricsError, ScenarioError
 from .sim import Fields, SimTrace
 
 AVENUES = ("direct-lock", "aggregator-lock", "bribe")
@@ -464,9 +464,7 @@ def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[s
     rows = {actor: [] for actor in votes}
     for epoch in _cost_fold(trace, avenue, paid, votes):
         for actor, series in rows.items():
-            spent, (num, den) = paid.get(actor, 0.0), votes[actor]
-            acquired = num / den
-            series.append((epoch, spent, acquired, spent / acquired if num else None))
+            series.append((epoch, *_cost_floats(avenue, actor, paid.get(actor, 0.0), votes[actor])))
     return {actor: CostPerVoteSeries(avenue, actor, series) for actor, series in rows.items() if actor in paid}
 
 
@@ -478,11 +476,30 @@ def final_cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> 
     paid: dict[str, float] = {}
     for _ in _cost_fold(trace, avenue, paid, votes):
         pass
-    return {
-        actor: paid[actor] / (num / den) if num else None
-        for actor, (num, den) in votes.items()
-        if actor in paid
-    }
+    return {actor: _cost_floats(avenue, actor, paid[actor], votes[actor])[2] for actor in votes if actor in paid}
+
+
+def _cost_floats(avenue: str, actor: str, spent: float, votes: tuple[int, int]) -> tuple[float, float, float | None]:
+    """One account's totals as floats: (USD spent, votes acquired, USD per vote,
+    None before any vote).  A total that overflows a float, or a nonzero vote
+    total that underflows one, is a ``ScenarioError`` naming the account and
+    the avenue."""
+    num, den = votes
+    try:
+        acquired = num / den
+        per_vote = spent / acquired if num else None
+    except OverflowError:
+        problem = "vote total overflows a float"
+    except ZeroDivisionError:
+        problem = "vote total underflows a float"
+    else:
+        if math.isinf(spent):
+            problem = "spend total overflows a float"
+        elif per_vote is not None and math.isinf(per_vote):
+            problem = "USD per vote overflows a float"
+        else:
+            return spent, acquired, per_vote
+    raise ScenarioError(f"trace: {actor} in avenue {avenue}: {problem}")
 
 
 def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVoteSeries:

@@ -19,6 +19,7 @@ from importlib import resources
 
 from .aggregator import Aggregator
 from .agents import (
+    STRATEGIES,
     AgentSpec,
     BaseVoteAction,
     BribeAction,
@@ -65,12 +66,12 @@ class ScenarioConfig:
     gauges: tuple[GaugeSpec, ...]
     emission_schedule: tuple[tuple[int, int, int], ...]
     agents: tuple[AgentSpec, ...]
-    round_length: int = 2
-    base_snapshot_cadence: int = 1
-    contract_accounts: tuple[str, ...] = ()
-    bribe_escrow_account: str = "bribe-market-escrow"
-    bootstrap_rounds: int = 0
-    description: str = ""
+    round_length: int
+    base_snapshot_cadence: int
+    contract_accounts: tuple[str, ...]
+    bribe_escrow_account: str
+    bootstrap_rounds: int
+    description: str
 
     def to_dict(self) -> dict:
         return {
@@ -179,6 +180,9 @@ def _parse_lock_entry(f: Fields, config_bounds) -> LockEntry:
 def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
     account = f.string("account")
     strategy = f.string("strategy")
+    if strategy not in STRATEGIES:
+        names = ", ".join(STRATEGIES[:-1]) + f" or {STRATEGIES[-1]}"
+        raise f.error(f"must be one of {names}, got {strategy!r}", "strategy")
     params = f.at("params", default={})
     schedule = tuple(_parse_lock_entry(entry, config_bounds) for entry in params.each("lock_schedule", default=[]))
     allocation = [
@@ -196,6 +200,8 @@ def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
         params.integer("own_gauges", i, minimum=0, maximum=gauge_count - 1)
         for i, _ in enumerate(params.list("own_gauges", default=[]))
     )
+    if strategy == "SelfPromoter" and not own_gauges:
+        raise params.error("a SelfPromoter needs at least one own gauge", "own_gauges")
     bribe_token = params.string("bribe_token", default="BRIBE-USD")
     if (own_gauges or budget) and bribe_token not in tokens:
         raise params.error(f"unknown token {bribe_token}", "bribe_token")
@@ -207,20 +213,17 @@ def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
         if gauge_id >= gauge_count:
             raise params.error(f"{gauge_id} is above the maximum of {gauge_count - 1}", "exogenous_weights", key)
         exogenous.append((gauge_id, params.number("exogenous_weights", key)))
-    try:
-        return AgentSpec(
-            account=account,
-            strategy=strategy,
-            lock_schedule=schedule,
-            allocation=tuple(allocation),
-            budget_per_round=budget,
-            own_gauges=own_gauges,
-            bribe_token=bribe_token,
-            noise=noise,
-            exogenous_weights=tuple(exogenous),
-        )
-    except VeTokenSimError as exc:
-        raise f.error(str(exc)) from None
+    return AgentSpec(
+        account=account,
+        strategy=strategy,
+        lock_schedule=schedule,
+        allocation=tuple(allocation),
+        budget_per_round=budget,
+        own_gauges=own_gauges,
+        bribe_token=bribe_token,
+        noise=noise,
+        exogenous_weights=tuple(exogenous),
+    )
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
@@ -292,10 +295,13 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if end <= start:
             raise entry.error("must exceed start", "end")
         emissions.append((start, end, per_week))
-    try:
-        EmissionSchedule(emissions)
-    except VeTokenSimError as exc:
-        raise f.error(str(exc), "emission_schedule") from None
+    # in ``EmissionSchedule`` order, each range must start at or after the end
+    # of the one before; an overlap names the later-starting range
+    order = sorted(range(len(emissions)), key=emissions.__getitem__)
+    for before, later in zip(order, order[1:]):
+        start, end, _ = emissions[before]
+        if emissions[later][0] < end:
+            raise f.error(f"overlaps [{start}, {end})", "emission_schedule", later, "start")
 
     bounds = {
         "base": (base_escrow.min_lock_weeks, base_escrow.max_lock_weeks),
@@ -612,7 +618,8 @@ def _noise_seed(seed: int, account: str, round_id: int) -> int:
 
 
 class World:
-    """Mutable protocol state assembled from a scenario config."""
+    """Mutable protocol state assembled from a scenario config.  The config's
+    values are trusted: ``scenario_from_dict`` is the one place that checks them."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config

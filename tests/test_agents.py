@@ -245,16 +245,3 @@ class TestSchedulesAndNoise:
         observation = obs(bribes_usd={0: 9.0, 1: 3.0}, own_gov_weight_at_close=2.0)
         assert decide(spec, observation) == decide(spec, observation)
 
-
-class TestSpecValidation:
-    def test_unknown_strategy(self):
-        with pytest.raises(AgentError):
-            AgentSpec(account="x", strategy="Nonsense")
-
-    def test_self_promoter_needs_own_gauges(self):
-        with pytest.raises(AgentError):
-            AgentSpec(account="x", strategy="SelfPromoter")
-
-    def test_noise_bounds(self):
-        with pytest.raises(AgentError):
-            AgentSpec(account="x", strategy="PassiveLocker", noise=1.5)

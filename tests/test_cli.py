@@ -3,8 +3,11 @@ import os
 
 import pytest
 
+from vetokensim import metrics
 from vetokensim.cli import main
+from vetokensim.errors import ScenarioError
 from vetokensim.gauges import GaugeController
+from vetokensim.sim import SimTrace
 
 from conftest import make_scenario
 
@@ -146,6 +149,43 @@ BAD_SHAPES = {
         make_scenario(tokens=[{"symbol": "CRV", "transferable": 0}]),
         "scenario.tokens[0].transferable: expected true or false, got 0",
     ),
+    "empty token symbol": (make_scenario(tokens=[{"symbol": ""}]),
+                           "scenario.tokens[0].symbol: empty or duplicate symbol ''"),
+    "duplicate token symbol": (
+        make_scenario(tokens=[{"symbol": "CRV"}, {"symbol": "CRV"}]),
+        "scenario.tokens[1].symbol: empty or duplicate symbol 'CRV'",
+    ),
+    "price epochs not increasing": (_with_price_points([[0, 1.0], [0, 2.0]]),
+                                    "scenario.price_series.CRV[1]: epochs must increase"),
+    "min_lock_weeks above max_lock_weeks": (
+        make_scenario(gov_escrow={"token": "CVX", "min_lock_weeks": 17, "max_lock_weeks": 16}),
+        "scenario.gov_escrow.min_lock_weeks: exceeds max_lock_weeks",
+    ),
+    "lp shares short of 10000": (
+        _with_gauge({"name": "g0", "lp_accounts": [["lp0", 5000], ["lp1", 4000]]}),
+        "scenario.gauges[0].lp_accounts: shares must sum to 10000 bps",
+    ),
+    "empty emission range": (make_scenario(emission_schedule=[{"start": 4, "end": 4, "per_week": 1}]),
+                             "scenario.emission_schedule[0].end: must exceed start"),
+    "overlapping emission ranges": (
+        # ordered by start, [3, 8) is the later-starting range
+        make_scenario(emission_schedule=[{"start": 3, "end": 8, "per_week": 1}, {"start": 0, "end": 4, "per_week": 1}]),
+        "scenario.emission_schedule[0].start: overlaps [0, 4)",
+    ),
+    "round_length 0": (make_scenario(round_length=0), "scenario.round_length: 0 is below the minimum of 1"),
+    "unknown strategy": (
+        _with_agent({"account": "a", "strategy": "Nonsense"}),
+        "scenario.agents[0].strategy: must be one of PassiveLocker, FixedAllocator, BribeFollowerGreedy, "
+        "BribeFollowerEquilibrium or SelfPromoter, got 'Nonsense'",
+    ),
+    "SelfPromoter without own gauges": (
+        _with_agent({"account": "a", "strategy": "SelfPromoter"}),
+        "scenario.agents[0].params.own_gauges: a SelfPromoter needs at least one own gauge",
+    ),
+    "unknown lock kind": (
+        _with_agent_params(lock_schedule=[{"epoch": 0, "kind": "stake", "amount": 1}]),
+        f"{PARAMS}.lock_schedule[0].kind: must be base, gov or deposit, got 'stake'",
+    ),
 }
 
 
@@ -250,6 +290,17 @@ class TestReport:
         assert code == 2
         assert "never active" in err
 
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [("cost_per_vote", "cost_per_vote needs --actor and --avenue"),
+     ("snapshots --round 0..1", "--round does not apply to snapshots (epoch-keyed)")],
+)
+def test_report_usage_is_checked_before_the_trace_is_read(args, message, capsys, tmp_path):
+    missing = tmp_path / "missing.ndjson"
+    result = run_cli(capsys, "report", str(missing), "--metric", *args.split(), "--out", str(tmp_path / "o.csv"))
+    assert result == (1, "", f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +467,37 @@ def test_bad_trace_field_exits_one(case, capsys, tmp_path):
     result = run_cli(capsys, "report", str(path), "--metric", *metric_args.split(), "--out", str(out))
     assert result == (1, "", f"error: trace {problem}\n")
     assert not out.exists()
+
+
+ABOVE_HALF_MAX = "1" + "0" * 308  # a float holds one such vote total, not two
+
+# briber_usd and vote_weight that each of two settlements gives briber b -> problem
+COST_BEYOND_A_FLOAT = {
+    "vote total": (1.0, ABOVE_HALF_MAX, "vote total overflows a float"),
+    "spend total": (1e308, "1", "spend total overflows a float"),
+    "tiny vote total": (1.0, "1/" + HUGE, "vote total underflows a float"),
+    "usd per vote": (6e307, "1/4", "USD per vote overflows a float"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(COST_BEYOND_A_FLOAT))
+def test_cost_beyond_a_float_exits_one(case, fmt, capsys, tmp_path):
+    usd, vote_weight, problem = COST_BEYOND_A_FLOAT[case]
+    gauges = {"0": {"briber_usd": {"b": usd}, "vote_weight": vote_weight}}
+    rows = [{"type": "header", "protocol_account": "agg"}] + [
+        {"epoch": epoch, "settlement": {"round": epoch, "gauges": gauges}} for epoch in (1, 2)
+    ]
+    path = tmp_path / "trace.ndjson"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / f"export.{fmt}"
+    result = run_cli(capsys, "report", str(path), "--metric", "cost_per_vote", "--actor", "b", "--avenue", "bribe",
+                     "--out", str(out), "--format", fmt)
+    assert result == (1, "", f"error: trace: b in avenue bribe: {problem}\n")
+    assert not out.exists()
+    # the run summary's fold shares the check
+    with pytest.raises(ScenarioError, match=problem):
+        metrics.final_cost_per_vote(SimTrace.read_ndjson(str(path)), "bribe", ["b"])
 
 
 class TestUsage:

@@ -125,12 +125,6 @@ class TestUsdValue:
         with pytest.raises(PriceError):
             series.usd_value("CRV", U(1), 4)
 
-    def test_epochs_must_increase(self):
-        series = PriceSeries()
-        series.add_point("CRV", 5, 1.0)
-        with pytest.raises(PriceError):
-            series.add_point("CRV", 5, 2.0)
-
     @given(epoch=st.integers(min_value=10, max_value=19))
     def test_price_constant_within_segment(self, epoch):
         series = PriceSeries()

@@ -1,5 +1,6 @@
-"""Mutation tests: a packaged scenario, or a row of a packaged trace, with one
-field dropped or retyped fails with a typed error, never with a traceback."""
+"""Mutation tests: a packaged scenario with one field dropped or retyped is
+rejected by the parser or builds a World, and a packaged trace row so mutated
+fails with a typed error; neither ends in a traceback."""
 
 import copy
 import json
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from vetokensim import metrics
 from vetokensim.cli import REPORTS, main
-from vetokensim.errors import ScenarioError, VeTokenSimError
+from vetokensim.errors import ScenarioError
 from vetokensim.sim import World, load_scenario, packaged_scenarios, run_scenario, scenario_from_dict
 
 DROP = "<drop>"
@@ -49,15 +50,13 @@ SCENARIO_SITES = [(name, path) for name, raw in SCENARIOS.items() for path in _p
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(site=st.sampled_from(SCENARIO_SITES), mutation=st.sampled_from(MUTATIONS))
 def test_mutated_scenario_is_rejected_or_builds(site, mutation):
+    # the parser is the only gate: a scenario it accepts builds a World
     name, path = site
     try:
         config = scenario_from_dict(_mutated(SCENARIOS[name], path, mutation))
     except ScenarioError:
         return
-    try:
-        World(config)
-    except VeTokenSimError:
-        pass
+    World(config)
 
 
 # every --metric, and cost_per_vote for an account active in each avenue
