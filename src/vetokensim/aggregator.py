@@ -2,11 +2,14 @@
 meta-governance rounds among holders of the aggregator's own short-lock token.
 
 User deposits of the base token are irreversible; depositors receive a
-transferable wrapper token 1:1 and the pooled position is re-extended to the
-maximum duration every epoch.  Meta-round ballots are weighed with the
-governance escrow's decaying weight evaluated at the round's close epoch, so
-casting early or late within a round makes no difference.  At the base tier
-all of this activity appears as the single protocol account.
+transferable wrapper token 1:1.  The pooled position follows the base
+escrow's one lock rule (``Escrow.lock``) and is re-extended to the maximum
+duration every epoch; where a one-week maximum has ended it, it is relocked in
+full.  Governance tokens are locked in ``gov_escrow`` through the same rule.
+Meta-round ballots are weighed with the governance escrow's decaying weight
+evaluated at the round's close epoch, so casting early or late within a round
+makes no difference.  At the base tier all of this activity appears as the
+single protocol account.
 
 A round's tally is kept as integer numerators (see ``MetaRound``); a gauge's
 result share is its tally numerator over the sum of all of them.
@@ -64,7 +67,6 @@ class Aggregator:
         controller: GaugeController,
         protocol_account: str,
         wrapper_token: str,
-        gov_token: str,
         gov_escrow_config: EscrowConfig,
         contract_accounts=frozenset(),
         round_length: int = 2,
@@ -75,18 +77,14 @@ class Aggregator:
         self.protocol_account = protocol_account
         self.base_token = base_escrow.config.token
         self.wrapper_token = wrapper_token
-        self.gov_token = gov_token
         self.gov_escrow = Escrow(gov_escrow_config, ledger, contract_accounts)
         self.round_length = round_length
         self.rounds: dict[int, MetaRound] = {}
 
     # -- rounds ------------------------------------------------------------
 
-    def round_for_epoch(self, epoch: int) -> int:
-        return epoch // self.round_length
-
     def ensure_round(self, epoch: int) -> MetaRound:
-        round_id = self.round_for_epoch(epoch)
+        round_id = epoch // self.round_length
         rnd = self.rounds.get(round_id)
         if rnd is None:
             open_epoch = round_id * self.round_length
@@ -103,10 +101,13 @@ class Aggregator:
     # -- deposits and locks --------------------------------------------------
 
     def refresh_max_lock(self, now: int) -> None:
-        """Re-extend the pooled base lock to the maximum remaining duration."""
-        if self.protocol_account in self.base_escrow.locks:
-            self.base_escrow.modify_lock(
-                self.protocol_account, 0, now + self.base_escrow.config.max_lock_weeks, now
+        """Re-extend the pooled base lock to the maximum duration; a lock that
+        has ended (a one-week maximum) is relocked in full."""
+        lock = self.base_escrow.locks.get(self.protocol_account)
+        if lock is not None:
+            amount = lock.amount if now >= lock.unlock_epoch else 0
+            self.base_escrow.lock(
+                self.protocol_account, amount, now + self.base_escrow.config.max_lock_weeks, now
             )
 
     def deposit_and_lock(self, user: str, amount: int, now: int) -> None:
@@ -115,17 +116,8 @@ class Aggregator:
             raise AggregatorError("cannot deposit a zero amount")
         self.ledger.transfer(self.base_token, user, self.protocol_account, amount)
         unlock = now + self.base_escrow.config.max_lock_weeks
-        if self.protocol_account in self.base_escrow.locks:
-            self.base_escrow.modify_lock(self.protocol_account, amount, unlock, now)
-        else:
-            self.base_escrow.create_lock(self.protocol_account, amount, unlock, now)
+        self.base_escrow.lock(self.protocol_account, amount, unlock, now)
         self.ledger.mint(self.wrapper_token, user, amount)
-
-    def lock_governance(self, user: str, amount: int, unlock_epoch: int, now: int) -> None:
-        if user in self.gov_escrow.locks:
-            self.gov_escrow.modify_lock(user, amount, unlock_epoch, now)
-        else:
-            self.gov_escrow.create_lock(user, amount, unlock_epoch, now)
 
     # -- voting ----------------------------------------------------------------
 

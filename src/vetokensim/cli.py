@@ -218,16 +218,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ScenarioError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except VeTokenSimError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (VeTokenSimError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

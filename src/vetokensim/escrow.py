@@ -10,6 +10,11 @@ Every weight of one escrow shares the denominator ``max_lock_weeks * ONE``
 (``weight_denominator``), so the simulator carries weight as the integer
 numerator ``amount * r`` (``weight_numerator``, ``total_weight_numerator``)
 and sums, compares and splits it with integer arithmetic.
+
+``lock`` is the one lock rule that the simulator and the aggregator follow: an
+ended lock is withdrawn first, a first lock is created, and an open lock is
+added to and extended but never shortened.  ``create_lock``, ``modify_lock``
+and ``withdraw`` are its steps, each checking its own preconditions.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ class EscrowConfig:
 
 @dataclass
 class Lock:
-    owner: str
     amount: int
     unlock_epoch: int
     created_epoch: int
@@ -81,17 +85,15 @@ class Escrow:
             )
         self._check_whitelist(account)
         self.ledger.move_to_escrow(self.config.token, account, amount)
-        lock = Lock(account, amount, unlock_epoch, now)
+        lock = Lock(amount, unlock_epoch, now)
         self.locks[account] = lock
         return lock
 
-    def modify_lock(self, account: str, add_amount: int, new_unlock_epoch, now: int) -> Lock:
+    def modify_lock(self, account: str, add_amount: int, new_unlock_epoch: int, now: int) -> Lock:
         lock = self._require_lock(account)
         if now >= lock.unlock_epoch:
             raise EscrowError(f"lock for {account} expired at epoch {lock.unlock_epoch}")
         check_amount(add_amount)
-        if new_unlock_epoch is None:
-            new_unlock_epoch = lock.unlock_epoch
         if new_unlock_epoch < lock.unlock_epoch:
             raise EscrowError("locks cannot be shortened")
         if new_unlock_epoch - now > self.config.max_lock_weeks:
@@ -112,6 +114,22 @@ class Escrow:
         self.ledger.release_from_escrow(self.config.token, account, lock.amount)
         del self.locks[account]
         return lock.amount
+
+    def lock(self, account: str, amount: int, unlock_epoch: int, now: int) -> Lock | None:
+        """Lock ``amount`` more of ``account``'s tokens until at least ``unlock_epoch``.
+
+        A lock that has ended is withdrawn first, so the new lock holds only
+        ``amount``.  An open lock keeps the later of its own and the asked-for
+        unlock epoch, since a schedule may lag an earlier extension.  Returns the account's lock, or None when it has none and
+        ``amount`` is 0.
+        """
+        lock = self.locks.get(account)
+        if lock is not None and now >= lock.unlock_epoch:
+            self.withdraw(account, now)
+            lock = None
+        if lock is None:
+            return self.create_lock(account, amount, unlock_epoch, now) if amount else None
+        return self.modify_lock(account, amount, max(lock.unlock_epoch, unlock_epoch), now)
 
     def weight_numerator(self, account: str, now: int) -> int:
         """Voting weight of ``account`` at ``now`` over ``weight_denominator``."""

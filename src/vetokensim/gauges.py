@@ -1,8 +1,9 @@
 """Gauge registry, persistent vote allocations, weight snapshots, and emissions.
 
-Vote allocations are expressed in basis points of a voter's weight and persist
-until replaced, so a stale allocation keeps steering snapshots with whatever
-decayed weight its owner still has.  A snapshot holds one integer numerator
+A gauge is its id and its ``(account, bps)`` LP shares; its name lives only in
+the scenario config.  Vote allocations map each account to ``{gauge id: bps}``
+of its weight and persist until replaced, so a stale allocation keeps steering
+snapshots with whatever decayed weight its owner still has.  A snapshot holds one integer numerator
 per gauge (escrow weight numerator times bps); their sum is the denominator.
 Emission splits are exact: flooring remainders are reassigned by the
 documented rules so each week's mint total equals the schedule to the base
@@ -12,7 +13,6 @@ unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import GaugeError
 from .escrow import Escrow
@@ -48,13 +48,6 @@ def shares_to_bps(shares, total_bps: int = BPS) -> dict[int, int]:
     return {g: bps for g, bps in floors.items() if bps > 0}
 
 
-@dataclass
-class Gauge:
-    gauge_id: int
-    name: str
-    lp_accounts: list[tuple[str, int]]
-
-
 class EmissionSchedule:
     """Per-week emission amounts over non-overlapping half-open ranges [start, end)."""
 
@@ -68,32 +61,20 @@ class EmissionSchedule:
         return 0
 
 
-@dataclass
-class VoteAllocation:
-    """One account's persistent gauge split, in basis points (sum <= BPS)."""
-
-    by_gauge: dict[int, int] = field(default_factory=dict)
-
-    def total_bps(self) -> int:
-        return sum(self.by_gauge.values())
-
-
 class GaugeController:
     def __init__(self, escrow: Escrow, ledger: Ledger, schedule: EmissionSchedule, emission_token: str):
         self.escrow = escrow
         self.ledger = ledger
         self.schedule = schedule
         self.emission_token = emission_token
-        self.gauges: dict[int, Gauge] = {}
-        self.allocations: dict[str, VoteAllocation] = {}
+        self.gauges: dict[int, list[tuple[str, int]]] = {}  # gauge id -> LP shares
+        self.allocations: dict[str, dict[int, int]] = {}  # account -> {gauge id: bps}
         self.snapshot: tuple[int, dict[int, int]] | None = None  # (epoch, weights)
-        self._next_id = 0
 
-    def add_gauge(self, name: str, lp_accounts) -> int:
-        """Add a gauge whose (account, bps) LP shares sum to ``BPS``."""
-        gauge_id = self._next_id
-        self._next_id += 1
-        self.gauges[gauge_id] = Gauge(gauge_id, name, list(lp_accounts))
+    def add_gauge(self, lp_accounts) -> int:
+        """Add a gauge whose (account, bps) LP shares sum to ``BPS``; return its id."""
+        gauge_id = len(self.gauges)
+        self.gauges[gauge_id] = list(lp_accounts)
         return gauge_id
 
     def check_allocation(self, allocation) -> dict[int, int]:
@@ -111,13 +92,12 @@ class GaugeController:
             raise GaugeError(f"allocation exceeds {BPS} bps")
         return {g: bps for g, bps in seen.items() if bps > 0}
 
-    def vote_for_gauge_weights(self, account: str, allocation, now: int) -> VoteAllocation:
+    def vote_for_gauge_weights(self, account: str, allocation, now: int) -> dict[int, int]:
         cleaned = self.check_allocation(allocation)
         if self.escrow.weight_numerator(account, now) == 0:
             raise GaugeError(f"{account} has no voting weight at epoch {now}")
-        replaced = VoteAllocation(cleaned)
-        self.allocations[account] = replaced
-        return replaced
+        self.allocations[account] = cleaned
+        return cleaned
 
     def relative_weights(self, now: int) -> dict[int, int]:
         """Each gauge's weight numerator at ``now``; a gauge's relative weight is
@@ -127,7 +107,7 @@ class GaugeController:
             weight = self.escrow.weight_numerator(account, now)
             if weight == 0:
                 continue
-            for gauge_id, bps in allocation.by_gauge.items():
+            for gauge_id, bps in allocation.items():
                 raw[gauge_id] += weight * bps
         return raw
 
@@ -159,15 +139,15 @@ class GaugeController:
         return events
 
     def _mint_to_lps(self, gauge_id: int, amount: int) -> list[tuple[int, str, int]]:
-        gauge = self.gauges[gauge_id]
-        cuts = [amount * bps // BPS for _, bps in gauge.lp_accounts]
+        lp_accounts = self.gauges[gauge_id]
+        cuts = [amount * bps // BPS for _, bps in lp_accounts]
         # leftover base units go to the largest lp share, first listed on ties
         leftover = amount - sum(cuts)
         if leftover:
-            top = max(range(len(cuts)), key=lambda i: (gauge.lp_accounts[i][1], -i))
+            top = max(range(len(cuts)), key=lambda i: (lp_accounts[i][1], -i))
             cuts[top] += leftover
         events = []
-        for (account, _), cut in zip(gauge.lp_accounts, cuts):
+        for (account, _), cut in zip(lp_accounts, cuts):
             if cut:
                 self.ledger.mint(self.emission_token, account, cut)
                 events.append((gauge_id, account, cut))

@@ -263,7 +263,7 @@ def share_table(trace: SimTrace) -> ShareTable:
         round_id = f.integer("settlement", "round")
         gauges, tally = f.at("settlement", "gauges"), f.at("round_finalized", "tally")
         # summed in trace order, as the float total has always been
-        bribe_usd = {gauges.gauge_id(g): gauges.number(g, "bribe_usd") for g in gauges.root}
+        bribe_usd = {gauges.gauge_id(g): gauges.number(g, "bribe_usd", minimum=0) for g in gauges.root}
         votes = {tally.gauge_id(g): tally.ratio(g) for g in tally.root}
         bribe_total = sum(bribe_usd.values())
         vote_total = ZERO
@@ -394,8 +394,9 @@ def settlements(trace: SimTrace) -> SettlementTable:
         round_id = f.integer("settlement", "round")
         for gauge_id, gauge in f.gauge_items("settlement", "gauges"):
             g = f.at("settlement", "gauges", gauge)
-            bribe_usd, (num, den) = g.number("bribe_usd"), g.ratio("vote_weight")
-            rows.append((round_id, gauge_id, bribe_usd, num / den, g.number("usd_per_vote", null=True)))
+            bribe_usd, (num, den) = g.number("bribe_usd", minimum=0), g.ratio("vote_weight")
+            usd_per_vote = g.number("usd_per_vote", null=True, minimum=0)
+            rows.append((round_id, gauge_id, bribe_usd, num / den, usd_per_vote))
     return SettlementTable(rows)
 
 
@@ -414,7 +415,7 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
             for event in f.each("lock_events", default=()):
                 actor = event.string("account")
                 if actor in votes and event.string("escrow") == lock_escrow and event.integer("amount") > 0:
-                    paid[actor] = paid.get(actor, 0.0) + event.number("usd_cost")
+                    paid[actor] = paid.get(actor, 0.0) + event.number("usd_cost", minimum=0)
         if avenue == "direct-lock" and f.value("snapshot", default=None) is not None:
             weights = f.at("escrow_weights", "base")
             ballots = f.at("base_votes", default={})
@@ -443,7 +444,7 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
                 g = f.at("settlement", "gauges", gauge)
                 for actor in g.object("briber_usd"):
                     if actor in votes:
-                        paid[actor] = paid.get(actor, 0.0) + g.number("briber_usd", actor)
+                        paid[actor] = paid.get(actor, 0.0) + g.number("briber_usd", actor, minimum=0)
                         votes[actor] = _add(votes[actor], g.ratio("vote_weight"))
         yield f.integer("epoch")
 

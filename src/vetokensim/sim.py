@@ -531,14 +531,17 @@ class Fields:
             raise self.error(f"expected true or false, got {value!r}", *path)
         return value
 
-    def number(self, *path, null: bool = False, default=_REQUIRED) -> float | None:
-        """A finite number as a float; with ``null``, JSON null reads as None."""
+    def number(self, *path, null: bool = False, minimum=None, default=_REQUIRED) -> float | None:
+        """A finite number as a float, not below ``minimum`` if one is given;
+        with ``null``, JSON null reads as None."""
         value = self._get(path, default)
         if value is None and null:
             return None
         # the bound also rejects NaN, ±inf and integers too large for a float
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
             raise self.error(f"expected a finite number{' or null' if null else ''}, got {value!r}", *path)
+        if minimum is not None and value < minimum:
+            raise self.error(f"{value} is below the minimum of {minimum}", *path)
         return float(value)
 
     def amount(self, *path) -> int:
@@ -644,14 +647,13 @@ class World:
             controller=self.controller,
             protocol_account=config.aggregator.protocol_account,
             wrapper_token=config.aggregator.wrapper_token,
-            gov_token=config.aggregator.gov_token,
             gov_escrow_config=config.gov_escrow,
             contract_accounts=contract_accounts,
             round_length=config.round_length,
         )
         self.market = BribeMarket(self.ledger, self.aggregator, self.prices, config.bribe_escrow_account)
         for gauge in config.gauges:
-            self.controller.add_gauge(gauge.name, list(gauge.lp_accounts))
+            self.controller.add_gauge(gauge.lp_accounts)
         self.agents = list(config.agents)  # already sorted by account
 
     def header(self) -> dict:
@@ -715,24 +717,15 @@ class World:
     def _apply_lock(self, account: str, action: LockAction, epoch: int, events: list) -> None:
         escrow = self.base_escrow if action.escrow == "base" else self.aggregator.gov_escrow
         label = "base" if action.escrow == "base" else "governance"
-        lock = escrow.locks.get(account)
-        if lock is not None and epoch >= lock.unlock_epoch:
-            escrow.withdraw(account, epoch)  # expired: return funds, relock below
-            lock = None
+        lock = escrow.lock(account, action.amount, action.unlock_epoch, epoch)
         if lock is None:
-            if action.amount == 0:
-                return
-            escrow.create_lock(account, action.amount, action.unlock_epoch, epoch)
-        else:
-            # schedules may lag an earlier extension; never shorten
-            new_unlock = max(lock.unlock_epoch, action.unlock_epoch)
-            escrow.modify_lock(account, action.amount, new_unlock, epoch)
+            return
         events.append(
             {
                 "account": account,
                 "escrow": label,
                 "amount": action.amount,
-                "unlock_epoch": escrow.locks[account].unlock_epoch,
+                "unlock_epoch": lock.unlock_epoch,
                 "usd_cost": self.prices.usd_value(escrow.config.token, action.amount, epoch),
             }
         )
@@ -899,7 +892,7 @@ class World:
                 },
             },
             "base_votes": {
-                a: {str(g): bps for g, bps in sorted(alloc.by_gauge.items())}
+                a: {str(g): bps for g, bps in sorted(alloc.items())}
                 for a, alloc in sorted(self.controller.allocations.items())
             },
             "lock_events": row_events["lock_events"],

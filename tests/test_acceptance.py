@@ -340,10 +340,10 @@ def test_criterion_7_oracle_equivalence():
         base_escrow = Escrow(EscrowConfig(token="CRV", max_lock_weeks=208), ledger)
         controller = GaugeController(base_escrow, ledger, EmissionSchedule(), "CRV")
         for g in range(n_gauges):
-            controller.add_gauge(f"g{g}", [(f"lp{g}", 10000)])
+            controller.add_gauge([(f"lp{g}", 10000)])
         agg = Aggregator(
             ledger=ledger, base_escrow=base_escrow, controller=controller,
-            protocol_account="agg", wrapper_token="cvxCRV", gov_token="CVX",
+            protocol_account="agg", wrapper_token="cvxCRV",
             gov_escrow_config=EscrowConfig(token="CVX", max_lock_weeks=16),
         )
         market = BribeMarket(ledger, agg, prices)
@@ -352,7 +352,7 @@ def test_criterion_7_oracle_equivalence():
             account = f"v{i}"
             units = rng.randint(1, 10**9)
             ledger.mint("CVX", account, units)
-            agg.lock_governance(account, units, rng.randint(1, 16), 0)
+            agg.gov_escrow.lock(account, units, rng.randint(1, 16), 0)
             voters[account] = [rng.randint(0, 3000) for _ in range(n_gauges)]
         agg.ensure_round(0)
         deposits = {}

@@ -14,26 +14,25 @@ from conftest import U
 PROTOCOL = "convex-like"
 
 
-def build(whitelisted=True, gauges=2):
+def build(whitelisted=True, gauges=2, base_weeks=208):
     ledger = Ledger()
     for symbol in ("CRV", "CVX", "cvxCRV"):
         ledger.register_token(symbol)
     whitelist = (PROTOCOL,) if whitelisted else ()
     base_escrow = Escrow(
-        EscrowConfig(token="CRV", max_lock_weeks=208, whitelist=whitelist, whitelist_enforced=True),
+        EscrowConfig(token="CRV", max_lock_weeks=base_weeks, whitelist=whitelist, whitelist_enforced=True),
         ledger,
         contract_accounts=frozenset([PROTOCOL]),
     )
     controller = GaugeController(base_escrow, ledger, EmissionSchedule(), "CRV")
     for g in range(gauges):
-        controller.add_gauge(f"g{g}", [(f"lp{g}", 10000)])
+        controller.add_gauge([(f"lp{g}", 10000)])
     agg = Aggregator(
         ledger=ledger,
         base_escrow=base_escrow,
         controller=controller,
         protocol_account=PROTOCOL,
         wrapper_token="cvxCRV",
-        gov_token="CVX",
         gov_escrow_config=EscrowConfig(token="CVX", max_lock_weeks=16),
         contract_accounts=frozenset([PROTOCOL]),
         round_length=2,
@@ -43,7 +42,7 @@ def build(whitelisted=True, gauges=2):
 
 def gov_lock(ledger, agg, account, tokens, weeks=16, now=0):
     ledger.mint("CVX", account, U(tokens))
-    agg.lock_governance(account, U(tokens), now + weeks, now)
+    agg.gov_escrow.lock(account, U(tokens), now + weeks, now)
 
 
 def result_shares(rnd):
@@ -93,6 +92,18 @@ class TestDepositAndLock:
         assert agg.base_escrow.locks[PROTOCOL].unlock_epoch == 40 + 208
         assert agg.base_escrow.voting_weight(PROTOCOL, 40) == Fraction(10)
 
+    def test_refresh_relocks_an_ended_lock_in_full(self):
+        # a one-week maximum ends the pooled lock at the next epoch
+        ledger, agg = build(base_weeks=1)
+        ledger.mint("CRV", "user", U(10))
+        agg.deposit_and_lock("user", U(10), 0)
+        agg.refresh_max_lock(1)
+        lock = agg.base_escrow.locks[PROTOCOL]
+        assert (lock.amount, lock.unlock_epoch, lock.created_epoch) == (U(10), 2, 1)
+        assert agg.base_escrow.voting_weight(PROTOCOL, 1) == Fraction(10)
+        assert ledger.balance(PROTOCOL, "CRV") == 0
+        ledger.assert_conservation()
+
 
 class TestLockGovernance:
     def test_sixteen_to_one_equivalence(self):
@@ -105,7 +116,7 @@ class TestLockGovernance:
         ledger, agg = build()
         ledger.mint("CVX", "A", U(1))
         with pytest.raises(EscrowError):
-            agg.lock_governance("A", U(1), 17, 0)
+            agg.gov_escrow.lock("A", U(1), 17, 0)
 
     def test_half_weight_halfway(self):
         ledger, agg = build()
@@ -116,7 +127,7 @@ class TestLockGovernance:
         ledger, agg = build()
         gov_lock(ledger, agg, "A", 10, weeks=16)
         ledger.mint("CVX", "A", U(5))
-        agg.lock_governance("A", U(5), 16, 0)
+        agg.gov_escrow.lock("A", U(5), 16, 0)
         assert agg.gov_escrow.locks["A"].amount == U(15)
 
 
@@ -178,7 +189,7 @@ class TestFinalizeRound:
         assert result_shares(agg.rounds[0]) == {0: Fraction(1, 4), 1: Fraction(3, 4)}
         assert allocation == {0: 2500, 1: 7500}
         # the pooled base vote was recast to match
-        assert agg.controller.allocations[PROTOCOL].by_gauge == {0: 2500, 1: 7500}
+        assert agg.controller.allocations[PROTOCOL] == {0: 2500, 1: 7500}
 
     def test_empty_round_keeps_previous_base_allocation(self):
         ledger, agg = build()
@@ -188,11 +199,11 @@ class TestFinalizeRound:
         agg.ensure_round(0)
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
-        before = dict(agg.controller.allocations[PROTOCOL].by_gauge)
+        before = dict(agg.controller.allocations[PROTOCOL])
         agg.ensure_round(2)
         allocation = agg.finalize_round(1, 4)
         assert agg.rounds[1].finalized and agg.rounds[1].tally_num == {} and allocation is None
-        assert agg.controller.allocations[PROTOCOL].by_gauge == before
+        assert agg.controller.allocations[PROTOCOL] == before
 
     def test_double_finalize_rejected(self):
         ledger, agg = build()

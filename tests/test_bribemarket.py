@@ -28,14 +28,13 @@ def build(gauges=2, bribe_price=1.0):
     base_escrow = Escrow(EscrowConfig(token="CRV", max_lock_weeks=208), ledger)
     controller = GaugeController(base_escrow, ledger, EmissionSchedule(), "CRV")
     for g in range(gauges):
-        controller.add_gauge(f"g{g}", [(f"lp{g}", 10000)])
+        controller.add_gauge([(f"lp{g}", 10000)])
     agg = Aggregator(
         ledger=ledger,
         base_escrow=base_escrow,
         controller=controller,
         protocol_account=PROTOCOL,
         wrapper_token="cvxCRV",
-        gov_token="CVX",
         gov_escrow_config=EscrowConfig(token="CVX", max_lock_weeks=16),
         round_length=2,
     )
@@ -45,7 +44,7 @@ def build(gauges=2, bribe_price=1.0):
 
 def gov_lock(ledger, agg, account, units, weeks=16, now=0):
     ledger.mint("CVX", account, units)
-    agg.lock_governance(account, units, now + weeks, now)
+    agg.gov_escrow.lock(account, units, now + weeks, now)
 
 
 def fund_and_post(ledger, market, briber, gauge, units, round_id=0, now=0):

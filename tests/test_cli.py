@@ -443,6 +443,34 @@ BAD_TRACE_FIELDS = {
         "settlements",
         "epoch 4: settlement.gauges.2.usd_per_vote: expected a finite number or null, got 'x'",
     ),
+    "negative lock cost": (
+        {"epoch": 1, "lock_events": [{"account": "a", "escrow": "base", "amount": 1, "usd_cost": -1.0}]},
+        "cost_per_vote --actor a --avenue direct-lock",
+        "epoch 1: lock_events[0].usd_cost: -1.0 is below the minimum of 0",
+    ),
+    "negative briber spend": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"briber_usd": {"b": -5.0}, "vote_weight": "2"}}}},
+        "cost_per_vote --actor b --avenue bribe",
+        "epoch 4: settlement.gauges.2.briber_usd.b: -5.0 is below the minimum of 0",
+    ),
+    "negative bribe total": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": -1.0, "vote_weight": "1",
+                                                                 "usd_per_vote": None}}}},
+        "settlements",
+        "epoch 4: settlement.gauges.2.bribe_usd: -1.0 is below the minimum of 0",
+    ),
+    "negative bribe total in a share table": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": -1}}},
+         "round_finalized": {"round": 1, "tally": {"2": "1"}}},
+        "share_table",
+        "epoch 4: settlement.gauges.2.bribe_usd: -1 is below the minimum of 0",
+    ),
+    "negative usd per vote": (
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": 1.0, "vote_weight": "1",
+                                                                 "usd_per_vote": -0.5}}}},
+        "settlements",
+        "epoch 4: settlement.gauges.2.usd_per_vote: -0.5 is below the minimum of 0",
+    ),
     "vote weight above the largest float": (
         {"epoch": 4, "settlement": {"round": 1, "gauges": {"2": {"bribe_usd": 1.0, "vote_weight": HUGE,
                                                                  "usd_per_vote": None}}}},

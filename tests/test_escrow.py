@@ -92,7 +92,7 @@ class TestModifyLock:
         ledger.mint("CRV", "A", U(100))
         escrow.create_lock("A", U(50), 104, 0)
         before = escrow.voting_weight("A", 0)
-        escrow.modify_lock("A", U(50), None, 0)
+        escrow.modify_lock("A", U(50), 104, 0)
         assert escrow.voting_weight("A", 0) == 2 * before
 
     def test_shortening_rejected(self):
@@ -144,6 +144,77 @@ class TestWithdraw:
             ledger.assert_conservation()
             assert sum(lock.amount for lock in escrow.locks.values()) == ledger.escrow_held["CRV"]
         assert escrow.voting_weight("A", 11) == Fraction(5 * 19, 208)
+
+
+class TestLock:
+    def test_ended_lock_is_withdrawn_and_relocked(self):
+        ledger, escrow = fresh()
+        ledger.mint("CRV", "A", U(100))
+        escrow.lock("A", U(30), 10, 0)
+        lock = escrow.lock("A", U(20), 20, 10)
+        assert (lock.amount, lock.unlock_epoch, lock.created_epoch) == (U(20), 20, 10)
+        assert escrow.locks["A"] is lock
+        assert ledger.balance("A", "CRV") == U(80)
+        assert ledger.escrow_held["CRV"] == U(20)
+
+    def test_zero_amount_without_lock_is_nothing(self):
+        ledger, escrow = fresh()
+        ledger.mint("CRV", "A", U(5))
+        assert escrow.lock("A", 0, 10, 0) is None
+        assert escrow.locks == {}
+        assert ledger.balance("A", "CRV") == U(5)
+        assert ledger.escrow_held["CRV"] == 0
+
+    def test_zero_amount_on_ended_lock_withdraws_it(self):
+        ledger, escrow = fresh()
+        ledger.mint("CRV", "A", U(5))
+        escrow.lock("A", U(5), 10, 0)
+        assert escrow.lock("A", 0, 30, 12) is None
+        assert escrow.locks == {}
+        assert ledger.balance("A", "CRV") == U(5)
+        assert ledger.escrow_held["CRV"] == 0
+
+    def test_earlier_unlock_never_shortens(self):
+        ledger, escrow = fresh()
+        ledger.mint("CRV", "A", U(15))
+        escrow.lock("A", U(10), 100, 0)
+        lock = escrow.lock("A", U(5), 50, 1)
+        assert (lock.amount, lock.unlock_epoch, lock.created_epoch) == (U(15), 100, 0)
+
+    def test_open_lock_is_extended(self):
+        ledger, escrow = fresh()
+        ledger.mint("CRV", "A", U(10))
+        escrow.lock("A", U(10), 100, 0)
+        assert escrow.lock("A", 0, 150, 1).unlock_epoch == 150
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from("AB"),
+            st.integers(min_value=0, max_value=3),  # epochs since the previous call
+            st.integers(min_value=0, max_value=50),  # tokens
+            st.integers(min_value=1, max_value=8),  # weeks
+        ),
+        max_size=30,
+    )
+)
+def test_lock_keeps_escrow_held_and_never_shortens(calls):
+    ledger, escrow = fresh(max_weeks=8)
+    for account in "AB":
+        ledger.mint("CRV", account, U(50 * 30))
+    now = 0
+    for account, step, tokens, weeks in calls:
+        now += step
+        before = escrow.locks.get(account)
+        open_unlock = before.unlock_epoch if before is not None and now < before.unlock_epoch else None
+        lock = escrow.lock(account, U(tokens), now + weeks, now)
+        assert lock is escrow.locks.get(account)
+        assert ledger.escrow_held["CRV"] == sum(held.amount for held in escrow.locks.values())
+        if open_unlock is not None:
+            assert lock.unlock_epoch >= open_unlock
+        ledger.assert_conservation()
 
 
 class TestVotingWeight:

@@ -35,27 +35,27 @@ def shares(weights):
 class TestAddGauge:
     def test_first_id_is_zero(self):
         _, _, controller = build()
-        assert controller.add_gauge("FRAX/USDC", [("P", 10000)]) == 0
+        assert controller.add_gauge([("P", 10000)]) == 0
 
     def test_ids_distinct(self):
         _, _, controller = build()
-        first = controller.add_gauge("a", [("P", 10000)])
-        second = controller.add_gauge("b", [("Q", 10000)])
+        first = controller.add_gauge([("P", 10000)])
+        second = controller.add_gauge([("Q", 10000)])
         assert (first, second) == (0, 1)
 
 
 class TestVoteForGaugeWeights:
     def test_single_voter_owns_snapshot(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
+        controller.add_gauge([("P", 10000)])
         give_weight(ledger, escrow, "A", 100)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
         assert shares(controller.relative_weights(0)) == {0: Fraction(1)}
 
     def test_split_allocation(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
-        controller.add_gauge("g1", [("Q", 10000)])
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
         give_weight(ledger, escrow, "A", 100)
         controller.vote_for_gauge_weights("A", [(0, 6000), (1, 4000)], 0)
         weights = shares(controller.relative_weights(0))
@@ -64,29 +64,29 @@ class TestVoteForGaugeWeights:
 
     def test_bps_overflow(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
-        controller.add_gauge("g1", [("Q", 10000)])
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
         give_weight(ledger, escrow, "A", 100)
         with pytest.raises(GaugeError):
             controller.vote_for_gauge_weights("A", [(0, 7000), (1, 4000)], 0)
 
     def test_zero_weight_voter(self):
         _, _, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
+        controller.add_gauge([("P", 10000)])
         with pytest.raises(GaugeError):
             controller.vote_for_gauge_weights("nobody", [(0, 10000)], 0)
 
     def test_unknown_gauge(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
+        controller.add_gauge([("P", 10000)])
         give_weight(ledger, escrow, "A", 100)
         with pytest.raises(GaugeError):
             controller.vote_for_gauge_weights("A", [(5, 10000)], 0)
 
     def test_vote_persists_with_decayed_weight(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
-        controller.add_gauge("g1", [("Q", 10000)])
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
         give_weight(ledger, escrow, "A", 100, weeks=100)
         give_weight(ledger, escrow, "B", 100, weeks=208)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
@@ -100,8 +100,8 @@ class TestVoteForGaugeWeights:
 class TestRelativeWeights:
     def test_two_voters(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
-        controller.add_gauge("g1", [("Q", 10000)])
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
         give_weight(ledger, escrow, "A", 100)
         give_weight(ledger, escrow, "B", 300)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
@@ -112,7 +112,7 @@ class TestRelativeWeights:
 
     def test_no_votes_all_zero_and_no_emissions(self):
         _, _, controller = build(schedule_entries=[(0, 10, U(1000))])
-        controller.add_gauge("g0", [("P", 10000)])
+        controller.add_gauge([("P", 10000)])
         assert controller.relative_weights(0) == {0: 0}
         controller.take_snapshot(0)
         assert controller.distribute_emissions(0) == []
@@ -122,7 +122,7 @@ class TestRelativeWeights:
         rng = random.Random(99)
         ledger, escrow, controller = build()
         for g in range(3):
-            controller.add_gauge(f"g{g}", [(f"lp{g}", 10000)])
+            controller.add_gauge([(f"lp{g}", 10000)])
         allocations = {}
         for i in range(5):
             account = f"acct{i}"
@@ -141,7 +141,7 @@ class TestRelativeWeights:
 
     def test_snapshot_recompute_is_idempotent(self):
         ledger, escrow, controller = build()
-        controller.add_gauge("g0", [("P", 10000)])
+        controller.add_gauge([("P", 10000)])
         give_weight(ledger, escrow, "A", 100)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
         assert controller.take_snapshot(3) == controller.take_snapshot(3)
@@ -150,8 +150,8 @@ class TestRelativeWeights:
 class TestDistributeEmissions:
     def test_quarter_three_quarter_split(self):
         ledger, escrow, controller = build(schedule_entries=[(0, 10, U(1000))])
-        controller.add_gauge("g0", [("P", 10000)])
-        controller.add_gauge("g1", [("Q", 10000)])
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
         give_weight(ledger, escrow, "A", 100)
         give_weight(ledger, escrow, "B", 300)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
@@ -166,7 +166,7 @@ class TestDistributeEmissions:
         # 33.33..; flooring gives 33 apiece and the remainder lands on gauge 0
         ledger, escrow, controller = build(schedule_entries=[(0, 10, 100)])
         for g in range(3):
-            controller.add_gauge(f"g{g}", [(f"lp{g}", 10000)])
+            controller.add_gauge([(f"lp{g}", 10000)])
         give_weight(ledger, escrow, "A", 300)
         controller.vote_for_gauge_weights("A", [(0, 3333), (1, 3333), (2, 3333)], 0)
         controller.take_snapshot(0)
@@ -176,13 +176,13 @@ class TestDistributeEmissions:
 
     def test_requires_snapshot(self):
         _, _, controller = build(schedule_entries=[(0, 10, 100)])
-        controller.add_gauge("g0", [("P", 10000)])
+        controller.add_gauge([("P", 10000)])
         with pytest.raises(GaugeError):
             controller.distribute_emissions(0)
 
     def test_lp_split_with_remainder(self):
         ledger, escrow, controller = build(schedule_entries=[(0, 10, 101)])
-        controller.add_gauge("g0", [("P", 6000), ("Q", 4000)])
+        controller.add_gauge([("P", 6000), ("Q", 4000)])
         give_weight(ledger, escrow, "A", 10)
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
         controller.take_snapshot(0)
@@ -199,7 +199,7 @@ class TestDistributeEmissions:
 def test_emission_conservation(emission, splits):
     ledger, escrow, controller = build(schedule_entries=[(0, 1, emission)])
     for g in range(len(splits)):
-        controller.add_gauge(f"g{g}", [(f"lp{g}", 10000)])
+        controller.add_gauge([(f"lp{g}", 10000)])
     give_weight(ledger, escrow, "A", 100)
     if sum(splits) == 0:
         return

@@ -121,7 +121,7 @@ class TestRelativeWeights:
         escrow = Escrow(EscrowConfig(token="CRV", max_lock_weeks=52), ledger)
         controller = GaugeController(escrow, ledger, EmissionSchedule(), "CRV")
         for g in range(4):
-            controller.add_gauge(f"g{g}", [(f"lp{g}", BPS)])
+            controller.add_gauge([(f"lp{g}", BPS)])
         for i, (amount, weeks, splits) in enumerate(locks):
             ledger.mint("CRV", f"a{i}", amount)
             escrow.create_lock(f"a{i}", amount, weeks, 0)

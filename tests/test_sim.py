@@ -94,6 +94,30 @@ class TestLoadScenario:
             scenario_from_dict(raw)
 
 
+def _one_week_pool():
+    """A base escrow with a one-week maximum and one aggregator deposit."""
+    raw = make_scenario(
+        horizon_epochs=4,
+        initial_balances=[["u", "CRV", 100]],
+        agents=[
+            {
+                "account": "u",
+                "strategy": "PassiveLocker",
+                "params": {"lock_schedule": [{"epoch": 0, "kind": "deposit", "amount": 10}]},
+            }
+        ],
+    )
+    raw["base_escrow"]["max_lock_weeks"] = 1
+    return scenario_from_dict(raw)
+
+
+# case -> (scenario config, protocol account, base max_lock_weeks)
+MAXED_POOLS = {
+    "paper-mature": (lambda: load_scenario("paper-mature"), "convex-like", 208),
+    "one-week maximum": (_one_week_pool, "agg", 1),
+}
+
+
 class TestRunScenario:
     def test_empty_horizon_one(self):
         config = scenario_from_dict(make_scenario(horizon_epochs=1))
@@ -177,12 +201,23 @@ class TestRunScenario:
             for token, totals in row["token_totals"].items():
                 assert totals["balances"] + totals["escrow_held"] == totals["minted"], token
 
-    def test_aggregator_lock_stays_maxed(self):
-        trace = run_scenario(load_scenario("paper-mature"))
+    @pytest.mark.parametrize("case", sorted(MAXED_POOLS))
+    def test_aggregator_lock_stays_maxed(self, case):
+        config_of, account, max_weeks = MAXED_POOLS[case]
+        trace = run_scenario(config_of())
         for row in trace:
-            lock = row["locks"]["base"].get("convex-like")
+            lock = row["locks"]["base"].get(account)
             if lock:
-                assert lock["unlock_epoch"] == row["epoch"] + 208
+                assert lock["unlock_epoch"] == row["epoch"] + max_weeks
+
+    def test_one_week_pool_is_relocked_in_full(self):
+        # the pooled lock ends at every epoch; it is withdrawn and locked again
+        for row in run_scenario(_one_week_pool()):
+            epoch = row["epoch"]
+            assert row["locks"]["base"]["agg"] == {"amount": U(10), "unlock_epoch": epoch + 1, "created_epoch": epoch}
+            assert row["escrow_weights"]["base"]["agg"] == "10"
+            crv = row["token_totals"]["CRV"]
+            assert (crv["balances"], crv["escrow_held"], crv["minted"]) == (U(90), U(10), U(100))
 
 
 class TestTraceIO:
