@@ -27,9 +27,11 @@ seed) always yield identical actions.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import AgentError
 from .gauges import BPS, shares_to_bps
@@ -87,13 +89,13 @@ class AgentSpec:
         return 0.0
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Public state visible to an agent at decision time.
 
     Pending ballots of other agents are never included.  Own weights are
     evaluated at the current round's close epoch, matching how ballots will
-    be counted.
+    be counted.  A tuple, so its fields cannot be reassigned, and one is cheap
+    to build for every agent in every epoch.
     """
 
     epoch: int
@@ -147,6 +149,13 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, t
     gauge g gets max(0, bribes(g)/L - exogenous(g)).  At the solution every
     supported gauge pays exactly L and unsupported gauges pay at most L.  With
     no exogenous weight the allocation is proportional to bribes.
+
+    Each probe sums a list built from the bribes (and exogenous weights, when
+    any is positive) collected once per call, in gauge order, with the builtin
+    ``sum``; only the answer is built as a dict.  A level that is zero or not
+    finite, from bribes or a weight at the edge of the float range, raises
+    ``AgentError``.  The search stops early when no float lies strictly
+    between its bounds.
     """
     if tol <= 0:
         raise AgentError("tol must be positive")
@@ -160,16 +169,39 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, t
     def allocated(level: float) -> dict[int, float]:
         return {g: max(0.0, b / level - exo.get(g, 0.0)) for g, b in bribes.items()}
 
+    # sum(allocated(level).values()) without the dict: b / level - 0.0 is
+    # b / level, and max(0.0, x) is x for x >= 0, so both give the same float
+    amounts = list(bribes.values())
+    offsets = [exo.get(g, 0.0) for g in bribes]
+    if any(offsets):
+        pairs = list(zip(amounts, offsets))
+
+        def demand(level: float) -> float:
+            return sum([max(0.0, b / level - e) for b, e in pairs])
+    else:
+
+        def demand(level: float) -> float:
+            return sum([b / level for b in amounts])
+
     # at hi the demand is at most follower_weight; walk lo down until demand covers it
-    hi = sum(bribes.values()) / follower_weight
+    hi = sum(amounts) / follower_weight
+    if not 0.0 < hi < math.inf:
+        raise AgentError(f"equilibrium level {hi!r} is out of range for follower weight {follower_weight!r}")
     lo = hi
-    while sum(allocated(lo).values()) < follower_weight:
+    while demand(lo) < follower_weight:
         lo /= 2.0
+        if lo == 0.0:
+            raise AgentError(f"no positive level covers follower weight {follower_weight!r}")
     while hi - lo > tol * hi:
         mid = (lo + hi) / 2.0
-        if sum(allocated(mid).values()) >= follower_weight:
+        # a midpoint equal to a bound would repeat the step forever
+        if demand(mid) >= follower_weight:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return {g: amount for g, amount in allocated(lo).items() if amount > 0}
 

@@ -21,6 +21,35 @@ from vetokensim.gauges import BPS
 from conftest import U
 
 
+def reference_equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, tol: float = 1e-9):
+    """``equilibrium_allocation`` as it was when every probe built a dict:
+    the oracle that the list-summing probes must match bit for bit."""
+    if tol <= 0:
+        raise AgentError("tol must be positive")
+    if follower_weight <= 0:
+        raise AgentError("follower_weight must be positive")
+    bribes = {g: float(b) for g, b in bribes_usd.items() if b > 0}
+    if not bribes:
+        raise AgentError("no positive bribes to follow")
+    exo = {g: max(0.0, float(w)) for g, w in (exogenous_weight or {}).items()}
+
+    def allocated(level: float) -> dict[int, float]:
+        return {g: max(0.0, b / level - exo.get(g, 0.0)) for g, b in bribes.items()}
+
+    # at hi the demand is at most follower_weight; walk lo down until demand covers it
+    hi = sum(bribes.values()) / follower_weight
+    lo = hi
+    while sum(allocated(lo).values()) < follower_weight:
+        lo /= 2.0
+    while hi - lo > tol * hi:
+        mid = (lo + hi) / 2.0
+        if sum(allocated(mid).values()) >= follower_weight:
+            lo = mid
+        else:
+            hi = mid
+    return {g: amount for g, amount in allocated(lo).items() if amount > 0}
+
+
 def obs(**overrides) -> Observation:
     defaults = dict(
         epoch=0,
@@ -102,6 +131,80 @@ class TestEquilibriumAllocation:
         total_one, total_two = sum(one.values()), sum(two.values())
         for g in one:
             assert one[g] / total_one == pytest.approx(two[g] / total_two, abs=1e-7)
+
+    @given(
+        gauges=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-6, max_value=1e9),
+                st.one_of(
+                    st.none(),
+                    st.just(0.0),
+                    st.floats(min_value=-1e6, max_value=-1e-6),
+                    st.floats(min_value=1e-6, max_value=1e6),
+                ),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        weight=st.floats(min_value=1e-3, max_value=1e7),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+        with_exogenous=st.booleans(),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, gauges, weight, tol, with_exogenous, order):
+        ids = list(range(len(gauges)))
+        order.shuffle(ids)  # gauge order is insertion order, not id order
+        bribes = {g: b for g, (b, _) in zip(ids, gauges)}
+        exo = {g: w for g, (_, w) in zip(ids, gauges) if w is not None} if with_exogenous else None
+        got = equilibrium_allocation(bribes, weight, exo, tol=tol)
+        want = reference_equilibrium_allocation(bribes, weight, exo, tol=tol)
+        assert list(got) == list(want)
+        assert list(got.values()) == list(want.values())
+
+    @pytest.mark.parametrize(
+        "bribes, weight",
+        [
+            ({0: 1e300, 1: 1e300}, 1e-300),  # the start level overflows to inf
+            ({0: 5e-324}, 10.0),  # the start level underflows to 0.0
+            ({0: 1.0}, float("inf")),
+        ],
+    )
+    def test_level_out_of_float_range(self, bribes, weight):
+        with pytest.raises(AgentError, match="out of range"):
+            equilibrium_allocation(bribes, weight)
+
+    def test_no_level_above_zero_covers_the_weight(self):
+        # even at the smallest positive level the bribe buys less than the exogenous weight
+        with pytest.raises(AgentError, match="no positive level covers"):
+            equilibrium_allocation({0: 1e-300}, 1.0, {0: 1e30})
+
+    @pytest.mark.parametrize(
+        "bribes, weight, tol, rel",
+        [
+            ({0: 0.3, 1: 0.7, 2: 0.11}, 1.7, 1e-30, 1e-15),  # tol below the float spacing
+            # tol * level underflows to 0.0; a subnormal level has few significant bits
+            ({0: 1.6e-311, 1: 1.1e-311, 2: 8.5e-311}, 3.1e9, 1e-9, 1e-2),
+        ],
+    )
+    def test_search_ends_when_bounds_meet(self, bribes, weight, tol, rel):
+        split = equilibrium_allocation(bribes, weight, tol=tol)
+        assert sum(split.values()) == pytest.approx(weight, rel=rel)
+
+
+class TestObservation:
+    @pytest.mark.parametrize("name", Observation._fields)
+    def test_fields_are_read_only(self, name):
+        observation = obs()
+        with pytest.raises(AttributeError):
+            setattr(observation, name, getattr(observation, name))
+        with pytest.raises(AttributeError):
+            observation.extra = 1
+
+    def test_noise_seed_defaults_to_zero(self):
+        defaults = obs()._asdict()
+        del defaults["noise_seed"]
+        assert Observation(**defaults).noise_seed == 0
 
 
 class TestGreedy:

@@ -3,11 +3,11 @@ import os
 
 import pytest
 
-from vetokensim import metrics
+from vetokensim import cli, metrics
 from vetokensim.cli import main
 from vetokensim.errors import ScenarioError
 from vetokensim.gauges import GaugeController
-from vetokensim.sim import SimTrace
+from vetokensim.sim import ScenarioConfig, SimTrace
 
 from conftest import make_scenario
 
@@ -240,6 +240,49 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.startswith("error: epoch 3: conservation violated for CRV")
+
+    def test_calls_run_scenario_once_with_the_config(self, capsys, tmp_path, monkeypatch):
+        # a benchmark swaps a one-argument timer in at ``cli.run_scenario``;
+        # ``run`` must call it once, with the config alone, and write what it returns
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(make_scenario(horizon_epochs=4)))
+        assert run_cli(capsys, "run", str(path), "--out", str(tmp_path / "plain"))[0] == 0
+        calls, traces = [], []
+
+        def counting_run_scenario(*args, **kwargs):
+            calls.append((args, kwargs))
+            traces.append(original(*args, **kwargs))
+            return traces[-1]
+
+        original = cli.run_scenario
+        monkeypatch.setattr(cli, "run_scenario", counting_run_scenario)
+        out = tmp_path / "wrapped"
+        assert run_cli(capsys, "run", str(path), "--out", str(out))[0] == 0
+        assert len(calls) == 1
+        (config,), kwargs = calls[0]
+        assert isinstance(config, ScenarioConfig) and kwargs == {}
+        traces[0].write_ndjson(str(tmp_path / "returned.ndjson"))
+        written = (out / "trace.ndjson").read_bytes()
+        assert written == (tmp_path / "returned.ndjson").read_bytes()
+        assert written == (tmp_path / "plain" / "trace.ndjson").read_bytes()
+
+    def test_bribes_past_the_float_range_exit_two(self, capsys, tmp_path):
+        # two bribes of 1e308 USD sum to inf dollars for the equilibrium follower
+        follower = {"account": "e", "strategy": "BribeFollowerEquilibrium",
+                    "params": {"lock_schedule": [{"epoch": 0, "kind": "gov", "amount": 100, "weeks": 16}]}}
+        bribers = [{"account": f"b{g}", "strategy": "SelfPromoter",
+                    "params": {"own_gauges": [g], "budget_per_round": 1e308}} for g in (0, 1)]
+        raw = make_scenario(
+            horizon_epochs=3,
+            agents=[follower, *bribers],
+            initial_balances=[["e", "CVX", 100], ["b0", "BRIBE-USD", 10**309], ["b1", "BRIBE-USD", 10**309]],
+            gauges=[{"name": f"g{g}", "lp_accounts": [[f"lp{g}", 10000]]} for g in (0, 1)],
+        )
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: epoch 1, agent e: equilibrium level inf is out of range")
 
 
 class TestReport:

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from vetokensim.cli import main
-from vetokensim.sim import load_scenario, run_scenario
+from vetokensim.sim import load_scenario, run_scenario, scenario_from_dict
 
 from conftest import make_scenario
 from test_acceptance import _randomized_scenario
@@ -197,6 +197,47 @@ def _direct_lockers_scenario(lockers=48, horizon=24, seed=2024) -> dict:
 def test_direct_lockers_run_digests(tmp_path):
     # the summary's direct-lock fold over many accounts with changing weights
     assert run_digests(_direct_lockers_scenario(), tmp_path) == ("06bf4821acb57a28", "6d2bd22e48c554a2")
+
+
+def _exogenous_followers_scenario() -> dict:
+    """Equilibrium followers that each see their own exogenous weight on four
+    bribed gauges: one leaves a congested gauge unsupported, one crowds a
+    single gauge, and one carries only zero and negative weights, which count
+    as none."""
+    horizon = 10
+
+    def follower(account, amount, exogenous):
+        return {"account": account, "strategy": "BribeFollowerEquilibrium",
+                "params": {"lock_schedule": [{"epoch": 0, "kind": "gov", "amount": amount, "weeks": 16}],
+                           "exogenous_weights": exogenous}}
+
+    agents = [
+        follower("equil-a", 3000, {"0": 500.0, "1": 0.0, "2": 2500.0}),
+        follower("equil-b", 1200, {"3": 40.5}),
+        follower("equil-c", 700, {"0": -5.0, "1": 0.0}),
+        {"account": "briber-0", "strategy": "SelfPromoter",
+         "params": {"own_gauges": [0, 1], "budget_per_round": [30, 10, 45, 20, 5, 60]}},
+        {"account": "briber-1", "strategy": "SelfPromoter",
+         "params": {"own_gauges": [2, 3], "budget_per_round": [12, 70, 25, 33, 50, 1]}},
+        {"account": "depositor", "strategy": "PassiveLocker",
+         "params": {"lock_schedule": [{"epoch": 0, "kind": "deposit", "amount": 5000}]}},
+    ]
+    balances = [[a["account"], "CVX", 5000] for a in agents[:3]]
+    balances += [["briber-0", "BRIBE-USD", 170], ["briber-1", "BRIBE-USD", 191], ["depositor", "CRV", 5000]]
+    return make_scenario(
+        name="exogenous-followers",
+        horizon_epochs=horizon,
+        initial_balances=balances,
+        gauges=[{"name": f"g{g}", "lp_accounts": [[f"lp{g}", 10000]]} for g in range(4)],
+        emission_schedule=[{"start": 0, "end": horizon, "per_week": 1000}],
+        agents=agents,
+    )
+
+
+def test_exogenous_followers_digest(tmp_path):
+    # the only golden trace whose equilibrium followers carry exogenous weight
+    config = scenario_from_dict(_exogenous_followers_scenario())
+    assert trace_digest(run_scenario(config), tmp_path) == "575f896ae0f651ca"
 
 
 @pytest.mark.parametrize("case", sorted(EXPORT_GOLDEN), ids=" ".join)
