@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from decimal import Decimal
 from typing import NamedTuple
 
 from .errors import AgentError
@@ -46,8 +45,7 @@ STRATEGIES = (
 )
 
 
-@dataclass(frozen=True)
-class LockEntry:
+class LockEntry(NamedTuple):
     """One schedule item: create/extend a lock, or deposit into the aggregator.
 
     kind is "base", "gov" or "deposit"; weeks is the lock duration from the
@@ -61,25 +59,32 @@ class LockEntry:
     weeks: int = 0
 
 
-@dataclass(frozen=True)
 class AgentSpec:
-    account: str
-    strategy: str
-    lock_schedule: tuple[LockEntry, ...] = ()
-    allocation: tuple[tuple[int, int], ...] = ()
-    budget_per_round: float | tuple[float, ...] = 0.0
-    own_gauges: tuple[int, ...] = ()
-    bribe_token: str = "BRIBE-USD"
-    noise: float = 0.0
-    exogenous_weights: tuple[tuple[int, float], ...] = ()
-    # epoch -> schedule entries due then, in schedule order; built once here
-    schedule_by_epoch: dict[int, list[LockEntry]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_epoch: dict[int, list[LockEntry]] = {}
-        for entry in self.lock_schedule:
-            by_epoch.setdefault(entry.epoch, []).append(entry)
-        object.__setattr__(self, "schedule_by_epoch", by_epoch)
+    def __init__(
+        self,
+        account: str,
+        strategy: str,
+        lock_schedule: tuple[LockEntry, ...] = (),
+        allocation: tuple[tuple[int, int], ...] = (),
+        budget_per_round: float | tuple[float, ...] = 0.0,
+        own_gauges: tuple[int, ...] = (),
+        bribe_token: str = "BRIBE-USD",
+        noise: float = 0.0,
+        exogenous_weights: tuple[tuple[int, float], ...] = (),
+    ):
+        self.account = account
+        self.strategy = strategy
+        self.lock_schedule = lock_schedule
+        self.allocation = allocation
+        self.budget_per_round = budget_per_round
+        self.own_gauges = own_gauges
+        self.bribe_token = bribe_token
+        self.noise = noise
+        self.exogenous_weights = exogenous_weights
+        # epoch -> schedule entries due then, in schedule order; built once here
+        self.schedule_by_epoch: dict[int, list[LockEntry]] = {}
+        for entry in lock_schedule:
+            self.schedule_by_epoch.setdefault(entry.epoch, []).append(entry)
 
     def budget_for_round(self, round_id: int) -> float:
         if isinstance(self.budget_per_round, (int, float)):
@@ -113,32 +118,27 @@ class Observation(NamedTuple):
     noise_seed: int = 0
 
 
-@dataclass(frozen=True)
-class LockAction:
+class LockAction(NamedTuple):
     escrow: str  # "base" | "gov"
     amount: int
     unlock_epoch: int
 
 
-@dataclass(frozen=True)
-class DepositAction:
+class DepositAction(NamedTuple):
     amount: int
 
 
-@dataclass(frozen=True)
-class BribeAction:
+class BribeAction(NamedTuple):
     gauge_id: int
     token: str
     amount: int
 
 
-@dataclass(frozen=True)
-class MetaVoteAction:
+class MetaVoteAction(NamedTuple):
     allocation: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class BaseVoteAction:
+class BaseVoteAction(NamedTuple):
     allocation: tuple[tuple[int, int], ...]
 
 
@@ -228,9 +228,13 @@ def _to_ballot(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 
 def _usd_to_units(usd: float, price: float) -> int:
+    """Base units that ``usd`` buys at ``price``, rounded down, with both read as
+    the decimals their ``repr`` shows (0.1 is one tenth, not its binary value)."""
     if price <= 0:
         raise AgentError(f"cannot convert USD at non-positive price {price}")
-    return int(Fraction(repr(float(usd))) / Fraction(repr(float(price))) * ONE)
+    usd_num, usd_den = Decimal(repr(float(usd))).as_integer_ratio()
+    price_num, price_den = Decimal(repr(float(price))).as_integer_ratio()
+    return usd_num * price_den * ONE // (usd_den * price_num)
 
 
 def decide(spec: AgentSpec, obs: Observation) -> list:
@@ -252,7 +256,6 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
 
     gov_weight = obs.own_gov_weight_at_close + gov_added / (obs.gov_max_lock_weeks * ONE)
     base_weight = obs.own_base_weight + base_added / (obs.base_max_lock_weeks * ONE)
-    positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
 
     if spec.strategy == "PassiveLocker":
         return actions
@@ -264,6 +267,7 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
         return actions
 
     if spec.strategy == "BribeFollowerGreedy":
+        positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
         if gov_weight > 0 and positive_bribes:
             best = min(
                 positive_bribes,
@@ -277,6 +281,7 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
         return actions
 
     if spec.strategy == "BribeFollowerEquilibrium":
+        positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
         if gov_weight > 0 and positive_bribes:
             split = equilibrium_allocation(positive_bribes, gov_weight, dict(spec.exogenous_weights))
             total = sum(split.values())

@@ -17,16 +17,12 @@ result share is its tally numerator over the sum of all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .errors import AggregatorError
 from .escrow import Escrow, EscrowConfig
 from .gauges import BPS, GaugeController, shares_to_bps
 from .ledger import Ledger, check_amount
 
 
-@dataclass
 class MetaRound:
     """One meta-governance round.
 
@@ -36,26 +32,28 @@ class MetaRound:
     ``voter_gauge_num`` and ``tally_num`` over ``cut_den``.
     """
 
-    round_id: int
-    open_epoch: int
-    close_epoch: int
-    ballots: dict[str, dict[int, int]] = field(default_factory=dict)
-    finalized: bool = False
-    weight_den: int = 1
-    counted_num: dict[str, int] = field(default_factory=dict)
-    voter_gauge_num: dict[str, dict[int, int]] = field(default_factory=dict)
-    tally_num: dict[int, int] = field(default_factory=dict)
-    total_gov_num: int = 0
-    base_allocation: dict[int, int] | None = None
+    def __init__(self, round_id: int, open_epoch: int, close_epoch: int):
+        self.round_id = round_id
+        self.open_epoch = open_epoch
+        self.close_epoch = close_epoch
+        self.ballots: dict[str, dict[int, int]] = {}
+        self.finalized = False
+        self.weight_den = 1
+        self.counted_num: dict[str, int] = {}
+        self.voter_gauge_num: dict[str, dict[int, int]] = {}
+        self.tally_num: dict[int, int] = {}
+        self.total_gov_num = 0
+        self.base_allocation: dict[int, int] | None = None
 
     @property
     def cut_den(self) -> int:
         return self.weight_den * BPS
 
     # The benchmark tracer counts counted voters through this name, so this
-    # exact-weight view of ``counted_num`` stays.
+    # exact-weight view of ``counted_num`` stays, importing ``fractions`` when read.
     @property
     def counted_weight(self) -> dict[str, Fraction]:
+        from fractions import Fraction
         return {v: Fraction(n, self.weight_den) for v, n in self.counted_num.items()}
 
 

@@ -9,15 +9,14 @@ A bribed gauge that attracted no votes refunds its bribers in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .aggregator import Aggregator
 from .errors import BribeMarketError
 from .ledger import Ledger, PriceSeries, check_amount
 
 
-@dataclass(frozen=True)
-class BribeDeposit:
+class BribeDeposit(NamedTuple):
     round_id: int
     gauge_id: int
     briber: str
@@ -25,23 +24,23 @@ class BribeDeposit:
     amount: int
 
 
-@dataclass
 class GaugeSettlement:
-    deposits: dict[str, int] = field(default_factory=dict)  # token -> amount
-    deposits_by_briber: dict[str, dict[str, int]] = field(default_factory=dict)
-    bribe_usd: float = 0.0
-    briber_usd: dict[str, float] = field(default_factory=dict)
-    vote_num: int = 0  # the weight voted for the gauge, over the round's cut_den
-    usd_per_vote: float | None = None
-    payouts: dict[str, dict[str, int]] = field(default_factory=dict)
-    refunds: dict[str, dict[str, int]] = field(default_factory=dict)
+    def __init__(self):
+        self.deposits: dict[str, int] = {}  # token -> amount
+        self.deposits_by_briber: dict[str, dict[str, int]] = {}
+        self.bribe_usd = 0.0
+        self.briber_usd: dict[str, float] = {}
+        self.vote_num = 0  # the weight voted for the gauge, over the round's cut_den
+        self.usd_per_vote: float | None = None
+        self.payouts: dict[str, dict[str, int]] = {}
+        self.refunds: dict[str, dict[str, int]] = {}
 
 
-@dataclass
 class RoundSettlement:
-    round_id: int
-    close_epoch: int
-    gauges: dict[int, GaugeSettlement] = field(default_factory=dict)
+    def __init__(self, round_id: int, close_epoch: int):
+        self.round_id = round_id
+        self.close_epoch = close_epoch
+        self.gauges: dict[int, GaugeSettlement] = {}
 
 
 def _prorata(total: int, weights: dict[str, int]) -> dict[str, int]:
@@ -103,19 +102,19 @@ class BribeMarket:
             gs.deposits[deposit.token] = gs.deposits.get(deposit.token, 0) + deposit.amount
             per_briber = gs.deposits_by_briber.setdefault(deposit.briber, {})
             per_briber[deposit.token] = per_briber.get(deposit.token, 0) + deposit.amount
+        # gauge -> {voter: integer cut over rnd.cut_den}, one pass over the voters
+        voters_by_gauge: dict[int, dict[str, int]] = {}
+        for voter in sorted(rnd.voter_gauge_num):
+            for gauge_id, cut in rnd.voter_gauge_num[voter].items():
+                if cut > 0:
+                    voters_by_gauge.setdefault(gauge_id, {})[voter] = cut
         for gauge_id in sorted(settlement.gauges):
-            self._settle_gauge(rnd, gauge_id, settlement.gauges[gauge_id])
+            self._settle_gauge(rnd, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}))
         self.settlements[round_id] = settlement
         return settlement
 
-    def _settle_gauge(self, rnd, gauge_id: int, gs: GaugeSettlement) -> None:
+    def _settle_gauge(self, rnd, gs: GaugeSettlement, voters: dict[str, int]) -> None:
         close = rnd.close_epoch
-        # integer cuts over rnd.cut_den
-        voters = {
-            voter: per_gauge[gauge_id]
-            for voter, per_gauge in rnd.voter_gauge_num.items()
-            if per_gauge.get(gauge_id, 0) > 0
-        }
         gs.vote_num = sum(voters.values())
         gs.bribe_usd = sum(
             self.prices.usd_value(token, amount, close) for token, amount in sorted(gs.deposits.items())

@@ -7,7 +7,6 @@ plain text (no colour, so NO_COLOR needs no special handling).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -115,7 +114,7 @@ def _summarize(config, trace: SimTrace) -> dict:
         "epochs": len(trace.rows),
         "rounds_settled": settled,
         "pearson": {"overall": None},
-        "participation": dataclasses.asdict(metrics.participation_stats(trace)),
+        "participation": vars(metrics.participation_stats(trace)),
     }
     if settled:
         table = metrics.share_table(trace)

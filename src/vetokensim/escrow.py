@@ -19,15 +19,13 @@ and ``withdraw`` are its steps, each checking its own preconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EscrowError
 from .ledger import ONE, Ledger, check_amount
 
 
-@dataclass(frozen=True)
-class EscrowConfig:
+class EscrowConfig(NamedTuple):
     token: str
     max_lock_weeks: int
     min_lock_weeks: int = 1
@@ -35,11 +33,11 @@ class EscrowConfig:
     whitelist_enforced: bool = False
 
 
-@dataclass
 class Lock:
-    amount: int
-    unlock_epoch: int
-    created_epoch: int
+    def __init__(self, amount: int, unlock_epoch: int, created_epoch: int):
+        self.amount = amount
+        self.unlock_epoch = unlock_epoch
+        self.created_epoch = created_epoch
 
 
 class Escrow:
@@ -143,9 +141,12 @@ class Escrow:
         return sum(self.weight_numerator(account, now) for account in self.locks)
 
     # Exact-weight views: the benchmark tracer counts calls by these names, so
-    # they stay although the simulator itself reads only the numerators.
+    # they stay although the simulator itself reads only the numerators.  Each
+    # imports ``fractions`` when called, so importing the package does not.
     def voting_weight(self, account: str, now: int) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.weight_numerator(account, now), self.weight_denominator)
 
     def total_voting_weight(self, now: int) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.total_weight_numerator(now), self.weight_denominator)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from typing import NamedTuple
 
 from .errors import LedgerError, PriceError
 
@@ -51,8 +51,7 @@ def check_amount(amount) -> int:
     return amount
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     symbol: str
     transferable: bool = True
 

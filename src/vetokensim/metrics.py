@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, ScenarioError
@@ -56,10 +55,19 @@ class Table:
     are decimals, written through ``_fmt`` in CSV and ``_fnum`` in JSON;
     other cells are written as they are.  The JSON document is ``{"rows": [{name:
     cell}]}`` indented by two, unless a table overrides ``json_payload``.
+    Tables of one class with equal fields are equal.
     """
 
     COLUMNS: tuple[tuple[str, type], ...] = ()
     JSON_INDENT: int | None = 2
+
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(other) == vars(self)
 
     def columns(self) -> tuple[tuple[str, type], ...]:
         return self.COLUMNS
@@ -73,7 +81,7 @@ class Table:
     def in_rounds(self, lo: int, hi: int):
         """This table with only the rows whose round_id is in ``lo..hi``."""
         at = [name for name, _ in self.columns()].index("round_id")
-        return replace(self, rows=[row for row in self.rows if lo <= row[at] <= hi])
+        return type(self)([row for row in self.rows if lo <= row[at] <= hi])
 
 
 class ShareRow(NamedTuple):
@@ -83,7 +91,6 @@ class ShareRow(NamedTuple):
     vote_share: float
 
 
-@dataclass
 class ShareTable(Table):
     rows: list[ShareRow]
     COLUMNS = (("round_id", int), ("gauge_id", int), ("bribe_share", float), ("vote_share", float))
@@ -98,13 +105,7 @@ class ShareTable(Table):
         return kept
 
 
-@dataclass
 class ParticipationStats(Table):
-    unique_lockers: int
-    unique_voters: int
-    voter_fraction: float
-    weight_voting_fraction: float
-    mean_voters_by_proposal_type: dict[str, float]
     COLUMNS = (
         ("unique_lockers", int),
         ("unique_voters", int),
@@ -112,6 +113,14 @@ class ParticipationStats(Table):
         ("weight_voting_fraction", float),
         ("mean_gauge_voters", float),
     )
+
+    def __init__(self, unique_lockers: int, unique_voters: int, voter_fraction: float,
+                 weight_voting_fraction: float, mean_voters_by_proposal_type: dict[str, float]):
+        self.unique_lockers = unique_lockers
+        self.unique_voters = unique_voters
+        self.voter_fraction = voter_fraction
+        self.weight_voting_fraction = weight_voting_fraction
+        self.mean_voters_by_proposal_type = mean_voters_by_proposal_type
 
     def cell_rows(self) -> list[tuple]:
         gauge_voters = self.mean_voters_by_proposal_type.get("gauge", 0.0)
@@ -126,11 +135,11 @@ class ParticipationStats(Table):
         return payload
 
 
-@dataclass
 class DiffMatrix(Table):
-    gauge_order: list[int]
-    round_ids: list[int]
-    cells: list[list[float | None]]  # rows follow round_ids, columns gauge_order
+    def __init__(self, gauge_order: list[int], round_ids: list[int], cells: list[list[float | None]]):
+        self.gauge_order = gauge_order
+        self.round_ids = round_ids
+        self.cells = cells  # rows follow round_ids, columns gauge_order
 
     def columns(self) -> tuple[tuple[str, type], ...]:
         return (("round_id", int),) + tuple((str(g), float) for g in self.gauge_order)
@@ -146,17 +155,18 @@ class DiffMatrix(Table):
         }
 
 
-@dataclass
 class CostPerVoteSeries(Table):
-    avenue: str
-    actor: str
-    rows: list[tuple[int, float, float, float | None]]
     COLUMNS = (
         ("epoch", int),
         ("cumulative_usd_cost", float),
         ("cumulative_votes", float),
         ("usd_per_vote", float),
     )
+
+    def __init__(self, avenue: str, actor: str, rows: list[tuple[int, float, float, float | None]]):
+        self.avenue = avenue
+        self.actor = actor
+        self.rows = rows
 
     def final_usd_per_vote(self) -> float | None:
         for _, _, _, usd_per_vote in reversed(self.rows):
@@ -168,13 +178,11 @@ class CostPerVoteSeries(Table):
         return {"avenue": self.avenue, "actor": self.actor, **super().json_payload(names, rows)}
 
 
-@dataclass
 class OutlierTable(Table):
     rows: list[tuple[int, int, float, float, str]]
     COLUMNS = ShareTable.COLUMNS + (("class", str),)
 
 
-@dataclass
 class SnapshotTable(Table):
     """Weekly gauge snapshot extract."""
 
@@ -182,7 +190,6 @@ class SnapshotTable(Table):
     COLUMNS = (("epoch", int), ("gauge_id", int), ("relative_weight", float), ("emission", int))
 
 
-@dataclass
 class RoundResultTable(Table):
     """Meta-round result extract."""
 
@@ -190,7 +197,6 @@ class RoundResultTable(Table):
     COLUMNS = (("round_id", int), ("gauge_id", int), ("meta_share", float), ("base_bps", int))
 
 
-@dataclass
 class SettlementTable(Table):
     """Bribe settlement extract."""
 
@@ -204,13 +210,14 @@ class SettlementTable(Table):
     )
 
 
-@dataclass
 class Correlation(Table):
     """Pearson r of a share table: one cell, exported as a flat, unindented object."""
 
-    value: float
     COLUMNS = (("pearson", float),)
     JSON_INDENT = None
+
+    def __init__(self, value: float):
+        self.value = value
 
     def cell_rows(self) -> list[tuple]:
         return [(self.value,)]

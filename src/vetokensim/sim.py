@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .aggregator import Aggregator
 from .agents import (
@@ -39,41 +39,47 @@ from .ledger import Ledger, PriceSeries, Token, base_units
 MAX_SEED = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class GaugeSpec:
+class GaugeSpec(NamedTuple):
     name: str
     lp_accounts: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class AggregatorParams:
+class AggregatorParams(NamedTuple):
     protocol_account: str
     wrapper_token: str
     gov_token: str
 
 
-@dataclass
 class ScenarioConfig:
-    name: str
-    horizon_epochs: int
-    rng_seed: int
-    tokens: tuple[Token, ...]
-    price_series: dict[str, tuple[tuple[int, float], ...]]
-    initial_balances: tuple[tuple[str, str, int], ...]
-    base_escrow: EscrowConfig
-    gov_escrow: EscrowConfig
-    aggregator: AggregatorParams
-    gauges: tuple[GaugeSpec, ...]
-    emission_schedule: tuple[tuple[int, int, int], ...]
-    agents: tuple[AgentSpec, ...]
-    round_length: int
-    base_snapshot_cadence: int
-    contract_accounts: tuple[str, ...]
-    bribe_escrow_account: str
-    bootstrap_rounds: int
-    description: str
+    def __init__(self, name: str, horizon_epochs: int, rng_seed: int, tokens: tuple[Token, ...],
+                 price_series: dict[str, tuple[tuple[int, float], ...]],
+                 initial_balances: tuple[tuple[str, str, int], ...],
+                 base_escrow: EscrowConfig, gov_escrow: EscrowConfig, aggregator: AggregatorParams,
+                 gauges: tuple[GaugeSpec, ...], emission_schedule: tuple[tuple[int, int, int], ...],
+                 agents: tuple[AgentSpec, ...], round_length: int, base_snapshot_cadence: int,
+                 contract_accounts: tuple[str, ...], bribe_escrow_account: str, bootstrap_rounds: int,
+                 description: str):
+        self.name = name
+        self.horizon_epochs = horizon_epochs
+        self.rng_seed = rng_seed
+        self.tokens = tokens
+        self.price_series = price_series
+        self.initial_balances = initial_balances
+        self.base_escrow = base_escrow
+        self.gov_escrow = gov_escrow
+        self.aggregator = aggregator
+        self.gauges = gauges
+        self.emission_schedule = emission_schedule
+        self.agents = agents
+        self.round_length = round_length
+        self.base_snapshot_cadence = base_snapshot_cadence
+        self.contract_accounts = contract_accounts
+        self.bribe_escrow_account = bribe_escrow_account
+        self.bootstrap_rounds = bootstrap_rounds
+        self.description = description
 
     def to_dict(self) -> dict:
+        """The config as JSON-ready values (tuples dump as lists): what ``digest`` hashes."""
         return {
             "name": self.name,
             "description": self.description,
@@ -82,19 +88,15 @@ class ScenarioConfig:
             "base_snapshot_cadence": self.base_snapshot_cadence,
             "rng_seed": self.rng_seed,
             "bootstrap_rounds": self.bootstrap_rounds,
-            "tokens": [{"symbol": t.symbol, "transferable": t.transferable} for t in self.tokens],
+            "tokens": [t._asdict() for t in self.tokens],
             "price_series": {t: [list(p) for p in pts] for t, pts in sorted(self.price_series.items())},
             "initial_balances": [list(row) for row in self.initial_balances],
             "contract_accounts": list(self.contract_accounts),
-            "base_escrow": _escrow_dict(self.base_escrow),
-            "gov_escrow": _escrow_dict(self.gov_escrow),
-            "aggregator": {
-                "protocol_account": self.aggregator.protocol_account,
-                "wrapper_token": self.aggregator.wrapper_token,
-                "gov_token": self.aggregator.gov_token,
-            },
+            "base_escrow": self.base_escrow._asdict(),
+            "gov_escrow": self.gov_escrow._asdict(),
+            "aggregator": self.aggregator._asdict(),
             "bribe_escrow_account": self.bribe_escrow_account,
-            "gauges": [{"name": g.name, "lp_accounts": [list(s) for s in g.lp_accounts]} for g in self.gauges],
+            "gauges": [g._asdict() for g in self.gauges],
             "emission_schedule": [
                 {"start": s, "end": e, "per_week": w} for s, e, w in self.emission_schedule
             ],
@@ -106,23 +108,10 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _escrow_dict(params: EscrowConfig) -> dict:
-    return {
-        "token": params.token,
-        "min_lock_weeks": params.min_lock_weeks,
-        "max_lock_weeks": params.max_lock_weeks,
-        "whitelist": list(params.whitelist),
-        "whitelist_enforced": params.whitelist_enforced,
-    }
-
-
 def _agent_dict(spec: AgentSpec) -> dict:
     params: dict = {}
     if spec.lock_schedule:
-        params["lock_schedule"] = [
-            {"epoch": e.epoch, "kind": e.kind, "amount": e.amount, "weeks": e.weeks}
-            for e in spec.lock_schedule
-        ]
+        params["lock_schedule"] = [entry._asdict() for entry in spec.lock_schedule]
     if spec.allocation:
         params["allocation"] = [list(pair) for pair in spec.allocation]
     if spec.budget_per_round:

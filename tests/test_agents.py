@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vetokensim.agents import (
@@ -11,11 +13,13 @@ from vetokensim.agents import (
     LockEntry,
     MetaVoteAction,
     Observation,
+    _usd_to_units,
     decide,
     equilibrium_allocation,
 )
 from vetokensim.errors import AgentError
 from vetokensim.gauges import BPS
+from vetokensim.ledger import ONE
 
 
 from conftest import U
@@ -284,6 +288,38 @@ class TestSelfPromoter:
         actions = decide(spec, obs(own_base_weight=3.0))
         base_votes = [a for a in actions if isinstance(a, BaseVoteAction)]
         assert base_votes == [BaseVoteAction(((0, BPS),))]
+
+
+def reference_usd_to_units(usd: float, price: float) -> int:
+    """``_usd_to_units`` as it was when it divided Fractions: the oracle that
+    the integer-ratio floor must match exactly."""
+    return int(Fraction(repr(float(usd))) / Fraction(repr(float(price))) * ONE)
+
+
+# any positive finite float, and decimal-exponent ones whose repr reads like 1e-05 or 1.5e+20
+POSITIVE_FLOATS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    st.builds(lambda digits, exponent: float(f"{digits}e{exponent}"),
+              st.integers(1, 10**17), st.integers(-323, 290)),
+)
+
+
+class TestUsdToUnits:
+    @settings(max_examples=500, deadline=None)
+    @given(usd=POSITIVE_FLOATS, price=POSITIVE_FLOATS)
+    @example(usd=1e-05, price=1.5e20)
+    @example(usd=1.5e20, price=1e-05)
+    @example(usd=0.1, price=0.3)
+    @example(usd=1.7976931348623157e308, price=5e-324)
+    def test_matches_the_fraction_floor(self, usd, price):
+        units = _usd_to_units(usd, price)
+        assert type(units) is int
+        assert units == reference_usd_to_units(usd, price)
+
+    @pytest.mark.parametrize("price", [0.0, -1.0])
+    def test_non_positive_price_is_an_agent_error(self, price):
+        with pytest.raises(AgentError, match="non-positive price"):
+            _usd_to_units(100.0, price)
 
 
 class TestSchedulesAndNoise:

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +14,32 @@ from vetokensim.sim import ScenarioConfig, SimTrace
 
 from conftest import make_scenario
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions():
+    # every CLI call pays for its imports; the diff is taken against the modules
+    # already loaded, since site hooks may preload some
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vetokensim.cli\n"
+        "print(vetokensim.cli.__file__)\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    path, names = done.stdout.splitlines()
+    loaded = set(names.split())
+    assert Path(path).resolve().is_relative_to(SRC)
+    assert "vetokensim.metrics" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"})
 
 
 class TestValidate:
