@@ -9,7 +9,6 @@ feed back into protocol state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_right
 from decimal import Decimal, InvalidOperation
@@ -137,16 +136,20 @@ class Ledger:
             for token in self.tokens
         }
 
-    def assert_conservation(self) -> None:
-        for token, totals in self.token_totals().items():
-            if totals["balances"] + totals["escrow_held"] != totals["minted"]:
+    def assert_conservation(self) -> dict[str, dict[str, int]]:
+        """Check every token's sums and return them, as ``token_totals`` does."""
+        totals = self.token_totals()
+        for token, sums in totals.items():
+            if sums["balances"] + sums["escrow_held"] != sums["minted"]:
                 raise LedgerError(
                     f"conservation violated for {token}: "
-                    f"{totals['balances']} + {totals['escrow_held']} != {totals['minted']}"
+                    f"{sums['balances']} + {sums['escrow_held']} != {sums['minted']}"
                 )
+        return totals
 
     def digest(self) -> str:
         """Deterministic fingerprint of the full book, for trace rows."""
+        import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
         payload = {
             "balances": self.balances,
             "minted": self.total_minted,

@@ -9,7 +9,7 @@ seed) reproduces the trace byte for byte.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import json
 import math
 import os
@@ -104,6 +104,7 @@ class ScenarioConfig:
         }
 
     def digest(self) -> str:
+        import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -343,7 +344,8 @@ def packaged_scenarios() -> dict[str, str]:
 def load_scenario(source: str) -> ScenarioConfig:
     """Load a scenario from a file path or a packaged scenario name."""
     if os.path.exists(source):
-        text = open(source, "r", encoding="utf-8").read()
+        with _utf8(source), open(source, "r", encoding="utf-8") as handle:
+            text = handle.read()
     else:
         candidate = resources.files(__package__) / "scenarios" / f"{source}.json"
         if not candidate.is_file():
@@ -364,7 +366,8 @@ class SimTrace:
 
     ``rows`` is any iterable that can be walked more than once: the list that
     ``run_scenario`` builds, or the file that ``read_ndjson`` parses again on
-    each pass, one line at a time.
+    each pass, one line at a time.  Rows are read-only: the rows of one run
+    share each equal lock entry, base ballot and re-cast vote entry as one dict.
     """
 
     def __init__(self, header: dict, rows):
@@ -395,12 +398,27 @@ class SimTrace:
     def read_ndjson(cls, path: str) -> "SimTrace":
         """The trace at ``path``.  Only line 1, the header, is read here; each
         pass over the rows parses the rest one line at a time."""
-        with open(path, "r", encoding="utf-8") as handle:
+        with _utf8(path), open(path, "r", encoding="utf-8") as handle:
             first = handle.readline()
         header = _ndjson_record(path, 1, first) if first.strip() else {}
         if header.pop("type", None) != "header":
             raise ScenarioError(f"{path}:1: expected the trace header record")
         return cls(header, _NdjsonRows(path))
+
+
+@contextlib.contextmanager
+def _utf8(path: str):
+    """Name the first line of ``path`` that is not UTF-8 if a text read fails on one."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            for lineno, line in enumerate(handle, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ScenarioError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from None
+        raise ScenarioError(f"{path}: not valid UTF-8") from None
 
 
 def _ndjson_record(path: str, lineno: int, line: str) -> dict:
@@ -423,7 +441,7 @@ class _NdjsonRows:
 
     def __iter__(self):
         path = self.path
-        with open(path, "r", encoding="utf-8") as handle:
+        with _utf8(path), open(path, "r", encoding="utf-8") as handle:
             handle.readline()  # the header, checked by ``SimTrace.read_ndjson``
             for lineno, line in enumerate(handle, 2):
                 if line.isspace():
@@ -604,7 +622,32 @@ def _weight_strs(escrow: Escrow, epoch: int) -> dict[str, str]:
     return {a: _ratio_str(escrow.weight_numerator(a, epoch), den) for a in sorted(escrow.locks)}
 
 
+def _shared(memo: dict, key: tuple, build) -> dict:
+    """``build(key)``, built once per ``key`` in ``memo``: most rows repeat the row before."""
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = build(key)
+    return entry
+
+
+def _lock_entry(key: tuple) -> dict:
+    return dict(zip(("amount", "unlock_epoch", "created_epoch"), key))
+
+
+def _ballot_entry(key: tuple) -> dict:
+    return {str(g): bps for g, bps in key}
+
+
+def _vote_entry(key: tuple) -> dict:
+    kind, account, round_id, allocation = key
+    entry = {"account": account, "kind": kind, "round": round_id, "allocation": [list(p) for p in allocation]}
+    if kind == "base_vote":  # a base vote belongs to no round
+        del entry["round"]
+    return entry
+
+
 def _noise_seed(seed: int, account: str, round_id: int) -> int:
+    import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
     digest = hashlib.sha256(f"{seed}:{account}:{round_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -644,6 +687,10 @@ class World:
         for gauge in config.gauges:
             self.controller.add_gauge(gauge.lp_accounts)
         self.agents = list(config.agents)  # already sorted by account
+        # row entries by value (lock, ballot and base-vote keys never compare
+        # equal); a meta vote names its round, so it is kept while that is open
+        self._entries: dict[tuple, dict] = {}
+        self._round_votes: dict[tuple, dict] = {}
 
     def header(self) -> dict:
         return {
@@ -747,16 +794,12 @@ class World:
             )
         elif isinstance(action, MetaVoteAction):
             self.aggregator.cast_meta_vote(spec.account, rnd.round_id, list(action.allocation), epoch)
-            row_events["actions"].append(
-                {"account": spec.account, "kind": "meta_vote", "round": rnd.round_id,
-                 "allocation": [list(p) for p in action.allocation]}
-            )
+            key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
+            row_events["actions"].append(_shared(self._round_votes, key, _vote_entry))
         elif isinstance(action, BaseVoteAction):
             self.controller.vote_for_gauge_weights(spec.account, list(action.allocation), epoch)
-            row_events["actions"].append(
-                {"account": spec.account, "kind": "base_vote",
-                 "allocation": [list(p) for p in action.allocation]}
-            )
+            key = ("base_vote", spec.account, None, action.allocation)
+            row_events["actions"].append(_shared(self._entries, key, _vote_entry))
         else:
             raise SimulationError(f"unknown action type {type(action).__name__}")
 
@@ -765,6 +808,8 @@ class World:
     def step(self, epoch: int) -> dict:
         self.aggregator.refresh_max_lock(epoch)
         rnd = self.aggregator.ensure_round(epoch)
+        if epoch == rnd.open_epoch:
+            self._round_votes.clear()
         bribes = self._round_bribes_usd(rnd.round_id, epoch)
         prev = self._prev_round_weights(rnd.round_id)
         prices_now = {t: self.prices.usd_price(t, epoch) for t in sorted(self.ledger.tokens)}
@@ -816,10 +861,10 @@ class World:
             }
 
         try:
-            self.ledger.assert_conservation()
+            token_totals = self.ledger.assert_conservation()
         except LedgerError as exc:
             raise SimulationError(f"epoch {epoch}: {exc}") from exc
-        return self._row(epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row)
+        return self._row(epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row, token_totals)
 
     def _finalized_row(self, rnd) -> dict:
         weight_den, cut_den = rnd.weight_den, rnd.cut_den
@@ -858,30 +903,28 @@ class World:
             }
         return {"round": settlement.round_id, "close_epoch": settlement.close_epoch, "gauges": gauges}
 
-    def _row(self, epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row) -> dict:
+    def _row(self, epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row, token_totals) -> dict:
         gov_escrow = self.aggregator.gov_escrow
+        entries = self._entries
         return {
             "type": "epoch",
             "epoch": epoch,
             "round_id": rnd.round_id,
             "ledger_digest": self.ledger.digest(),
-            "token_totals": self.ledger.token_totals(),
+            "token_totals": token_totals,
             "escrow_weights": {
                 "base": _weight_strs(self.base_escrow, epoch),
                 "governance": _weight_strs(gov_escrow, epoch),
             },
             "locks": {
-                "base": {
-                    a: {"amount": l.amount, "unlock_epoch": l.unlock_epoch, "created_epoch": l.created_epoch}
-                    for a, l in sorted(self.base_escrow.locks.items())
-                },
-                "governance": {
-                    a: {"amount": l.amount, "unlock_epoch": l.unlock_epoch, "created_epoch": l.created_epoch}
-                    for a, l in sorted(gov_escrow.locks.items())
-                },
+                label: {
+                    a: _shared(entries, (l.amount, l.unlock_epoch, l.created_epoch), _lock_entry)
+                    for a, l in sorted(escrow.locks.items())
+                }
+                for label, escrow in (("base", self.base_escrow), ("governance", gov_escrow))
             },
             "base_votes": {
-                a: {str(g): bps for g, bps in sorted(alloc.items())}
+                a: _shared(entries, tuple(sorted(alloc.items())), _ballot_entry)
                 for a, alloc in sorted(self.controller.allocations.items())
             },
             "lock_events": row_events["lock_events"],

@@ -23,9 +23,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions():
-    # every CLI call pays for its imports; the diff is taken against the modules
-    # already loaded, since site hooks may preload some
+@pytest.fixture(scope="module")
+def loaded_by_cli_import():
+    """Modules a fresh interpreter loads to import ``vetokensim.cli``.  Every CLI
+    call pays for its imports; the diff is taken against the modules already
+    loaded, since site hooks may preload some."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -36,10 +38,18 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60, check=True)
     path, names = done.stdout.splitlines()
-    loaded = set(names.split())
     assert Path(path).resolve().is_relative_to(SRC)
-    assert "vetokensim.metrics" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions"})
+    return set(names.split())
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions(loaded_by_cli_import):
+    assert "vetokensim.metrics" in loaded_by_cli_import
+    assert loaded_by_cli_import.isdisjoint({"dataclasses", "inspect", "fractions"})
+
+
+def test_importing_the_cli_loads_no_hashlib(loaded_by_cli_import):
+    # only ``run`` hashes; ``_hashlib`` loads OpenSSL
+    assert loaded_by_cli_import.isdisjoint({"hashlib", "_hashlib"})
 
 
 class TestValidate:
@@ -427,6 +437,35 @@ def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp
     code, _, err = run_cli(capsys, "report", str(path), "--metric", "snapshots", "--out", str(tmp_path / "s.csv"))
     assert code == 1
     assert err.startswith(f"error: {path}:4: {problem}")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_scenario_not_utf8_exits_one(command, capsys, tmp_path):
+    # in Latin-1 the e-acute is the one byte 0xe9, which opens a UTF-8 sequence that the next byte breaks
+    text = json.dumps(make_scenario(horizon_epochs=2, description="caf\u00e9"), indent=1, ensure_ascii=False)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(text.encode("latin-1"))
+    line = text[: text.index("caf")].count("\n") + 1
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err) == (1, "", f"error: {path}:{line}: not valid UTF-8: invalid continuation byte\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["header", "last row"])
+def test_trace_not_utf8_exits_one(bad, mature_trace, capsys, tmp_path):
+    lines = Path(mature_trace).read_bytes().splitlines()
+    # the last row lies past the first block a text read decodes, so the row
+    # pass meets it, not the header read
+    index = 0 if bad == "header" else len(lines) - 1
+    lines[index] = lines[index].replace(b'"', b'"\xff', 1)
+    path = tmp_path / "trace.ndjson"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "p.csv"
+    code, _, err = run_cli(capsys, "report", str(path), "--metric", "participation", "--out", str(out))
+    assert (code, err) == (1, f"error: {path}:{index + 1}: not valid UTF-8: invalid start byte\n")
+    assert not out.exists()
 
 
 BARE_ROUND = {"epoch": 0, "settlement": {"round": 0}, "round_finalized": {"round": 0}}

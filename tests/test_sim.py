@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,59 @@ class TestRunScenario:
             assert row["escrow_weights"]["base"]["agg"] == "10"
             crv = row["token_totals"]["CRV"]
             assert (crv["balances"], crv["escrow_held"], crv["minted"]) == (U(90), U(10), U(100))
+
+
+def _entries(rows):
+    """(kind, entry) for each lock entry, base ballot and vote entry of ``rows``."""
+    for row in rows:
+        for locks in row["locks"].values():
+            for entry in locks.values():
+                yield "lock", entry
+        for ballot in row["base_votes"].values():
+            yield "ballot", ballot
+        for action in row["actions"]:
+            yield "vote", action
+
+
+class TestSharedEntries:
+    """Rows are read-only, so a run hands each distinct lock entry, base ballot
+    and vote entry to every row that holds it as one object."""
+
+    @pytest.fixture(scope="class")
+    def frax(self):
+        return run_scenario(load_scenario("frax-three-avenues"))
+
+    def test_equal_entries_of_one_run_are_one_object(self, frax):
+        first: dict = {}
+        for kind, entry in _entries(frax):
+            assert first.setdefault((kind, json.dumps(entry, sort_keys=True)), entry) is entry
+        # each kind repeats across rows, so the check above is not vacuous
+        totals = Counter(kind for kind, _ in _entries(frax))
+        distinct = Counter(kind for kind, _ in first)
+        assert all(totals[kind] > distinct[kind] > 0 for kind in ("lock", "ballot", "vote"))
+
+    def test_two_runs_share_no_entry(self, frax):
+        again = run_scenario(load_scenario("frax-three-avenues"))
+        assert again.rows == frax.rows
+        assert {id(e) for _, e in _entries(frax)}.isdisjoint(id(e) for _, e in _entries(again))
+
+    def test_meta_votes_are_remembered_only_while_their_round_is_open(self):
+        # a meta vote names its round, so a closed round's entries never recur
+        config = load_scenario("frax-three-avenues")
+        world = World(config)
+        for epoch in range(config.horizon_epochs):
+            world.step(epoch)
+            assert {key[2] for key in world._round_votes} == {epoch // config.round_length}
+
+    def test_rows_hold_only_json_types(self, frax):
+        # a tuple would dump as a list and compare unequal after the round trip
+        assert json.loads(json.dumps(frax.rows)) == frax.rows
+
+    def test_one_lock_entry_object_per_lock_state(self, randomized_1000):
+        _, trace = randomized_1000
+        locks = [entry for kind, entry in _entries(trace) if kind == "lock"]
+        states = {(e["amount"], e["unlock_epoch"], e["created_epoch"]) for e in locks}
+        assert len({id(e) for e in locks}) == len(states) < len(locks)
 
 
 class TestTraceIO:
