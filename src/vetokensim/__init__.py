@@ -9,7 +9,9 @@ bribe flow; a metrics engine reads the resulting trace.
 """
 
 from .errors import VeTokenSimError
-from .sim import ScenarioConfig, SimTrace, World, load_scenario, packaged_scenarios, run_scenario
+from .scenario import ScenarioConfig, load_scenario, packaged_scenarios
+from .sim import World, run_scenario
+from .trace import SimTrace
 
 __version__ = "0.1.0"
 

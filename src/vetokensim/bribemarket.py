@@ -74,7 +74,7 @@ class BribeMarket:
         self.prices = prices
         self.escrow_account = escrow_account
         self.deposits: dict[int, list[BribeDeposit]] = {}
-        self.settlements: dict[int, RoundSettlement] = {}
+        self.settled: set[int] = set()
 
     def post_bribe(self, round_id: int, gauge_id: int, briber: str, token: str, amount: int, now: int) -> BribeDeposit:
         check_amount(amount)
@@ -94,10 +94,10 @@ class BribeMarket:
         rnd = self.aggregator._require_round(round_id)
         if not rnd.finalized:
             raise BribeMarketError(f"round {round_id} is not finalized yet")
-        if round_id in self.settlements:
+        if round_id in self.settled:
             raise BribeMarketError(f"round {round_id} already settled")
         settlement = RoundSettlement(round_id, rnd.close_epoch)
-        for deposit in self.deposits.get(round_id, ()):
+        for deposit in self.deposits.pop(round_id, ()):
             gs = settlement.gauges.setdefault(deposit.gauge_id, GaugeSettlement())
             gs.deposits[deposit.token] = gs.deposits.get(deposit.token, 0) + deposit.amount
             per_briber = gs.deposits_by_briber.setdefault(deposit.briber, {})
@@ -110,7 +110,7 @@ class BribeMarket:
                     voters_by_gauge.setdefault(gauge_id, {})[voter] = cut
         for gauge_id in sorted(settlement.gauges):
             self._settle_gauge(rnd, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}))
-        self.settlements[round_id] = settlement
+        self.settled.add(round_id)
         return settlement
 
     def _settle_gauge(self, rnd, gs: GaugeSettlement, voters: dict[str, int]) -> None:

@@ -13,7 +13,9 @@ import sys
 
 from . import metrics
 from .errors import ScenarioError, VeTokenSimError
-from .sim import MAX_SEED, SimTrace, load_scenario, packaged_scenarios, run_scenario
+from .scenario import MAX_SEED, load_scenario, packaged_scenarios
+from .sim import run_scenario
+from .trace import SimTrace
 
 
 def _shares(trace, args):

@@ -3,8 +3,8 @@ correlation, outlier classes, share-difference matrices, and cost per vote
 by acquisition avenue (one pass per avenue for any number of accounts).
 
 Every function here is a pure read of an immutable trace in one pass over its
-rows, through the typed reader ``sim.Fields``; a trace read from a file parses
-each row as the pass reaches it.  Weight-typed trace fields arrive as exact
+rows, through the typed reader ``scenario.Fields``; a trace read from a file
+parses each row as the pass reaches it.  Weight-typed trace fields arrive as exact
 ``n`` or ``n/d`` strings; they are read as ``(num, den)`` int pairs, summed
 exactly, and turned into a float by one int/int division, which is correctly
 rounded.  A missing field, a malformed ratio (or one above the largest float)
@@ -22,7 +22,8 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, ScenarioError
-from .sim import Fields, SimTrace
+from .scenario import Fields
+from .trace import SimTrace
 
 AVENUES = ("direct-lock", "aggregator-lock", "bribe")
 

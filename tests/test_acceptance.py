@@ -14,7 +14,8 @@ from vetokensim.bribemarket import BribeMarket
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import EmissionSchedule, GaugeController
 from vetokensim.ledger import ONE, Ledger, PriceSeries
-from vetokensim.sim import load_scenario, run_scenario, scenario_from_dict
+from vetokensim.scenario import load_scenario, scenario_from_dict
+from vetokensim.sim import run_scenario
 
 from test_metrics import epoch_row, finalized, make_trace, settlement_of
 

@@ -184,11 +184,11 @@ class TestDollarsPerVote:
         fund_and_post(ledger, market, "briber", 0, U(1000))
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
-        market.settle_round(0)
+        settlement = market.settle_round(0)
         rnd = agg.rounds[0]
         weight = rnd.tally_num[0] / rnd.cut_den
-        assert market.settlements[0].gauges[0].vote_num == rnd.tally_num[0]
-        assert market.settlements[0].gauges[0].usd_per_vote == pytest.approx(1000.0 / weight)
+        assert settlement.gauges[0].vote_num == rnd.tally_num[0]
+        assert settlement.gauges[0].usd_per_vote == pytest.approx(1000.0 / weight)
 
     def test_forty_weight_units(self):
         # $1000 of bribes against exactly 40 weight units -> 25 $/vote
@@ -199,9 +199,9 @@ class TestDollarsPerVote:
         fund_and_post(ledger, market, "briber", 0, U(1000))
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
-        market.settle_round(0)
+        settlement = market.settle_round(0)
         assert Fraction(agg.rounds[0].tally_num[0], agg.rounds[0].cut_den) == 40
-        assert market.settlements[0].gauges[0].usd_per_vote == 25.0
+        assert settlement.gauges[0].usd_per_vote == 25.0
 
     @pytest.mark.parametrize(
         "usd,votes,expected",
@@ -219,9 +219,9 @@ class TestDollarsPerVote:
         fund_and_post(ledger, market, "briber", 0, U(usd))
         agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
         agg.finalize_round(0, 2)
-        market.settle_round(0)
+        settlement = market.settle_round(0)
         assert Fraction(agg.rounds[0].tally_num[0], agg.rounds[0].cut_den) == votes
-        assert market.settlements[0].gauges[0].usd_per_vote == pytest.approx(expected, abs=0.0005)
+        assert settlement.gauges[0].usd_per_vote == pytest.approx(expected, abs=0.0005)
 
 
 class TestProrata:

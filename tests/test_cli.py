@@ -10,7 +10,8 @@ from vetokensim import cli, metrics
 from vetokensim.cli import main
 from vetokensim.errors import ScenarioError
 from vetokensim.gauges import GaugeController
-from vetokensim.sim import ScenarioConfig, SimTrace
+from vetokensim.scenario import ScenarioConfig
+from vetokensim.trace import SimTrace
 
 from conftest import make_scenario
 
@@ -589,6 +590,12 @@ BAD_TRACE_FIELDS = {
     ),
     "meta share above the largest float": ({"epoch": 2, "round_finalized": dict(RESULT, result={"0": HUGE})},
                                            "round_results", f"epoch 2: round_finalized.result.0: {TOO_LARGE} '{HUGE}'"),
+    # ``int`` takes each of these; the n or n/d format does not
+    **{
+        f"meta share {text!r}": ({"epoch": 2, "round_finalized": dict(RESULT, result={"0": text})}, "round_results",
+                                 f"epoch 2: round_finalized.result.0: {RATIO} {text!r}")
+        for text in ("1_0", " 1", "+1", "٣")
+    },
 }
 
 

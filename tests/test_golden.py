@@ -12,7 +12,8 @@ import random
 import pytest
 
 from vetokensim.cli import main
-from vetokensim.sim import load_scenario, run_scenario, scenario_from_dict
+from vetokensim.scenario import load_scenario, scenario_from_dict
+from vetokensim.sim import run_scenario
 
 from conftest import make_scenario
 from test_acceptance import _randomized_scenario

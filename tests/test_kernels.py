@@ -13,7 +13,8 @@ from vetokensim.metrics import ZERO, _add, _quotient
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import BPS, EmissionSchedule, GaugeController, shares_to_bps
 from vetokensim.ledger import Ledger
-from vetokensim.sim import Fields, _ratio_str
+from vetokensim.scenario import Fields
+from vetokensim.trace import _ratio_str
 
 
 def reference_shares_to_bps(shares, total_bps=BPS):

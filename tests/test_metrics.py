@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from vetokensim import metrics
 from vetokensim.errors import MetricsError
 from vetokensim.metrics import ShareRow, ShareTable
-from vetokensim.sim import SimTrace, load_scenario, packaged_scenarios, run_scenario
+from vetokensim.scenario import load_scenario, packaged_scenarios
+from vetokensim.sim import run_scenario
+from vetokensim.trace import SimTrace
 
 
 def epoch_row(epoch, **overrides):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from vetokensim import metrics
 from vetokensim.cli import REPORTS, main
 from vetokensim.errors import ScenarioError
-from vetokensim.sim import World, load_scenario, packaged_scenarios, run_scenario, scenario_from_dict
+from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
+from vetokensim.sim import World, run_scenario
 
 DROP = "<drop>"
 MUTATIONS = (DROP, None, True, -1, 2.5, "x", [], {}, [1], {"x": 1})

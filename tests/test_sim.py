@@ -5,14 +5,9 @@ from fractions import Fraction
 import pytest
 
 from vetokensim.errors import ScenarioError
-from vetokensim.sim import (
-    SimTrace,
-    World,
-    load_scenario,
-    packaged_scenarios,
-    run_scenario,
-    scenario_from_dict,
-)
+from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
+from vetokensim.sim import World, run_scenario
+from vetokensim.trace import SimTrace
 
 from conftest import U, make_scenario
 

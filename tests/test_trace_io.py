@@ -12,7 +12,9 @@ import pytest
 from vetokensim import metrics
 from vetokensim.cli import REPORTS, main
 from vetokensim.errors import ScenarioError, VeTokenSimError
-from vetokensim.sim import SimTrace, load_scenario, packaged_scenarios, run_scenario
+from vetokensim.scenario import load_scenario, packaged_scenarios
+from vetokensim.sim import run_scenario
+from vetokensim.trace import SimTrace
 
 from test_mutation import REPORT_ARGS  # every --metric, with frax active in each avenue
 
