@@ -9,10 +9,11 @@ A bribed gauge that attracted no votes refunds its bribers in full.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .aggregator import Aggregator
-from .errors import BribeMarketError
+from .errors import BribeMarketError, PriceError
 from .ledger import Ledger, PriceSeries, check_amount
 
 
@@ -59,6 +60,11 @@ def _prorata(total: int, weights: dict[str, int]) -> dict[str, int]:
     for _, who in sorted(remainders, key=lambda item: (-item[0], item[1]))[:leftover]:
         floors[who] += 1
     return floors
+
+
+def _check_usd(value: float, gauge_id: int, name: str) -> None:
+    if not math.isfinite(value):
+        raise PriceError(f"gauge {gauge_id} {name} overflows a float")
 
 
 class BribeMarket:
@@ -109,11 +115,11 @@ class BribeMarket:
                 if cut > 0:
                     voters_by_gauge.setdefault(gauge_id, {})[voter] = cut
         for gauge_id in sorted(settlement.gauges):
-            self._settle_gauge(rnd, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}))
+            self._settle_gauge(rnd, gauge_id, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}))
         self.settled.add(round_id)
         return settlement
 
-    def _settle_gauge(self, rnd, gs: GaugeSettlement, voters: dict[str, int]) -> None:
+    def _settle_gauge(self, rnd, gauge_id: int, gs: GaugeSettlement, voters: dict[str, int]) -> None:
         close = rnd.close_epoch
         gs.vote_num = sum(voters.values())
         gs.bribe_usd = sum(
@@ -123,6 +129,8 @@ class BribeMarket:
             briber: sum(self.prices.usd_value(t, a, close) for t, a in sorted(tokens.items()))
             for briber, tokens in sorted(gs.deposits_by_briber.items())
         }
+        # each briber_usd sums terms no larger than those of bribe_usd, so it is finite too
+        _check_usd(gs.bribe_usd, gauge_id, "bribe_usd")
         if gs.vote_num == 0:
             # nobody voted for the bribed gauge: return every deposit
             for briber, tokens in sorted(gs.deposits_by_briber.items()):
@@ -131,6 +139,7 @@ class BribeMarket:
                     gs.refunds.setdefault(briber, {})[token] = amount
             return
         gs.usd_per_vote = gs.bribe_usd / (gs.vote_num / rnd.cut_den)
+        _check_usd(gs.usd_per_vote, gauge_id, "usd_per_vote")
         for token, total in sorted(gs.deposits.items()):
             for voter, cut in _prorata(total, voters).items():
                 if cut == 0:

@@ -110,22 +110,26 @@ def _fmt(value) -> str:
 
 
 def _summarize(config, trace: SimTrace) -> dict:
-    settled = sum(1 for row in trace if row.get("settlement"))
+    # one pass over the trace feeds every fold; cost per vote follows every
+    # agent account in each avenue
+    accounts = [spec.account for spec in config.agents]
+    participation, shares = metrics.Participation(), metrics.Shares()
+    costs = [metrics.CostFold(trace.header, avenue, accounts) for avenue in metrics.AVENUES]
+    metrics.fold(trace, participation, shares, *costs)
     summary: dict = {
         "scenario": config.name,
-        "epochs": len(trace.rows),
-        "rounds_settled": settled,
+        "epochs": participation.epochs,
+        "rounds_settled": shares.settled,
         "pearson": {"overall": None},
-        "participation": vars(metrics.participation_stats(trace)),
+        "participation": vars(participation.stats()),
     }
-    if settled:
-        table = metrics.share_table(trace)
-        summary["pearson"] = _phase_pearson(table, config.bootstrap_rounds)
-    # account -> avenue -> final USD per vote, one trace pass per avenue
-    final: dict[str, dict] = {spec.account: {} for spec in config.agents}
-    for avenue in metrics.AVENUES:
-        for account, usd_per_vote in metrics.final_cost_per_vote(trace, avenue, final).items():
-            final[account][avenue] = usd_per_vote
+    if shares.settled:
+        summary["pearson"] = _phase_pearson(shares.table(), config.bootstrap_rounds)
+    # account -> avenue -> final USD per vote
+    final: dict[str, dict] = {account: {} for account in accounts}
+    for cost in costs:
+        for account, usd_per_vote in cost.final().items():
+            final[account][cost.avenue] = usd_per_vote
     summary["cost_per_vote"] = {account: per_avenue for account, per_avenue in final.items() if per_avenue}
     return summary
 

@@ -10,6 +10,7 @@ feed back into protocol state.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from decimal import Decimal, InvalidOperation
 from typing import NamedTuple
@@ -180,4 +181,7 @@ class PriceSeries:
 
     def usd_value(self, token: str, amount: int, epoch: int) -> float:
         check_amount(amount)
-        return (amount / ONE) * self.usd_price(token, epoch)
+        value = (amount / ONE) * self.usd_price(token, epoch)
+        if not math.isfinite(value):
+            raise PriceError(f"USD value of {amount} {token} base units at epoch {epoch} overflows a float")
+        return value

@@ -4,14 +4,21 @@ by acquisition avenue (one pass per avenue for any number of accounts).
 
 Every function here is a pure read of an immutable trace in one pass over its
 rows, through the typed reader ``scenario.Fields``; a trace read from a file
-parses each row as the pass reaches it.  Weight-typed trace fields arrive as exact
+parses each row as the pass reaches it.  The readers the run summary needs are
+folds: an object whose ``add(f)`` takes one row's ``Fields``, in trace order,
+and whose result method (``Participation.stats``, ``Shares.table``,
+``CostFold.final``) answers once every row is in.  ``fold(trace, *folds)``
+walks the rows once and feeds each row to every fold, so any number of folds
+share one pass; ``participation_stats``, ``share_table`` and ``cost_per_vote``
+each drive one fold.  Weight-typed trace fields arrive as exact
 ``n`` or ``n/d`` strings; they are read as ``(num, den)`` int pairs, summed
 exactly, and turned into a float by one int/int division, which is correctly
-rounded.  A missing field, a malformed ratio (or one above the largest float)
-or a field of the wrong type is a ``ScenarioError`` naming the epoch and the
-field path.  Every result is a ``Table`` whose one column schema drives both
-the CSV and the JSON export, with fixed decimal formatting (10 significant
-digits) so repeated exports are byte-identical.
+rounded.  A missing field, a malformed ratio (or one above the largest float),
+a field of the wrong type or a float total that overflows is a
+``ScenarioError`` naming the epoch and the field path.  Every result is a
+``Table`` whose one column schema drives both the CSV and the JSON export,
+with fixed decimal formatting (10 significant digits) so repeated exports are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -227,53 +234,80 @@ class Correlation(Table):
         return dict(zip(names, rows[0]))
 
 
-def participation_stats(trace: SimTrace) -> ParticipationStats:
-    """Whole-trace participation counts and fractions."""
-    epochs = 0
-    lockers: set[str] = set()
-    voters: set[str] = set()
-    cast_weight = total_weight = ZERO
-    voters_per_round: list[int] = []
+def fold(trace: SimTrace, *folds) -> None:
+    """Walk the rows of ``trace`` once, handing each row's ``Fields`` to every
+    fold in turn."""
     for f in trace.fields():
-        epochs += 1
-        lockers.update(f.object("locks", "base", default={}))
-        lockers.update(f.object("locks", "governance", default={}))
-        voters.update(f.object("base_votes", default={}))
+        for each in folds:
+            each.add(f)
+
+
+class Participation:
+    """Fold: whole-trace participation counts and fractions."""
+
+    def __init__(self):
+        self.epochs = 0
+        self.lockers: set[str] = set()
+        self.voters: set[str] = set()
+        self.cast_weight = self.total_weight = ZERO
+        self.voters_per_round: list[int] = []
+
+    def add(self, f: Fields) -> None:
+        self.epochs += 1
+        self.lockers.update(f.object("locks", "base", default={}))
+        self.lockers.update(f.object("locks", "governance", default={}))
+        self.voters.update(f.object("base_votes", default={}))
         if f.object("round_finalized", default={}):
             ballots = f.object("round_finalized", "ballots", default={})
-            voters.update(ballots)
-            voters_per_round.append(len(ballots))
-            cast_weight = _add(cast_weight, f.ratio("round_finalized", "tally_total"))
-            total_weight = _add(total_weight, f.ratio("round_finalized", "total_gov_weight"))
-    if epochs == 0:
-        raise MetricsError("cannot compute participation over an empty trace")
-    voter_fraction = len(voters) / len(lockers) if lockers else 0.0
-    mean_by_type = {
-        "gauge": (sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0
-    }
-    return ParticipationStats(
-        unique_lockers=len(lockers),
-        unique_voters=len(voters),
-        voter_fraction=voter_fraction,
-        weight_voting_fraction=_quotient(cast_weight, total_weight),
-        mean_voters_by_proposal_type=mean_by_type,
-    )
+            self.voters.update(ballots)
+            self.voters_per_round.append(len(ballots))
+            self.cast_weight = _add(self.cast_weight, f.ratio("round_finalized", "tally_total"))
+            self.total_weight = _add(self.total_weight, f.ratio("round_finalized", "total_gov_weight"))
+
+    def stats(self) -> ParticipationStats:
+        if self.epochs == 0:
+            raise MetricsError("cannot compute participation over an empty trace")
+        lockers, voters, voters_per_round = self.lockers, self.voters, self.voters_per_round
+        voter_fraction = len(voters) / len(lockers) if lockers else 0.0
+        mean_by_type = {
+            "gauge": (sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0
+        }
+        return ParticipationStats(
+            unique_lockers=len(lockers),
+            unique_voters=len(voters),
+            voter_fraction=voter_fraction,
+            weight_voting_fraction=_quotient(self.cast_weight, self.total_weight),
+            mean_voters_by_proposal_type=mean_by_type,
+        )
 
 
-def share_table(trace: SimTrace) -> ShareTable:
-    """One row per (settled round, gauge) with any bribes or votes."""
-    rows: list[ShareRow] = []
-    settled = 0
-    for f in trace.fields():
+def participation_stats(trace: SimTrace) -> ParticipationStats:
+    """Whole-trace participation counts and fractions."""
+    participation = Participation()
+    fold(trace, participation)
+    return participation.stats()
+
+
+class Shares:
+    """Fold: one share row per (settled round, gauge) with any bribes or
+    votes; ``settled`` counts the settled rounds."""
+
+    def __init__(self):
+        self.rows: list[ShareRow] = []
+        self.settled = 0
+
+    def add(self, f: Fields) -> None:
         if not f.object("settlement", default={}) or not f.object("round_finalized", default={}):
-            continue
-        settled += 1
+            return
+        self.settled += 1
         round_id = f.integer("settlement", "round")
         gauges, tally = f.at("settlement", "gauges"), f.at("round_finalized", "tally")
         # summed in trace order, as the float total has always been
         bribe_usd = {gauges.gauge_id(g): gauges.number(g, "bribe_usd", minimum=0) for g in gauges.root}
         votes = {tally.gauge_id(g): tally.ratio(g) for g in tally.root}
         bribe_total = sum(bribe_usd.values())
+        if not math.isfinite(bribe_total):
+            raise f.error("bribe_usd total overflows a float", "settlement", "gauges")
         vote_total = ZERO
         for weight in votes.values():
             vote_total = _add(vote_total, weight)
@@ -281,11 +315,19 @@ def share_table(trace: SimTrace) -> ShareTable:
             bribe_share = bribe_usd.get(gauge_id, 0.0) / bribe_total if bribe_total else 0.0
             vote_share = _quotient(votes.get(gauge_id, ZERO), vote_total)
             if bribe_share > 0 or vote_share > 0:
-                rows.append(ShareRow(round_id, gauge_id, bribe_share, vote_share))
-    if settled == 0:
-        raise MetricsError("trace has no settled rounds")
-    rows.sort(key=lambda r: (r.round_id, r.gauge_id))
-    return ShareTable(rows)
+                self.rows.append(ShareRow(round_id, gauge_id, bribe_share, vote_share))
+
+    def table(self) -> ShareTable:
+        if self.settled == 0:
+            raise MetricsError("trace has no settled rounds")
+        return ShareTable(sorted(self.rows, key=lambda r: (r.round_id, r.gauge_id)))
+
+
+def share_table(trace: SimTrace) -> ShareTable:
+    """One row per (settled round, gauge) with any bribes or votes."""
+    shares = Shares()
+    fold(trace, shares)
+    return shares.table()
 
 
 def pearson(pairs) -> float:
@@ -408,21 +450,28 @@ def settlements(trace: SimTrace) -> SettlementTable:
     return SettlementTable(rows)
 
 
-def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict[str, tuple[int, int]]):
-    """The avenue rules of ``cost_per_vote``, folded row by row into ``paid``
-    (USD spent so far, per account that has paid) and ``votes`` (exact vote
-    total so far, per account keyed in it); yields each row's epoch once the
-    row is folded.  Every vote increment is non-negative."""
-    if avenue not in AVENUES:
-        raise MetricsError(f"unknown avenue {avenue!r}; expected one of {AVENUES}")
-    lock_escrow = {"direct-lock": "base", "aggregator-lock": "governance"}.get(avenue)
-    if avenue == "aggregator-lock":
-        protocol_account = Fields(trace.header, "trace header: ").string("protocol_account")
-    for f in trace.fields():
-        if lock_escrow:
+class CostFold:
+    """Fold: the avenue rules of ``cost_per_vote`` for each of ``actors``,
+    kept as running totals: ``paid`` (USD spent so far, per account that has
+    paid) and ``votes`` (exact vote total so far, per account).  Every vote
+    increment is non-negative."""
+
+    def __init__(self, header: dict, avenue: str, actors: Iterable[str]):
+        if avenue not in AVENUES:
+            raise MetricsError(f"unknown avenue {avenue!r}; expected one of {AVENUES}")
+        self.avenue = avenue
+        self.lock_escrow = {"direct-lock": "base", "aggregator-lock": "governance"}.get(avenue)
+        if avenue == "aggregator-lock":
+            self.protocol_account = Fields(header, "trace header: ").string("protocol_account")
+        self.paid: dict[str, float] = {}
+        self.votes = dict.fromkeys(actors, ZERO)
+
+    def add(self, f: Fields) -> None:
+        avenue, paid, votes = self.avenue, self.paid, self.votes
+        if self.lock_escrow:
             for event in f.each("lock_events", default=()):
                 actor = event.string("account")
-                if actor in votes and event.string("escrow") == lock_escrow and event.integer("amount") > 0:
+                if actor in votes and event.string("escrow") == self.lock_escrow and event.integer("amount") > 0:
                     paid[actor] = paid.get(actor, 0.0) + event.number("usd_cost", minimum=0)
         if avenue == "direct-lock" and f.value("snapshot", default=None) is not None:
             weights = f.at("escrow_weights", "base")
@@ -438,7 +487,7 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
         elif avenue == "aggregator-lock" and f.object("round_finalized", default={}):
             total_num, total_den = f.ratio("round_finalized", "tally_total")
             if total_num:
-                pooled = f.at("escrow_weights", "base").ratio(protocol_account, default="0")
+                pooled = f.at("escrow_weights", "base").ratio(self.protocol_account, default="0")
                 # mass / total * pooled, reduced so the running sum stays small
                 scale_num, scale_den = pooled[0] * total_den, pooled[1] * total_num
                 for actor in f.object("round_finalized", "voter_mass", default={}):
@@ -454,7 +503,35 @@ def _cost_fold(trace: SimTrace, avenue: str, paid: dict[str, float], votes: dict
                     if actor in votes:
                         paid[actor] = paid.get(actor, 0.0) + g.number("briber_usd", actor, minimum=0)
                         votes[actor] = _add(votes[actor], g.ratio("vote_weight"))
-        yield f.integer("epoch")
+
+    def totals(self, actor: str) -> tuple[float, float, float | None]:
+        """``actor``'s totals so far as floats: (USD spent, votes acquired, USD
+        per vote, None before any vote).  A total that overflows a float, or a
+        nonzero vote total that underflows one, is a ``ScenarioError`` naming
+        the account and the avenue."""
+        spent = self.paid.get(actor, 0.0)
+        num, den = self.votes[actor]
+        try:
+            acquired = num / den
+            per_vote = spent / acquired if num else None
+        except OverflowError:
+            problem = "vote total overflows a float"
+        except ZeroDivisionError:
+            problem = "vote total underflows a float"
+        else:
+            if math.isinf(spent):
+                problem = "spend total overflows a float"
+            elif per_vote is not None and math.isinf(per_vote):
+                problem = "USD per vote overflows a float"
+            else:
+                return spent, acquired, per_vote
+        raise ScenarioError(f"trace: {actor} in avenue {self.avenue}: {problem}")
+
+    def final(self) -> dict[str, float | None]:
+        """The final USD per vote of each account that paid, in ``actors`` order
+        (None if it got no votes).  Vote totals never decrease, so this is the
+        last defined value of its ``cost_per_vote`` series."""
+        return {actor: self.totals(actor)[2] for actor in self.votes if actor in self.paid}
 
 
 def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, CostPerVoteSeries]:
@@ -468,47 +545,15 @@ def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[s
     bribe: the actor's bribe spend at settlement valuation; votes are all
     voter weight landing on the gauges the actor bribed.
     """
-    votes = dict.fromkeys(actors, ZERO)
-    paid: dict[str, float] = {}
-    rows = {actor: [] for actor in votes}
-    for epoch in _cost_fold(trace, avenue, paid, votes):
+    cost = CostFold(trace.header, avenue, actors)
+    rows = {actor: [] for actor in cost.votes}
+    # a series needs a row after every epoch, so this walks the rows itself
+    for f in trace.fields():
+        cost.add(f)
+        epoch = f.integer("epoch")
         for actor, series in rows.items():
-            series.append((epoch, *_cost_floats(avenue, actor, paid.get(actor, 0.0), votes[actor])))
-    return {actor: CostPerVoteSeries(avenue, actor, series) for actor, series in rows.items() if actor in paid}
-
-
-def final_cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, float | None]:
-    """``cost_per_vote(...)[actor].final_usd_per_vote()`` for the same accounts,
-    without the per-epoch rows: vote totals never decrease, so the last defined
-    USD per vote is the final spend over the final votes (None if no votes)."""
-    votes = dict.fromkeys(actors, ZERO)
-    paid: dict[str, float] = {}
-    for _ in _cost_fold(trace, avenue, paid, votes):
-        pass
-    return {actor: _cost_floats(avenue, actor, paid[actor], votes[actor])[2] for actor in votes if actor in paid}
-
-
-def _cost_floats(avenue: str, actor: str, spent: float, votes: tuple[int, int]) -> tuple[float, float, float | None]:
-    """One account's totals as floats: (USD spent, votes acquired, USD per vote,
-    None before any vote).  A total that overflows a float, or a nonzero vote
-    total that underflows one, is a ``ScenarioError`` naming the account and
-    the avenue."""
-    num, den = votes
-    try:
-        acquired = num / den
-        per_vote = spent / acquired if num else None
-    except OverflowError:
-        problem = "vote total overflows a float"
-    except ZeroDivisionError:
-        problem = "vote total underflows a float"
-    else:
-        if math.isinf(spent):
-            problem = "spend total overflows a float"
-        elif per_vote is not None and math.isinf(per_vote):
-            problem = "USD per vote overflows a float"
-        else:
-            return spent, acquired, per_vote
-    raise ScenarioError(f"trace: {actor} in avenue {avenue}: {problem}")
+            series.append((epoch, *cost.totals(actor)))
+    return {actor: CostPerVoteSeries(avenue, actor, series) for actor, series in rows.items() if actor in cost.paid}
 
 
 def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVoteSeries:

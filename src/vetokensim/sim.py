@@ -222,7 +222,10 @@ class World:
         rnd = self.aggregator.ensure_round(epoch)
         if epoch == rnd.open_epoch:
             self._round_votes.clear()
-        bribes = self._round_bribes_usd(rnd.round_id, epoch)
+        try:
+            bribes = self._round_bribes_usd(rnd.round_id, epoch)
+        except VeTokenSimError as exc:
+            raise SimulationError(f"epoch {epoch}: {exc}") from exc
         prev = self._prev_round_weights(rnd.round_id)
         prices_now = {t: self.prices.usd_price(t, epoch) for t in sorted(self.ledger.tokens)}
         active = tuple(self.controller.gauges)

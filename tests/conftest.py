@@ -1,9 +1,18 @@
+import contextlib
 import copy
+import io
+import json
+import time
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from vetokensim import cli
 from vetokensim.ledger import Ledger, PriceSeries, base_units
+from vetokensim.scenario import ScenarioConfig
 from vetokensim.sim import run_scenario
+from vetokensim.trace import SimTrace
 
 U = base_units
 
@@ -48,14 +57,43 @@ def make_scenario(**overrides) -> dict:
     return raw
 
 
-@pytest.fixture(scope="session")
-def randomized_1000():
-    """(config, trace) of the randomized-1000 scenario, run once per session;
-    its consumers only read the trace."""
-    from test_acceptance import _randomized_config  # it imports this module
+class RandomizedRun(NamedTuple):
+    out_dir: Path  # the --out directory: trace.ndjson and summary.json
+    config: ScenarioConfig
+    trace: SimTrace  # the in-memory trace ``run`` wrote
+    run_seconds: float  # how long ``cli.run_scenario`` took
+    stdout: str
 
-    config = _randomized_config()
-    return config, run_scenario(config)
+
+@pytest.fixture(scope="session")
+def randomized_run(tmp_path_factory):
+    """``vetokensim run`` of the randomized-1000 scenario, once per session,
+    keeping what ``cli.run_scenario`` returned; its consumers only read it."""
+    from test_acceptance import _randomized_scenario  # it imports this module
+
+    work = tmp_path_factory.mktemp("randomized")
+    scenario, out_dir = work / "scenario.json", work / "out"
+    scenario.write_text(json.dumps(_randomized_scenario()))
+    runs = []
+
+    def timed_run(config):
+        started = time.monotonic()
+        trace = run_scenario(config)
+        runs.append((config, trace, time.monotonic() - started))
+        return trace
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
+        patch.setattr(cli, "run_scenario", timed_run)
+        assert cli.main(["run", str(scenario), "--out", str(out_dir)]) == 0
+    (config, trace, seconds), = runs
+    return RandomizedRun(out_dir, config, trace, seconds, stdout.getvalue())
+
+
+@pytest.fixture(scope="session")
+def randomized_1000(randomized_run):
+    """(config, trace) of the randomized-1000 run."""
+    return randomized_run.config, randomized_run.trace
 
 
 @pytest.fixture

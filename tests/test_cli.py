@@ -10,7 +10,8 @@ from vetokensim import cli, metrics
 from vetokensim.cli import main
 from vetokensim.errors import ScenarioError
 from vetokensim.gauges import GaugeController
-from vetokensim.scenario import ScenarioConfig
+from vetokensim.scenario import ScenarioConfig, load_scenario
+from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
 from conftest import make_scenario
@@ -232,6 +233,51 @@ def test_bad_shape_exits_one(case, capsys, tmp_path):
     assert run_cli(capsys, "validate", str(path)) == (1, "", f"error: {message}\n")
 
 
+def _bribe_priced(points) -> dict:
+    """A briber that spends 1e10 USD on gauge 0 in round 0 only, with BRIBE-USD priced by ``points``."""
+    briber = {"account": "b", "strategy": "SelfPromoter",
+              "params": {"own_gauges": [0], "budget_per_round": [1e10, 0]}}
+    return {"agents": [briber], "initial_balances": [["b", "BRIBE-USD", 10**10]],
+            "price_series": {**make_scenario()["price_series"], "BRIBE-USD": points}}
+
+
+# scenario overrides -> the error of a run whose USD valuation overflows a float
+USD_BEYOND_A_FLOAT = {
+    "lock cost": (
+        {"agents": [{"account": "p", "strategy": "PassiveLocker",
+                     "params": {"lock_schedule": [{"epoch": 0, "kind": "base", "amount": 10**10, "weeks": 52}]}}],
+         "initial_balances": [["p", "CRV", 10**10]],
+         "price_series": {**make_scenario()["price_series"], "CRV": [[0, 1e300]]}},
+        f"epoch 0, agent p: USD value of {10**28} CRV base units at epoch 0 overflows a float",
+    ),
+    "open round bribes": (
+        _bribe_priced([[0, 1.0], [1, 1e300]]),
+        f"epoch 1: USD value of {10**28} BRIBE-USD base units at epoch 1 overflows a float",
+    ),
+    "settlement": (
+        _bribe_priced([[0, 1.0], [2, 1e300]]),
+        f"epoch 2, round 0: USD value of {10**28} BRIBE-USD base units at epoch 2 overflows a float",
+    ),
+    # two bribes on one gauge in two tokens, each worth 1e308 USD
+    "settlement total": (
+        {"agents": [{"account": f"b{i}", "strategy": "SelfPromoter",
+                     "params": {"own_gauges": [0], "budget_per_round": [1e308, 0], "bribe_token": token}}
+                    for i, token in enumerate(["BRIBE-USD", "CVX"])],
+         "initial_balances": [["b0", "BRIBE-USD", 10**309], ["b1", "CVX", 10**309]]},
+        "epoch 2, round 0: gauge 0 bribe_usd overflows a float",
+    ),
+    # 1e300 USD over the weight of one base unit of CVX
+    "settlement usd per vote": (
+        {"agents": [{"account": "f", "strategy": "BribeFollowerGreedy",
+                     "params": {"lock_schedule": [{"epoch": 0, "kind": "gov", "amount": "1e-18", "weeks": 16}]}},
+                    {"account": "b", "strategy": "SelfPromoter",
+                     "params": {"own_gauges": [0], "budget_per_round": [1e300, 0]}}],
+         "initial_balances": [["f", "CVX", "1e-18"], ["b", "BRIBE-USD", 10**301]]},
+        "epoch 2, round 0: gauge 0 usd_per_vote overflows a float",
+    ),
+}
+
+
 class TestRun:
     def test_outputs_exist(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -318,6 +364,31 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path), "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.startswith("error: epoch 1, agent e: equilibrium level inf is out of range")
+
+    def test_summary_walks_the_trace_once(self):
+        class CountedRows:
+            def __init__(self, rows):
+                self.rows, self.walks = rows, 0
+
+            def __iter__(self):
+                self.walks += 1
+                return iter(self.rows)
+
+        config = load_scenario("paper-mature")
+        trace = run_scenario(config)
+        rows = CountedRows(trace.rows)
+        assert cli._summarize(config, SimTrace(trace.header, rows)) == cli._summarize(config, trace)
+        assert rows.walks == 1
+
+    @pytest.mark.parametrize("case", sorted(USD_BEYOND_A_FLOAT))
+    def test_usd_value_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
+        overrides, problem = USD_BEYOND_A_FLOAT[case]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(make_scenario(horizon_epochs=3, **overrides)))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", str(path), "--out", str(out))
+        assert (code, err) == (2, f"error: {problem}\n")
+        assert not (out / "trace.ndjson").exists()
 
 
 class TestReport:
@@ -438,6 +509,22 @@ def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp
     code, _, err = run_cli(capsys, "report", str(path), "--metric", "snapshots", "--out", str(tmp_path / "s.csv"))
     assert code == 1
     assert err.startswith(f"error: {path}:4: {problem}")
+
+
+def test_share_table_bribe_total_beyond_a_float_exits_one(mature_trace, capsys, tmp_path):
+    # each gauge's bribe_usd is a float, but their total is not
+    header, *lines = open(mature_trace, encoding="utf-8").read().splitlines()
+    rows = [json.loads(line) for line in lines]
+    first = next(row for row in rows if row["settlement"])
+    for gauge in first["settlement"]["gauges"].values():
+        gauge["bribe_usd"] = 1.5e308
+    path = tmp_path / "trace.ndjson"
+    path.write_text("".join(line + "\n" for line in [header, *map(json.dumps, rows)]))
+    out = tmp_path / "shares.csv"
+    result = run_cli(capsys, "report", str(path), "--metric", "share_table", "--out", str(out))
+    problem = "settlement.gauges: bribe_usd total overflows a float"
+    assert result == (1, "", f"error: trace epoch {first['epoch']}: {problem}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -638,7 +725,10 @@ def test_cost_beyond_a_float_exits_one(case, fmt, capsys, tmp_path):
     assert not out.exists()
     # the run summary's fold shares the check
     with pytest.raises(ScenarioError, match=problem):
-        metrics.final_cost_per_vote(SimTrace.read_ndjson(str(path)), "bribe", ["b"])
+        trace = SimTrace.read_ndjson(str(path))
+        cost = metrics.CostFold(trace.header, "bribe", ["b"])
+        metrics.fold(trace, cost)
+        cost.final()
 
 
 class TestUsage:

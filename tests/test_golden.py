@@ -16,7 +16,6 @@ from vetokensim.scenario import load_scenario, scenario_from_dict
 from vetokensim.sim import run_scenario
 
 from conftest import make_scenario
-from test_acceptance import _randomized_scenario
 
 GOLDEN = {
     "paper-mature": "6a78d72a89f10d40",
@@ -130,16 +129,12 @@ def run_digests(raw: dict, tmp_path) -> tuple[str, str]:
     return file_digest(tmp_path / "out" / "summary.json"), hashlib.sha256(stdout.encode()).hexdigest()[:16]
 
 
-@pytest.fixture(scope="module")
-def randomized_run(tmp_path_factory):
-    """``vetokensim run`` of randomized-1000: 24 accounts, with costs per vote in all three avenues."""
-    out = tmp_path_factory.mktemp("randomized")
-    return out, run_digests(_randomized_scenario(), out)
-
-
 def test_randomized_1000_run_digests(randomized_run):
-    _, digests = randomized_run
-    assert digests == ("6ad710951299c72e", "4aa08564955bd28c")
+    # randomized-1000 has 24 accounts, with costs per vote in all three avenues
+    out = randomized_run.out_dir
+    stdout = randomized_run.stdout.replace(str(out), "OUT")
+    assert file_digest(out / "summary.json") == "6ad710951299c72e"
+    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == "4aa08564955bd28c"
 
 
 # cost_per_vote CSV for one paying account per avenue on the randomized-1000 trace
@@ -152,10 +147,9 @@ RANDOMIZED_COST_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(RANDOMIZED_COST_GOLDEN), ids=" ".join)
 def test_randomized_1000_cost_per_vote_digest(case, randomized_run, tmp_path):
-    out_dir, _ = randomized_run
     actor, avenue = case
     out = tmp_path / "cost.csv"
-    trace = str(out_dir / "out" / "trace.ndjson")
+    trace = str(randomized_run.out_dir / "trace.ndjson")
     assert main(["report", trace, "--metric", "cost_per_vote", "--actor", actor, "--avenue", avenue,
                  "--out", str(out)]) == 0
     assert file_digest(out) == RANDOMIZED_COST_GOLDEN[case]

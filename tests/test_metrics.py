@@ -424,16 +424,23 @@ def scenario_traces(randomized_1000):
     return [(config, run_scenario(config)) for config in configs] + [randomized_1000]
 
 
+def final_cost_per_vote(trace, avenue, accounts) -> dict:
+    """``CostFold.final()`` after one pass of ``trace``."""
+    cost = metrics.CostFold(trace.header, avenue, accounts)
+    metrics.fold(trace, cost)
+    return cost.final()
+
+
 @pytest.mark.parametrize("avenue", metrics.AVENUES)
 def test_final_cost_per_vote_is_the_last_series_value(avenue, scenario_traces):
     for config, trace in scenario_traces:
         accounts = [spec.account for spec in config.agents]
         series = metrics.cost_per_vote(trace, avenue, accounts)
-        final = metrics.final_cost_per_vote(trace, avenue, accounts)
+        final = final_cost_per_vote(trace, avenue, accounts)
         assert list(final) == list(series)
         assert final == {account: rows.final_usd_per_vote() for account, rows in series.items()}
     # every avenue has paying accounts in at least one of the traces
-    assert any(metrics.final_cost_per_vote(trace, avenue, [spec.account for spec in config.agents])
+    assert any(final_cost_per_vote(trace, avenue, [spec.account for spec in config.agents])
                for config, trace in scenario_traces)
 
 

@@ -16,6 +16,7 @@ from vetokensim.scenario import load_scenario, packaged_scenarios
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
+from test_metrics import final_cost_per_vote
 from test_mutation import REPORT_ARGS  # every --metric, with frax active in each avenue
 
 
@@ -40,7 +41,7 @@ def _report_args(config, trace) -> list[list[str]]:
     args = [[metric] for metric in REPORTS if metric != "cost_per_vote"]
     accounts = [spec.account for spec in config.agents]
     for avenue in metrics.AVENUES:
-        paid = sorted(metrics.final_cost_per_vote(trace, avenue, accounts))
+        paid = sorted(final_cost_per_vote(trace, avenue, accounts))
         if paid:
             args.append(["cost_per_vote", "--actor", paid[0], "--avenue", avenue])
     return args
