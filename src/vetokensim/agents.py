@@ -254,8 +254,11 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
         else:
             base_added += entry.amount * max(0, unlock - obs.epoch)
 
-    gov_weight = obs.own_gov_weight_at_close + gov_added / (obs.gov_max_lock_weeks * ONE)
-    base_weight = obs.own_base_weight + base_added / (obs.base_max_lock_weeks * ONE)
+    try:
+        gov_weight = obs.own_gov_weight_at_close + gov_added / (obs.gov_max_lock_weeks * ONE)
+        base_weight = obs.own_base_weight + base_added / (obs.base_max_lock_weeks * ONE)
+    except OverflowError:
+        raise AgentError("the weight of its new locks overflows a float") from None
 
     if spec.strategy == "PassiveLocker":
         return actions

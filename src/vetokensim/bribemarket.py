@@ -116,6 +116,9 @@ class BribeMarket:
                     voters_by_gauge.setdefault(gauge_id, {})[voter] = cut
         for gauge_id in sorted(settlement.gauges):
             self._settle_gauge(rnd, gauge_id, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}))
+        # the share table sums the round's bribe_usd in gauge order, as here
+        if not math.isfinite(sum(gs.bribe_usd for _, gs in sorted(settlement.gauges.items()))):
+            raise PriceError("the round's bribe_usd total overflows a float")
         self.settled.add(round_id)
         return settlement
 

@@ -181,7 +181,11 @@ class PriceSeries:
 
     def usd_value(self, token: str, amount: int, epoch: int) -> float:
         check_amount(amount)
-        value = (amount / ONE) * self.usd_price(token, epoch)
+        price = self.usd_price(token, epoch)
+        try:
+            value = (amount / ONE) * price
+        except OverflowError:  # the token quantity alone is past the float range
+            value = math.inf
         if not math.isfinite(value):
             raise PriceError(f"USD value of {amount} {token} base units at epoch {epoch} overflows a float")
         return value

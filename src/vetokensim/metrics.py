@@ -302,8 +302,9 @@ class Shares:
         self.settled += 1
         round_id = f.integer("settlement", "round")
         gauges, tally = f.at("settlement", "gauges"), f.at("round_finalized", "tally")
-        # summed in trace order, as the float total has always been
-        bribe_usd = {gauges.gauge_id(g): gauges.number(g, "bribe_usd", minimum=0) for g in gauges.root}
+        # summed in gauge-id order, so a row read from a file, whose keys are in
+        # string order ("10" < "2"), gives the float total of the in-memory row
+        bribe_usd = {gauge_id: gauges.number(g, "bribe_usd", minimum=0) for gauge_id, g in gauges.gauge_items()}
         votes = {tally.gauge_id(g): tally.ratio(g) for g in tally.root}
         bribe_total = sum(bribe_usd.values())
         if not math.isfinite(bribe_total):
@@ -497,7 +498,8 @@ class CostFold:
                         common = math.gcd(num, den)
                         votes[actor] = _add(votes[actor], (num // common, den // common))
         elif avenue == "bribe" and f.object("settlement", default={}):
-            for gauge in f.object("settlement", "gauges"):
+            # in gauge-id order, so the float spend totals do not depend on the key order
+            for _, gauge in f.gauge_items("settlement", "gauges"):
                 g = f.at("settlement", "gauges", gauge)
                 for actor in g.object("briber_usd"):
                     if actor in votes:

@@ -26,15 +26,25 @@ from .escrow import Escrow
 from .gauges import EmissionSchedule, GaugeController
 from .ledger import Ledger, PriceSeries
 from .scenario import ScenarioConfig
-from .trace import SimTrace, _ratio_str
+from .trace import FORMAT_VERSION, SimTrace, _ratio_str
 
 
 def _weight_strs(escrow: Escrow, epoch: int) -> dict[str, str]:
+    """Each lock's weight at ``epoch`` as a trace ratio.  Every weight the loop
+    and the trace readers turn into a float (an agent's own weight, a round's
+    tally and totals, a gauge's vote weight) is at most the total at its epoch
+    or an earlier one, so a total that a float cannot hold ends the run here."""
     den = escrow.weight_denominator
-    return {a: _ratio_str(escrow.weight_numerator(a, epoch), den) for a in sorted(escrow.locks)}
+    accounts = sorted(escrow.locks)
+    nums = [escrow.weight_numerator(a, epoch) for a in accounts]
+    try:
+        sum(nums) / den
+    except OverflowError:
+        raise SimulationError(f"epoch {epoch}: the {escrow.config.token} weight total overflows a float") from None
+    return {a: _ratio_str(num, den) for a, num in zip(accounts, nums)}
 
 
-def _shared(memo: dict, key: tuple, build) -> dict:
+def _shared(memo: dict, key: tuple, build):
     """``build(key)``, built once per ``key`` in ``memo``: most rows repeat the row before."""
     entry = memo.get(key)
     if entry is None:
@@ -44,18 +54,6 @@ def _shared(memo: dict, key: tuple, build) -> dict:
 
 def _lock_entry(key: tuple) -> dict:
     return dict(zip(("amount", "unlock_epoch", "created_epoch"), key))
-
-
-def _ballot_entry(key: tuple) -> dict:
-    return {str(g): bps for g, bps in key}
-
-
-def _vote_entry(key: tuple) -> dict:
-    kind, account, round_id, allocation = key
-    entry = {"account": account, "kind": kind, "round": round_id, "allocation": [list(p) for p in allocation]}
-    if kind == "base_vote":  # a base vote belongs to no round
-        del entry["round"]
-    return entry
 
 
 def _noise_seed(seed: int, account: str, round_id: int) -> int:
@@ -99,14 +97,19 @@ class World:
         for gauge in config.gauges:
             self.controller.add_gauge(gauge.lp_accounts)
         self.agents = list(config.agents)  # already sorted by account
-        # row entries by value (lock, ballot and base-vote keys never compare
-        # equal); a meta vote names its round, so it is kept while that is open
-        self._entries: dict[tuple, dict] = {}
+        # each gauge's trace key, by gauge id: ``str(g)`` builds a new string on every call
+        self._gauge_keys = [str(g) for g in self.controller.gauges]
+        # row entries by value; the keys of a lock (three ints), a ballot (its
+        # sorted pairs), a pair (two ints), an allocation ("allocation", pairs)
+        # and a base vote ("base_vote", ...) never compare equal.  A meta vote
+        # names its round, so it is kept only while that round is open.
+        self._entries: dict[tuple, dict | list] = {}
         self._round_votes: dict[tuple, dict] = {}
+        self._last_totals: dict[str, dict] = {}  # the last row's token_totals, to share unchanged entries
 
     def header(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "scenario_name": self.config.name,
             "config_digest": self.config.digest(),
             "rng_seed": self.config.rng_seed,
@@ -119,7 +122,7 @@ class World:
             "wrapper_token": self.config.aggregator.wrapper_token,
             "protocol_account": self.config.aggregator.protocol_account,
             "bribe_escrow_account": self.config.bribe_escrow_account,
-            "gauges": {str(g): spec.name for g, spec in enumerate(self.config.gauges)},
+            "gauges": dict(zip(self._gauge_keys, (spec.name for spec in self.config.gauges))),
         }
 
     # -- observations ---------------------------------------------------------
@@ -207,11 +210,11 @@ class World:
         elif isinstance(action, MetaVoteAction):
             self.aggregator.cast_meta_vote(spec.account, rnd.round_id, list(action.allocation), epoch)
             key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
-            row_events["actions"].append(_shared(self._round_votes, key, _vote_entry))
+            row_events["actions"].append(_shared(self._round_votes, key, self._vote_entry))
         elif isinstance(action, BaseVoteAction):
             self.controller.vote_for_gauge_weights(spec.account, list(action.allocation), epoch)
             key = ("base_vote", spec.account, None, action.allocation)
-            row_events["actions"].append(_shared(self._entries, key, _vote_entry))
+            row_events["actions"].append(_shared(self._entries, key, self._vote_entry))
         else:
             raise SimulationError(f"unknown action type {type(action).__name__}")
 
@@ -243,6 +246,11 @@ class World:
                     self._apply(spec, action, epoch, rnd, row_events)
             except VeTokenSimError as exc:
                 raise SimulationError(f"epoch {epoch}, agent {spec.account}: {exc}") from exc
+        # the epoch's locks are final: check their weights before a round divides them
+        escrow_weights = {
+            "base": _weight_strs(self.base_escrow, epoch),
+            "governance": _weight_strs(self.aggregator.gov_escrow, epoch),
+        }
 
         finalized_row = None
         settlement_row = None
@@ -267,12 +275,14 @@ class World:
                 emission_events = self.controller.distribute_emissions(epoch)
             except VeTokenSimError as exc:
                 raise SimulationError(f"epoch {epoch}: {exc}") from exc
+            keys = self._gauge_keys
             per_gauge: dict[str, int] = {}
             for gauge_id, _, amount in emission_events:
-                per_gauge[str(gauge_id)] = per_gauge.get(str(gauge_id), 0) + amount
+                key = keys[gauge_id]
+                per_gauge[key] = per_gauge.get(key, 0) + amount
             total = sum(weights.values()) or 1  # no weight anywhere: every gauge reads "0"
             snapshot_row = {
-                "relative_weights": {str(g): _ratio_str(n, total) for g, n in sorted(weights.items())},
+                "relative_weights": {keys[g]: _ratio_str(n, total) for g, n in sorted(weights.items())},
                 "emissions": per_gauge,
                 "emission_total": sum(per_gauge.values()),
             }
@@ -281,58 +291,89 @@ class World:
             token_totals = self.ledger.assert_conservation()
         except LedgerError as exc:
             raise SimulationError(f"epoch {epoch}: {exc}") from exc
-        return self._row(epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row, token_totals)
+        return self._row(
+            epoch, rnd, row_events, escrow_weights, finalized_row, settlement_row, snapshot_row, token_totals
+        )
+
+    # -- row entries, each built once per distinct value (see ``_entries``) ------
+
+    def _ballot_entry(self, key: tuple) -> dict:
+        """The trace ballot ``{gauge key: bps}`` of an allocation's sorted ``(gauge, bps)`` pairs."""
+        keys = self._gauge_keys
+        return {keys[g]: bps for g, bps in key}
+
+    def _allocation_entry(self, key: tuple) -> list:
+        entries = self._entries
+        return [_shared(entries, pair, list) for pair in key[1]]
+
+    def _vote_entry(self, key: tuple) -> dict:
+        kind, account, round_id, allocation = key
+        entry = {
+            "account": account,
+            "kind": kind,
+            "round": round_id,
+            "allocation": _shared(self._entries, ("allocation", allocation), self._allocation_entry),
+        }
+        if kind == "base_vote":  # a base vote belongs to no round
+            del entry["round"]
+        return entry
 
     def _finalized_row(self, rnd) -> dict:
+        keys, entries, ballot = self._gauge_keys, self._entries, self._ballot_entry
         weight_den, cut_den = rnd.weight_den, rnd.cut_den
+        tally = sorted(rnd.tally_num.items())
         tally_total = sum(rnd.tally_num.values())
         return {
             "round": rnd.round_id,
             "open_epoch": rnd.open_epoch,
             "close_epoch": rnd.close_epoch,
-            "ballots": {v: {str(g): bps for g, bps in sorted(b.items())} for v, b in sorted(rnd.ballots.items())},
+            "ballots": {v: _shared(entries, tuple(sorted(b.items())), ballot) for v, b in sorted(rnd.ballots.items())},
             "counted_weight": {v: _ratio_str(n, weight_den) for v, n in sorted(rnd.counted_num.items())},
             "voter_mass": {
                 v: _ratio_str(sum(per.values()), cut_den) for v, per in sorted(rnd.voter_gauge_num.items())
             },
-            "tally": {str(g): _ratio_str(n, cut_den) for g, n in sorted(rnd.tally_num.items())},
+            "tally": {keys[g]: _ratio_str(n, cut_den) for g, n in tally},
             "tally_total": _ratio_str(tally_total, cut_den),
             "total_gov_weight": _ratio_str(rnd.total_gov_num, weight_den),
-            "result": {str(g): _ratio_str(n, tally_total) for g, n in sorted(rnd.tally_num.items())},
+            "result": {keys[g]: _ratio_str(n, tally_total) for g, n in tally},
             "base_allocation": (
-                {str(g): bps for g, bps in sorted(rnd.base_allocation.items())}
-                if rnd.base_allocation
-                else None
+                _shared(entries, tuple(sorted(rnd.base_allocation.items())), ballot) if rnd.base_allocation else None
             ),
         }
 
     def _settlement_row(self, settlement, cut_den: int) -> dict:
+        keys = self._gauge_keys
         gauges = {}
         for gauge_id, gs in sorted(settlement.gauges.items()):
-            gauges[str(gauge_id)] = {
+            # the settlement builds ``briber_usd`` in briber order and each
+            # voter's or briber's token dict in token order; the row holds them
+            gauges[keys[gauge_id]] = {
                 "deposits": dict(sorted(gs.deposits.items())),
                 "bribe_usd": gs.bribe_usd,
-                "briber_usd": dict(sorted(gs.briber_usd.items())),
+                "briber_usd": gs.briber_usd,
                 "vote_weight": _ratio_str(gs.vote_num, cut_den),
                 "usd_per_vote": gs.usd_per_vote,
-                "payouts": {v: dict(sorted(t.items())) for v, t in sorted(gs.payouts.items())},
-                "refunds": {b: dict(sorted(t.items())) for b, t in sorted(gs.refunds.items())},
+                "payouts": {v: gs.payouts[v] for v in sorted(gs.payouts)},
+                "refunds": {b: gs.refunds[b] for b in sorted(gs.refunds)},
             }
         return {"round": settlement.round_id, "close_epoch": settlement.close_epoch, "gauges": gauges}
 
-    def _row(self, epoch, rnd, row_events, finalized_row, settlement_row, snapshot_row, token_totals) -> dict:
+    def _row(
+        self, epoch, rnd, row_events, escrow_weights, finalized_row, settlement_row, snapshot_row, token_totals
+    ) -> dict:
         gov_escrow = self.aggregator.gov_escrow
-        entries = self._entries
+        entries, ballot = self._entries, self._ballot_entry
+        last = self._last_totals
+        token_totals = self._last_totals = {
+            token: last[token] if last.get(token) == sums else sums for token, sums in token_totals.items()
+        }
         return {
             "type": "epoch",
             "epoch": epoch,
             "round_id": rnd.round_id,
             "ledger_digest": self.ledger.digest(),
             "token_totals": token_totals,
-            "escrow_weights": {
-                "base": _weight_strs(self.base_escrow, epoch),
-                "governance": _weight_strs(gov_escrow, epoch),
-            },
+            "escrow_weights": escrow_weights,
             "locks": {
                 label: {
                     a: _shared(entries, (l.amount, l.unlock_epoch, l.created_epoch), _lock_entry)
@@ -341,7 +382,7 @@ class World:
                 for label, escrow in (("base", self.base_escrow), ("governance", gov_escrow))
             },
             "base_votes": {
-                a: _shared(entries, tuple(sorted(alloc.items())), _ballot_entry)
+                a: _shared(entries, tuple(sorted(alloc.items())), ballot)
                 for a, alloc in sorted(self.controller.allocations.items())
             },
             "lock_events": row_events["lock_events"],

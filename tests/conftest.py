@@ -57,6 +57,19 @@ def make_scenario(**overrides) -> dict:
     return raw
 
 
+def write_trace(path, rows, **header) -> None:
+    """Write ``rows``, which hold only the fields a test needs, as a trace file
+    the reader takes: a header with ``format_version`` 1, ``protocol_account``
+    "agg" (both unless given) and ``horizon_epochs`` one past the last row's
+    epoch, then a row per epoch, a bare ``{"epoch": n}`` where ``rows`` has
+    none.  Each row keeps its epoch, so an error still names it."""
+    by_epoch = {row["epoch"]: row for row in rows}
+    horizon = max(by_epoch) + 1
+    lines = [{"type": "header", "format_version": 1, "protocol_account": "agg", "horizon_epochs": horizon, **header}]
+    lines += [by_epoch.get(epoch, {"epoch": epoch}) for epoch in range(horizon)]
+    Path(path).write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
 class RandomizedRun(NamedTuple):
     out_dir: Path  # the --out directory: trace.ndjson and summary.json
     config: ScenarioConfig

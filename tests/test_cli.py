@@ -14,7 +14,7 @@ from vetokensim.scenario import ScenarioConfig, load_scenario
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
-from conftest import make_scenario
+from conftest import make_scenario, write_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -275,6 +275,61 @@ USD_BEYOND_A_FLOAT = {
          "initial_balances": [["f", "CVX", "1e-18"], ["b", "BRIBE-USD", 10**301]]},
         "epoch 2, round 0: gauge 0 usd_per_vote overflows a float",
     ),
+    # each gauge's bribe_usd is 1e308, their sum is not a float
+    "settlement round total": (
+        {"agents": [{"account": f"b{g}", "strategy": "SelfPromoter",
+                     "params": {"own_gauges": [g], "budget_per_round": 1e308}} for g in (0, 1)],
+         "initial_balances": [["b0", "BRIBE-USD", 10**9], ["b1", "BRIBE-USD", 10**9]],
+         "price_series": {**make_scenario()["price_series"], "BRIBE-USD": [[0, 1e300]]},
+         "gauges": [{"name": f"g{g}", "lp_accounts": [[f"lp{g}", 10000]]} for g in (0, 1)]},
+        "epoch 2, round 0: the round's bribe_usd total overflows a float",
+    ),
+}
+
+
+def _locker(token: str, *locks, account="u", strategy="PassiveLocker", **params) -> dict:
+    """An agent holding 3 * 10**308 ``token`` with the ``(epoch, kind, amount, weeks)`` locks."""
+    schedule = [dict(zip(("epoch", "kind", "amount", "weeks"), lock)) for lock in locks]
+    return {"agents": [{"account": account, "strategy": strategy, "params": {"lock_schedule": schedule, **params}}],
+            "initial_balances": [[account, token, 3 * 10**308]]}
+
+
+def _voters(*lockers) -> dict:
+    """The agents and balances of ``lockers``, each voting all its governance weight for gauge 0."""
+    parts = [_locker("CVX", *locks, account=account, strategy="FixedAllocator", allocation=[[0, 10000]])
+             for account, locks in lockers]
+    return {key: [entry for part in parts for entry in part[key]] for key in ("agents", "initial_balances")}
+
+
+def _bribed(overrides: dict) -> dict:
+    """``overrides`` plus a briber b who bribes gauge 0 with 1 USD in round 0."""
+    briber = {"account": "b", "strategy": "SelfPromoter", "params": {"own_gauges": [0], "budget_per_round": [1.0, 0]}}
+    return {"agents": [briber, *overrides["agents"]],
+            "initial_balances": [["b", "BRIBE-USD", 10], *overrides["initial_balances"]]}
+
+
+# scenario overrides -> the error of a run whose lock weight a float cannot hold
+LOCK_BEYOND_A_FLOAT = {
+    "base lock": (_locker("CRV", (0, "base", 2 * 10**308, 208)),
+                  "epoch 0, agent u: the weight of its new locks overflows a float"),
+    "governance lock": (_locker("CVX", (0, "gov", 3 * 10**308, 16)),
+                        "epoch 0, agent u: the weight of its new locks overflows a float"),
+    # its weight, 2e308 * 14/16, is a float; its token count is not
+    "governance lock cost": (_locker("CVX", (0, "gov", 2 * 10**308, 16)),
+                             f"epoch 0, agent u: USD value of {2 * 10**326} CVX base units at epoch 0 overflows a float"),
+    # each lock's weight is a float, the weight of both is not
+    "base lock grown": (_locker("CRV", (0, "base", 10**308, 208), (1, "base", 10**308, 208)),
+                        "epoch 1: the CRV weight total overflows a float"),
+    "governance lock grown": (_locker("CVX", (0, "gov", 10**308, 16), (1, "gov", 10**308, 16)),
+                              "epoch 1: the CVX weight total overflows a float"),
+    "two voters' governance locks": (_voters(("v0", [(0, "gov", 11 * 10**307, 16)]),
+                                             ("v1", [(0, "gov", 11 * 10**307, 16)])),
+                                     "epoch 0: the CVX weight total overflows a float"),
+    # the lock added at the close epoch raises the round's vote weight past a float
+    "governance lock grown at the close": (
+        _bribed(_voters(("v", [(0, "gov", 10**308, 16), (2, "gov", 9 * 10**307, 16)]))),
+        "epoch 2: the CVX weight total overflows a float",
+    ),
 }
 
 
@@ -380,15 +435,22 @@ class TestRun:
         assert cli._summarize(config, SimTrace(trace.header, rows)) == cli._summarize(config, trace)
         assert rows.walks == 1
 
-    @pytest.mark.parametrize("case", sorted(USD_BEYOND_A_FLOAT))
-    def test_usd_value_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
-        overrides, problem = USD_BEYOND_A_FLOAT[case]
+    @staticmethod
+    def _exits_two_before_the_trace(capsys, tmp_path, overrides: dict, problem: str) -> None:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(make_scenario(horizon_epochs=3, **overrides)))
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "run", str(path), "--out", str(out))
         assert (code, err) == (2, f"error: {problem}\n")
         assert not (out / "trace.ndjson").exists()
+
+    @pytest.mark.parametrize("case", sorted(USD_BEYOND_A_FLOAT))
+    def test_usd_value_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
+        self._exits_two_before_the_trace(capsys, tmp_path, *USD_BEYOND_A_FLOAT[case])
+
+    @pytest.mark.parametrize("case", sorted(LOCK_BEYOND_A_FLOAT))
+    def test_lock_weight_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
+        self._exits_two_before_the_trace(capsys, tmp_path, *LOCK_BEYOND_A_FLOAT[case])
 
 
 class TestReport:
@@ -504,7 +566,7 @@ def test_report_outcome(case, mature_trace, capsys, tmp_path):
 )
 def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp_path):
     path = tmp_path / "trace.ndjson"
-    header, first, *_ = open(mature_trace, encoding="utf-8").read().splitlines()
+    header, first, *_ = Path(mature_trace).read_text(encoding="utf-8").splitlines()
     path.write_text(f"{header}\n{first}\n\n{line}\n")
     code, _, err = run_cli(capsys, "report", str(path), "--metric", "snapshots", "--out", str(tmp_path / "s.csv"))
     assert code == 1
@@ -513,7 +575,7 @@ def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp
 
 def test_share_table_bribe_total_beyond_a_float_exits_one(mature_trace, capsys, tmp_path):
     # each gauge's bribe_usd is a float, but their total is not
-    header, *lines = open(mature_trace, encoding="utf-8").read().splitlines()
+    header, *lines = Path(mature_trace).read_text(encoding="utf-8").splitlines()
     rows = [json.loads(line) for line in lines]
     first = next(row for row in rows if row["settlement"])
     for gauge in first["settlement"]["gauges"].values():
@@ -690,7 +752,7 @@ BAD_TRACE_FIELDS = {
 def test_bad_trace_field_exits_one(case, capsys, tmp_path):
     row, metric_args, problem = BAD_TRACE_FIELDS[case]
     path = tmp_path / "trace.ndjson"
-    path.write_text(json.dumps({"type": "header", "protocol_account": "agg"}) + "\n" + json.dumps(row) + "\n")
+    write_trace(path, [row])
     out = tmp_path / "export.csv"
     result = run_cli(capsys, "report", str(path), "--metric", *metric_args.split(), "--out", str(out))
     assert result == (1, "", f"error: trace {problem}\n")
@@ -713,11 +775,9 @@ COST_BEYOND_A_FLOAT = {
 def test_cost_beyond_a_float_exits_one(case, fmt, capsys, tmp_path):
     usd, vote_weight, problem = COST_BEYOND_A_FLOAT[case]
     gauges = {"0": {"briber_usd": {"b": usd}, "vote_weight": vote_weight}}
-    rows = [{"type": "header", "protocol_account": "agg"}] + [
-        {"epoch": epoch, "settlement": {"round": epoch, "gauges": gauges}} for epoch in (1, 2)
-    ]
+    rows = [{"epoch": epoch, "settlement": {"round": epoch, "gauges": gauges}} for epoch in (1, 2)]
     path = tmp_path / "trace.ndjson"
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    write_trace(path, rows)
     out = tmp_path / f"export.{fmt}"
     result = run_cli(capsys, "report", str(path), "--metric", "cost_per_vote", "--actor", "b", "--avenue", "bribe",
                      "--out", str(out), "--format", fmt)

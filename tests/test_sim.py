@@ -229,8 +229,9 @@ def _entries(rows):
 
 
 class TestSharedEntries:
-    """Rows are read-only, so a run hands each distinct lock entry, base ballot
-    and vote entry to every row that holds it as one object."""
+    """Rows are read-only, so a run hands each distinct lock entry, ballot,
+    vote entry, ``[gauge, bps]`` pair, allocation list, gauge key and unchanged
+    ``token_totals`` entry to every row that holds it as one object."""
 
     @pytest.fixture(scope="class")
     def frax(self):
@@ -261,6 +262,47 @@ class TestSharedEntries:
     def test_rows_hold_only_json_types(self, frax):
         # a tuple would dump as a list and compare unequal after the round trip
         assert json.loads(json.dumps(frax.rows)) == frax.rows
+
+    def test_repeated_leaf_values_are_one_object(self, randomized_1000):
+        _, trace = randomized_1000
+        assert len(trace.header["gauges"]) >= 11  # two-digit gauge keys too
+        first: dict = {}
+        seen = Counter()
+
+        def one(kind, value):
+            seen[kind] += 1
+            assert first.setdefault((kind, json.dumps(value, sort_keys=True)), value) is value, kind
+
+        last_totals: dict = {}
+        for row in trace.rows:
+            for action in row["actions"]:
+                one("allocation", action["allocation"])
+                for pair in action["allocation"]:
+                    one("pair", pair)
+            finalized, settlement, snapshot = row["round_finalized"], row["settlement"], row["snapshot"]
+            ballots, by_gauge = list(row["base_votes"].values()), []
+            if finalized:
+                ballots += finalized["ballots"].values()
+                if finalized["base_allocation"] is not None:
+                    ballots.append(finalized["base_allocation"])
+                by_gauge += [finalized["tally"], finalized["result"]]
+            if settlement:
+                by_gauge.append(settlement["gauges"])
+            if snapshot:
+                by_gauge += [snapshot["relative_weights"], snapshot["emissions"]]
+            for ballot in ballots:
+                one("ballot", ballot)
+            for gauge_key in (key for mapping in ballots + by_gauge for key in mapping):
+                one("gauge key", gauge_key)
+            for token, sums in row["token_totals"].items():
+                if last_totals.get(token) == sums:
+                    assert last_totals[token] is sums, (row["epoch"], token)
+                    seen["unchanged totals"] += 1
+            last_totals = row["token_totals"]
+        distinct = Counter(kind for kind, _ in first)
+        assert all(seen[kind] > distinct[kind] > 0 for kind in ("allocation", "pair", "ballot", "gauge key"))
+        assert seen["unchanged totals"] > 0
+        assert json.loads(json.dumps(trace.rows)) == trace.rows
 
     def test_one_lock_entry_object_per_lock_state(self, randomized_1000):
         _, trace = randomized_1000

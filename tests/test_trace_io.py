@@ -6,6 +6,7 @@ import argparse
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from vetokensim.scenario import load_scenario, packaged_scenarios
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
-from test_metrics import final_cost_per_vote
+from test_metrics import epoch_row, final_cost_per_vote, finalized
 from test_mutation import REPORT_ARGS  # every --metric, with frax active in each avenue
 
 
@@ -93,7 +94,7 @@ def test_streamed_settlements_hold_one_row(written):
 
 def _lines(written) -> list[str]:
     _, _, path = written["paper-mature"]
-    return open(path, encoding="utf-8").read().splitlines()
+    return Path(path).read_text(encoding="utf-8").splitlines()
 
 
 # trace file -> (line named in the error, its problem)
@@ -122,7 +123,7 @@ def test_misplaced_header_exits_one(case, written, tmp_path, capsys):
 @pytest.mark.parametrize("argv", REPORT_ARGS, ids=" ".join)
 def test_malformed_last_line_exits_one_and_writes_nothing(argv, written, tmp_path, capsys):
     _, _, source = written["frax-three-avenues"]
-    lines = open(source, encoding="utf-8").read().splitlines()
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
     path, out = tmp_path / "trace.ndjson", tmp_path / "export.csv"
     path.write_text("\n".join(lines[:-1] + ['{"epoch": ']) + "\n")
     assert main(["report", str(path), "--metric", *argv, "--out", str(out)]) == 1
@@ -141,3 +142,63 @@ def test_rows_are_parsed_as_the_pass_reaches_them(written, tmp_path):
         for row in trace:
             seen.append(row)
     assert seen == [json.loads(rows[0])]
+
+
+def _with(line: str, **changes) -> str:
+    """A trace line with ``changes`` made to its record."""
+    return json.dumps({**json.loads(line), **changes})
+
+
+# a paper-mature trace (53 rows) changed by ``build(header, rows)`` -> (line
+# named in the error, or None for the end of the file, and the problem)
+STRICT_CASES = {
+    "format version 99": (lambda header, rows: [_with(header, format_version=99)] + rows, 1,
+                          "format_version: expected format version 1, got 99"),
+    "format version '1'": (lambda header, rows: [_with(header, format_version="1")] + rows, 1,
+                           "format_version: expected format version 1, got '1'"),
+    "no horizon": (lambda header, rows: [_with(header, horizon_epochs=None)] + rows, 1,
+                   "horizon_epochs: expected an integer, got None"),
+    "row 9 repeated": (lambda header, rows: [header] + rows[:10] + [rows[9]] + rows[10:], 12,
+                       "a second row for epoch 9"),
+    "row 5 left out": (lambda header, rows: [header] + rows[:5] + rows[6:], 7,
+                       "no row for epoch 5: the next row is epoch 6"),
+    "cut to 39 rows": (lambda header, rows: [header] + rows[:39], None,
+                       "no row for epoch 39: the trace ends before horizon_epochs 53"),
+    "one row past the horizon": (lambda header, rows: [_with(header, horizon_epochs=52)] + rows, 54,
+                                 "epoch 52 is past horizon_epochs 52"),
+    "epoch not an integer": (lambda header, rows: [header, rows[0], _with(rows[1], epoch="1")] + rows[2:], 3,
+                             "epoch: expected epoch 1, got '1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_trace_the_writer_cannot_produce_exits_one(case, written, tmp_path, capsys):
+    build, lineno, problem = STRICT_CASES[case]
+    header, *rows = _lines(written)
+    path, out = tmp_path / "trace.ndjson", tmp_path / "export.csv"
+    path.write_text("".join(line + "\n" for line in build(header, rows)))
+    assert main(["report", str(path), "--metric", "participation", "--out", str(out)]) == 1
+    where = f"{path}:{lineno}" if lineno else f"{path}"
+    assert capsys.readouterr().err == f"error: {where}: {problem}\n"
+    assert not out.exists()
+
+
+def test_bribe_totals_do_not_depend_on_the_key_order(tmp_path):
+    # in memory the gauges come in id order (2, 10, 11); the file sorts their
+    # keys as strings ("10", "11", "2"), and 0.1 + 0.2 + 0.3 != 0.2 + 0.3 + 0.1
+    gauges = {g: {"bribe_usd": usd, "briber_usd": {"b": usd}, "vote_weight": "1", "usd_per_vote": usd}
+              for g, usd in (("2", 0.1), ("10", 0.2), ("11", 0.3))}
+    row = epoch_row(0, settlement={"round": 0, "close_epoch": 2, "gauges": gauges},
+                    round_finalized=finalized(0, {"2": "1", "10": "1", "11": "1"}))
+    in_memory = SimTrace({"format_version": 1, "horizon_epochs": 1, "protocol_account": "agg"}, [row])
+    path = tmp_path / "trace.ndjson"
+    in_memory.write_ndjson(str(path))
+    from_file = SimTrace.read_ndjson(str(path))
+    assert list(from_file) == [row]
+    assert metrics.share_table(from_file) == metrics.share_table(in_memory)
+    totals = []
+    for trace in (in_memory, from_file):
+        cost = metrics.CostFold(trace.header, "bribe", ["b"])
+        metrics.fold(trace, cost)
+        totals.append(cost.totals("b"))
+    assert totals[0] == totals[1]
