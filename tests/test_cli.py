@@ -315,8 +315,10 @@ LOCK_BEYOND_A_FLOAT = {
     "governance lock": (_locker("CVX", (0, "gov", 3 * 10**308, 16)),
                         "epoch 0, agent u: the weight of its new locks overflows a float"),
     # its weight, 2e308 * 14/16, is a float; its token count is not
-    "governance lock cost": (_locker("CVX", (0, "gov", 2 * 10**308, 16)),
-                             f"epoch 0, agent u: USD value of {2 * 10**326} CVX base units at epoch 0 overflows a float"),
+    "governance lock cost": (
+        _locker("CVX", (0, "gov", 2 * 10**308, 16)),
+        f"epoch 0, agent u: USD value of {2 * 10**326} CVX base units at epoch 0 overflows a float",
+    ),
     # each lock's weight is a float, the weight of both is not
     "base lock grown": (_locker("CRV", (0, "base", 10**308, 208), (1, "base", 10**308, 208)),
                         "epoch 1: the CRV weight total overflows a float"),
