@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import metrics
-from .errors import ScenarioError, VeTokenSimError
+from .errors import ScenarioError, SimulationError, VeTokenSimError
 from .scenario import MAX_SEED, load_scenario, packaged_scenarios
 from .sim import run_scenario
 from .trace import SimTrace
@@ -81,11 +81,11 @@ def _build_parser() -> _Parser:
 
 
 def _parse_round_range(text: str) -> tuple[int, int]:
-    try:
-        start, _, end = text.partition("..")
-        lo, hi = int(start), int(end)
-    except ValueError:
-        raise _UsageError(f"--round expects A..B, got {text!r}") from None
+    start, _, end = text.partition("..")
+    # ASCII digits only: ``int`` would also take "1_0", " 1", "+1" and "١"
+    if not all(side.isascii() and side.isdigit() for side in (start, end)):
+        raise _UsageError(f"--round expects A..B, got {text!r}")
+    lo, hi = int(start), int(end)
     if hi < lo:
         raise _UsageError(f"--round range {text!r} is empty")
     return lo, hi
@@ -170,11 +170,16 @@ def _cmd_run(args) -> int:
             raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
         config.rng_seed = args.seed
     trace = run_scenario(config)
+    try:
+        summary = _summarize(config, trace)
+    except ScenarioError as exc:
+        # the run's own rows are not input: a total they cannot hold is a
+        # runtime error, found before anything is written
+        raise SimulationError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.ndjson")
     summary_path = os.path.join(args.out, "summary.json")
     trace.write_ndjson(trace_path)
-    summary = _summarize(config, trace)
     with open(summary_path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -188,6 +193,9 @@ def _cmd_report(args) -> int:
     round_keyed, source, derive = REPORTS[args.metric]
     if args.metric == "cost_per_vote" and not (args.actor and args.avenue):
         raise _UsageError("cost_per_vote needs --actor and --avenue")
+    for flag, value in (("--actor", args.actor), ("--avenue", args.avenue)):
+        if args.metric != "cost_per_vote" and value is not None:
+            raise _UsageError(f"{flag} does not apply to {args.metric}")
     if round_range and not round_keyed:
         note = " (epoch-keyed)" if args.metric == "snapshots" else ""
         raise _UsageError(f"--round does not apply to {args.metric}{note}")

@@ -1,23 +1,22 @@
 """Analysis of simulation traces: participation, bribe/vote shares,
-correlation, outlier classes, share-difference matrices, and cost per vote
-by acquisition avenue (one pass per avenue for any number of accounts).
+correlation, outlier classes, share-difference matrices, gauge snapshot, round
+result and settlement extracts, and cost per vote by acquisition avenue.
 
-Every function here is a pure read of an immutable trace in one pass over its
-rows, through the typed reader ``scenario.Fields``; a trace read from a file
-parses each row as the pass reaches it.  The readers the run summary needs are
-folds: an object whose ``add(f)`` takes one row's ``Fields``, in trace order,
-and whose result method (``Participation.stats``, ``Shares.table``,
-``CostFold.final``) answers once every row is in.  ``fold(trace, *folds)``
-walks the rows once and feeds each row to every fold, so any number of folds
-share one pass; ``participation_stats``, ``share_table`` and ``cost_per_vote``
-each drive one fold.  Weight-typed trace fields arrive as exact
-``n`` or ``n/d`` strings; they are read as ``(num, den)`` int pairs, summed
-exactly, and turned into a float by one int/int division, which is correctly
-rounded.  A missing field, a malformed ratio (or one above the largest float),
-a field of the wrong type or a float total that overflows is a
-``ScenarioError`` naming the epoch and the field path.  Every result is a
-``Table`` whose one column schema drives both the CSV and the JSON export,
-with fixed decimal formatting (10 significant digits) so repeated exports are
+Every trace reader here is a fold: an object whose ``add(f)`` takes one row's
+``Fields`` (``scenario``'s typed reader), in trace order, and whose result
+answers once every row is in: ``Participation.stats``, ``Shares.table``,
+``CostFold.final``, ``CostSeries.series``, or the extract table itself
+(``SnapshotTable``, ``RoundResultTable``, ``SettlementTable``).  ``fold(trace,
+*folds)`` is the one walk over a trace's rows: it feeds each row to every fold,
+so folds share one pass, and a trace read from a file parses each row as the
+pass reaches it; each report function drives one fold.  Weight-typed trace
+fields arrive as exact ``n`` or ``n/d`` strings; they are read as ``(num, den)``
+int pairs, summed exactly, and turned into a float by one int/int division,
+which is correctly rounded.  A missing field, a malformed ratio (or one above
+the largest float), a field of the wrong type or a float total that overflows
+is a ``ScenarioError`` naming the epoch and the field path.  Every result is a
+``Table`` whose one column schema drives both the CSV and the JSON export, with
+fixed decimal formatting (10 significant digits) so repeated exports are
 byte-identical.
 """
 
@@ -192,21 +191,37 @@ class OutlierTable(Table):
 
 
 class SnapshotTable(Table):
-    """Weekly gauge snapshot extract."""
+    """Weekly gauge snapshot extract; a fold whose result is its own rows."""
 
     rows: list[tuple[int, int, float, int]]
     COLUMNS = (("epoch", int), ("gauge_id", int), ("relative_weight", float), ("emission", int))
 
+    def add(self, f: Fields) -> None:
+        if f.object("snapshot", default={}):
+            epoch = f.integer("epoch")
+            emissions = f.at("snapshot", "emissions", default={})
+            for gauge_id, gauge in f.gauge_items("snapshot", "relative_weights"):
+                num, den = f.ratio("snapshot", "relative_weights", gauge)
+                self.rows.append((epoch, gauge_id, num / den, emissions.integer(gauge, default=0)))
+
 
 class RoundResultTable(Table):
-    """Meta-round result extract."""
+    """Meta-round result extract; a fold whose result is its own rows."""
 
     rows: list[tuple[int, int, float, int]]
     COLUMNS = (("round_id", int), ("gauge_id", int), ("meta_share", float), ("base_bps", int))
 
+    def add(self, f: Fields) -> None:
+        if f.object("round_finalized", default={}):
+            base = f.at("round_finalized", "base_allocation", default={})
+            round_id = f.integer("round_finalized", "round")
+            for gauge_id, gauge in f.gauge_items("round_finalized", "result"):
+                num, den = f.ratio("round_finalized", "result", gauge)
+                self.rows.append((round_id, gauge_id, num / den, base.integer(gauge, default=0)))
+
 
 class SettlementTable(Table):
-    """Bribe settlement extract."""
+    """Bribe settlement extract; a fold whose result is its own rows."""
 
     rows: list[tuple[int, int, float, float, float | None]]
     COLUMNS = (
@@ -216,6 +231,15 @@ class SettlementTable(Table):
         ("vote_weight", float),
         ("usd_per_vote", float),
     )
+
+    def add(self, f: Fields) -> None:
+        if f.object("settlement", default={}):
+            round_id = f.integer("settlement", "round")
+            for gauge_id, gauge in f.gauge_items("settlement", "gauges"):
+                g = f.at("settlement", "gauges", gauge)
+                bribe_usd, (num, den) = g.number("bribe_usd", minimum=0), g.ratio("vote_weight")
+                usd_per_vote = g.number("usd_per_vote", null=True, minimum=0)
+                self.rows.append((round_id, gauge_id, bribe_usd, num / den, usd_per_vote))
 
 
 class Correlation(Table):
@@ -240,6 +264,11 @@ def fold(trace: SimTrace, *folds) -> None:
     for f in trace.fields():
         for each in folds:
             each.add(f)
+
+
+def _read(trace: SimTrace, reader):
+    fold(trace, reader)  # ``reader`` after one pass of ``trace``
+    return reader
 
 
 class Participation:
@@ -283,9 +312,7 @@ class Participation:
 
 def participation_stats(trace: SimTrace) -> ParticipationStats:
     """Whole-trace participation counts and fractions."""
-    participation = Participation()
-    fold(trace, participation)
-    return participation.stats()
+    return _read(trace, Participation()).stats()
 
 
 class Shares:
@@ -326,9 +353,7 @@ class Shares:
 
 def share_table(trace: SimTrace) -> ShareTable:
     """One row per (settled round, gauge) with any bribes or votes."""
-    shares = Shares()
-    fold(trace, shares)
-    return shares.table()
+    return _read(trace, Shares()).table()
 
 
 def pearson(pairs) -> float:
@@ -412,50 +437,27 @@ def diff_matrix(table: ShareTable) -> DiffMatrix:
 
 
 def gauge_snapshots(trace: SimTrace) -> SnapshotTable:
-    rows = []
-    for f in trace.fields():
-        if not f.object("snapshot", default={}):
-            continue
-        epoch = f.integer("epoch")
-        emissions = f.at("snapshot", "emissions", default={})
-        for gauge_id, gauge in f.gauge_items("snapshot", "relative_weights"):
-            num, den = f.ratio("snapshot", "relative_weights", gauge)
-            rows.append((epoch, gauge_id, num / den, emissions.integer(gauge, default=0)))
-    return SnapshotTable(rows)
+    return _read(trace, SnapshotTable([]))
 
 
 def round_results(trace: SimTrace) -> RoundResultTable:
-    rows = []
-    for f in trace.fields():
-        if not f.object("round_finalized", default={}):
-            continue
-        base = f.at("round_finalized", "base_allocation", default={})
-        round_id = f.integer("round_finalized", "round")
-        for gauge_id, gauge in f.gauge_items("round_finalized", "result"):
-            num, den = f.ratio("round_finalized", "result", gauge)
-            rows.append((round_id, gauge_id, num / den, base.integer(gauge, default=0)))
-    return RoundResultTable(rows)
+    return _read(trace, RoundResultTable([]))
 
 
 def settlements(trace: SimTrace) -> SettlementTable:
-    rows = []
-    for f in trace.fields():
-        if not f.object("settlement", default={}):
-            continue
-        round_id = f.integer("settlement", "round")
-        for gauge_id, gauge in f.gauge_items("settlement", "gauges"):
-            g = f.at("settlement", "gauges", gauge)
-            bribe_usd, (num, den) = g.number("bribe_usd", minimum=0), g.ratio("vote_weight")
-            usd_per_vote = g.number("usd_per_vote", null=True, minimum=0)
-            rows.append((round_id, gauge_id, bribe_usd, num / den, usd_per_vote))
-    return SettlementTable(rows)
+    return _read(trace, SettlementTable([]))
 
 
 class CostFold:
-    """Fold: the avenue rules of ``cost_per_vote`` for each of ``actors``,
-    kept as running totals: ``paid`` (USD spent so far, per account that has
-    paid) and ``votes`` (exact vote total so far, per account).  Every vote
-    increment is non-negative."""
+    """Fold: the acquisition cost and votes of each of ``actors`` in ``avenue``,
+    as running totals: ``paid`` (USD so far, per account that has paid) and
+    ``votes`` (exact vote total so far, per account; no increment is negative).
+    direct-lock: base-escrow lock cost at lock-time prices; votes are the
+    actor's base weight exercised at each snapshot (scaled by allocated bps).
+    aggregator-lock: governance-escrow lock cost; votes are the actor's share
+    of each round's ballot mass times the pooled base weight at close.
+    bribe: the actor's bribe spend at settlement valuation; votes are all
+    voter weight landing on the gauges the actor bribed."""
 
     def __init__(self, header: dict, avenue: str, actors: Iterable[str]):
         if avenue not in AVENUES:
@@ -532,35 +534,33 @@ class CostFold:
     def final(self) -> dict[str, float | None]:
         """The final USD per vote of each account that paid, in ``actors`` order
         (None if it got no votes).  Vote totals never decrease, so this is the
-        last defined value of its ``cost_per_vote`` series."""
+        last defined value of its ``CostSeries`` series."""
         return {actor: self.totals(actor)[2] for actor in self.votes if actor in self.paid}
 
 
-def cost_per_vote(trace: SimTrace, avenue: str, actors: Iterable[str]) -> dict[str, CostPerVoteSeries]:
-    """Cumulative acquisition cost against cumulative votes, one row per epoch,
-    in one pass, for each of ``actors`` that ever paid in ``avenue``.
+class CostSeries(CostFold):
+    """Fold: ``CostFold`` that keeps each account's totals after every row, one
+    row per epoch; ``series()`` gives the series of each account that paid, in
+    ``actors`` order."""
 
-    direct-lock: base-escrow lock cost at lock-time prices; votes are the
-    actor's base weight exercised at each snapshot (scaled by allocated bps).
-    aggregator-lock: governance-escrow lock cost; votes are the actor's share
-    of each round's ballot mass times the pooled base weight at close.
-    bribe: the actor's bribe spend at settlement valuation; votes are all
-    voter weight landing on the gauges the actor bribed.
-    """
-    cost = CostFold(trace.header, avenue, actors)
-    rows = {actor: [] for actor in cost.votes}
-    # a series needs a row after every epoch, so this walks the rows itself
-    for f in trace.fields():
-        cost.add(f)
+    def __init__(self, header: dict, avenue: str, actors: Iterable[str]):
+        super().__init__(header, avenue, actors)
+        self.rows: dict[str, list] = {actor: [] for actor in self.votes}
+
+    def add(self, f: Fields) -> None:
+        super().add(f)
         epoch = f.integer("epoch")
-        for actor, series in rows.items():
-            series.append((epoch, *cost.totals(actor)))
-    return {actor: CostPerVoteSeries(avenue, actor, series) for actor, series in rows.items() if actor in cost.paid}
+        for actor, rows in self.rows.items():
+            rows.append((epoch, *self.totals(actor)))
+
+    def series(self) -> dict[str, CostPerVoteSeries]:
+        return {actor: CostPerVoteSeries(self.avenue, actor, rows)
+                for actor, rows in self.rows.items() if actor in self.paid}
 
 
 def cost_per_vote_series(trace: SimTrace, actor: str, avenue: str) -> CostPerVoteSeries:
-    """One account's ``cost_per_vote``; an account never active in the avenue is an error."""
-    series = cost_per_vote(trace, avenue, [actor]).get(actor)
+    """One account's cost per vote series; an account never active in the avenue is an error."""
+    series = _read(trace, CostSeries(trace.header, avenue, [actor])).series().get(actor)
     if series is None:
         raise MetricsError(f"account {actor} was never active in avenue {avenue}")
     return series

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -335,6 +336,38 @@ LOCK_BEYOND_A_FLOAT = {
 }
 
 
+# scenario overrides -> the error of a run whose summary a float cannot hold;
+# every round's value is a float, the total of one account's rounds is not
+SPEND_BEYOND_A_FLOAT = {
+    "bribe": ({"agents": [{"account": "b", "strategy": "SelfPromoter",
+                           "params": {"own_gauges": [0], "budget_per_round": 1e308}}],
+               "initial_balances": [["b", "BRIBE-USD", 10**309]]},
+              "trace: b in avenue bribe: spend total overflows a float"),
+    # two base locks of 10**18 CRV at 1e290 USD each
+    "direct-lock": ({**_locker("CRV", (0, "base", 10**18, 208), (1, "base", 10**18, 208)),
+                     "price_series": {**make_scenario()["price_series"], "CRV": [[0, 1e290]]}},
+                    "trace: u in avenue direct-lock: spend total overflows a float"),
+}
+
+
+class CountedRows:
+    """Trace rows that count how often they are walked."""
+
+    def __init__(self, rows):
+        self.rows, self.walks = rows, 0
+
+    def __iter__(self):
+        self.walks += 1
+        return iter(self.rows)
+
+
+@pytest.fixture(scope="module")
+def mature_run():
+    """(config, in-memory trace) of paper-mature."""
+    config = load_scenario("paper-mature")
+    return config, run_scenario(config)
+
+
 class TestRun:
     def test_outputs_exist(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -422,29 +455,21 @@ class TestRun:
         assert code == 2
         assert err.startswith("error: epoch 1, agent e: equilibrium level inf is out of range")
 
-    def test_summary_walks_the_trace_once(self):
-        class CountedRows:
-            def __init__(self, rows):
-                self.rows, self.walks = rows, 0
-
-            def __iter__(self):
-                self.walks += 1
-                return iter(self.rows)
-
-        config = load_scenario("paper-mature")
-        trace = run_scenario(config)
+    def test_summary_walks_the_trace_once(self, mature_run):
+        config, trace = mature_run
         rows = CountedRows(trace.rows)
         assert cli._summarize(config, SimTrace(trace.header, rows)) == cli._summarize(config, trace)
         assert rows.walks == 1
 
     @staticmethod
-    def _exits_two_before_the_trace(capsys, tmp_path, overrides: dict, problem: str) -> None:
+    def _exits_two_before_the_trace(capsys, tmp_path, overrides: dict, problem: str, horizon: int = 3) -> None:
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(make_scenario(horizon_epochs=3, **overrides)))
+        path.write_text(json.dumps(make_scenario(horizon_epochs=horizon, **overrides)))
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "run", str(path), "--out", str(out))
         assert (code, err) == (2, f"error: {problem}\n")
         assert not (out / "trace.ndjson").exists()
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("case", sorted(USD_BEYOND_A_FLOAT))
     def test_usd_value_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
@@ -453,6 +478,10 @@ class TestRun:
     @pytest.mark.parametrize("case", sorted(LOCK_BEYOND_A_FLOAT))
     def test_lock_weight_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
         self._exits_two_before_the_trace(capsys, tmp_path, *LOCK_BEYOND_A_FLOAT[case])
+
+    @pytest.mark.parametrize("case", sorted(SPEND_BEYOND_A_FLOAT))
+    def test_spend_total_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):
+        self._exits_two_before_the_trace(capsys, tmp_path, *SPEND_BEYOND_A_FLOAT[case], horizon=5)
 
 
 class TestReport:
@@ -508,12 +537,24 @@ class TestReport:
 @pytest.mark.parametrize(
     "args,message",
     [("cost_per_vote", "cost_per_vote needs --actor and --avenue"),
-     ("snapshots --round 0..1", "--round does not apply to snapshots (epoch-keyed)")],
+     ("snapshots --round 0..1", "--round does not apply to snapshots (epoch-keyed)"),
+     ("share_table --actor b --avenue bribe", "--actor does not apply to share_table"),
+     ("snapshots --avenue direct-lock", "--avenue does not apply to snapshots")],
 )
 def test_report_usage_is_checked_before_the_trace_is_read(args, message, capsys, tmp_path):
     missing = tmp_path / "missing.ndjson"
     result = run_cli(capsys, "report", str(missing), "--metric", *args.split(), "--out", str(tmp_path / "o.csv"))
     assert result == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("metric", list(cli.REPORTS))
+def test_report_walks_the_trace_once(metric, mature_run):
+    _, trace = mature_run
+    _, source, _ = cli.REPORTS[metric]
+    args = argparse.Namespace(actor="briber-frax", avenue="bribe")
+    rows = CountedRows(trace.rows)
+    assert source(SimTrace(trace.header, rows), args) == source(trace, args)
+    assert rows.walks == 1
 
 
 @pytest.fixture(scope="module")
@@ -550,6 +591,14 @@ REPORT_OUTCOMES = {
     ),
     "round_results --round 900..901 --format json": (0, "", '{\n  "rows": []\n}\n'),
 }
+
+
+@pytest.mark.parametrize("bounds", ["1_0..20", " 1..2", "+1..2", "-1..2", "\u0661..\u0662"])
+def test_round_bounds_take_only_ascii_digits(bounds, mature_trace, capsys, tmp_path):
+    out = tmp_path / "export.csv"
+    result = run_cli(capsys, "report", mature_trace, "--metric", "share_table", f"--round={bounds}", "--out", str(out))
+    assert result == (1, "", f"error: --round expects A..B, got {bounds!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_OUTCOMES))

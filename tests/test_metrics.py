@@ -349,6 +349,13 @@ def bribe_trace():
     return make_trace(rows)
 
 
+def cost_series(trace, avenue, accounts) -> dict:
+    """``CostSeries.series()`` after one pass of ``trace``."""
+    series = metrics.CostSeries(trace.header, avenue, accounts)
+    metrics.fold(trace, series)
+    return series.series()
+
+
 class TestCostPerVote:
     def test_direct_lock_amortization(self):
         # the series is 0.4, 0.2, 0.1333..., 0.1 and ends at ten cents per vote
@@ -389,7 +396,7 @@ class TestCostPerVote:
         with pytest.raises(MetricsError):
             metrics.cost_per_vote_series(make_trace([epoch_row(0)]), "frax", "osmosis")
         with pytest.raises(MetricsError, match="unknown avenue 'osmosis'"):
-            metrics.cost_per_vote(make_trace([epoch_row(0)]), "osmosis", ["frax"])
+            metrics.CostSeries(make_trace([epoch_row(0)]).header, "osmosis", ["frax"])
 
     @pytest.mark.parametrize(
         "trace,avenue,final",
@@ -403,7 +410,7 @@ class TestCostPerVote:
     )
     def test_many_accounts_match_one_account_calls(self, trace, avenue, final):
         trace = trace()
-        many = metrics.cost_per_vote(trace, avenue, ["lurker", "curve", "ghost", "frax"])
+        many = cost_series(trace, avenue, ["lurker", "curve", "ghost", "frax"])
         assert list(many) == ["curve", "frax"]  # the order asked for, active accounts only
         for account, series in many.items():
             assert series == metrics.cost_per_vote_series(trace, account, avenue)
@@ -411,8 +418,8 @@ class TestCostPerVote:
 
     def test_never_active_accounts_are_absent(self):
         trace = direct_lock_trace()
-        assert metrics.cost_per_vote(trace, "direct-lock", ["lurker", "ghost"]) == {}
-        assert metrics.cost_per_vote(trace, "aggregator-lock", ["frax", "curve"]) == {}
+        assert cost_series(trace, "direct-lock", ["lurker", "ghost"]) == {}
+        assert cost_series(trace, "aggregator-lock", ["frax", "curve"]) == {}
         with pytest.raises(MetricsError, match="account lurker was never active in avenue direct-lock"):
             metrics.cost_per_vote_series(trace, "lurker", "direct-lock")
 
@@ -435,7 +442,7 @@ def final_cost_per_vote(trace, avenue, accounts) -> dict:
 def test_final_cost_per_vote_is_the_last_series_value(avenue, scenario_traces):
     for config, trace in scenario_traces:
         accounts = [spec.account for spec in config.agents]
-        series = metrics.cost_per_vote(trace, avenue, accounts)
+        series = cost_series(trace, avenue, accounts)
         final = final_cost_per_vote(trace, avenue, accounts)
         assert list(final) == list(series)
         assert final == {account: rows.final_usd_per_vote() for account, rows in series.items()}
