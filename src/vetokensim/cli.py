@@ -168,7 +168,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         if not 0 <= args.seed <= MAX_SEED:
             raise _UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
-        config.rng_seed = args.seed
+        config = config._replace(rng_seed=args.seed)
     trace = run_scenario(config)
     try:
         summary = _summarize(config, trace)

@@ -118,8 +118,8 @@ class Escrow:
 
         A lock that has ended is withdrawn first, so the new lock holds only
         ``amount``.  An open lock keeps the later of its own and the asked-for
-        unlock epoch, since a schedule may lag an earlier extension.  Returns the account's lock, or None when it has none and
-        ``amount`` is 0.
+        unlock epoch, since a schedule may lag an earlier extension.  Returns
+        the account's lock, or None when it has none and ``amount`` is 0.
         """
         lock = self.locks.get(account)
         if lock is not None and now >= lock.unlock_epoch:

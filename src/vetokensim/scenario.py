@@ -35,52 +35,34 @@ class AggregatorParams(NamedTuple):
     gov_token: str
 
 
-class ScenarioConfig:
-    def __init__(self, name: str, horizon_epochs: int, rng_seed: int, tokens: tuple[Token, ...],
-                 price_series: dict[str, tuple[tuple[int, float], ...]],
-                 initial_balances: tuple[tuple[str, str, int], ...],
-                 base_escrow: EscrowConfig, gov_escrow: EscrowConfig, aggregator: AggregatorParams,
-                 gauges: tuple[GaugeSpec, ...], emission_schedule: tuple[tuple[int, int, int], ...],
-                 agents: tuple[AgentSpec, ...], round_length: int, base_snapshot_cadence: int,
-                 contract_accounts: tuple[str, ...], bribe_escrow_account: str, bootstrap_rounds: int,
-                 description: str):
-        self.name = name
-        self.horizon_epochs = horizon_epochs
-        self.rng_seed = rng_seed
-        self.tokens = tokens
-        self.price_series = price_series
-        self.initial_balances = initial_balances
-        self.base_escrow = base_escrow
-        self.gov_escrow = gov_escrow
-        self.aggregator = aggregator
-        self.gauges = gauges
-        self.emission_schedule = emission_schedule
-        self.agents = agents
-        self.round_length = round_length
-        self.base_snapshot_cadence = base_snapshot_cadence
-        self.contract_accounts = contract_accounts
-        self.bribe_escrow_account = bribe_escrow_account
-        self.bootstrap_rounds = bootstrap_rounds
-        self.description = description
+class ScenarioConfig(NamedTuple):
+    name: str
+    description: str
+    horizon_epochs: int
+    round_length: int
+    base_snapshot_cadence: int
+    rng_seed: int
+    bootstrap_rounds: int
+    tokens: tuple[Token, ...]
+    price_series: dict[str, tuple[tuple[int, float], ...]]
+    initial_balances: tuple[tuple[str, str, int], ...]
+    contract_accounts: tuple[str, ...]
+    base_escrow: EscrowConfig
+    gov_escrow: EscrowConfig
+    aggregator: AggregatorParams
+    bribe_escrow_account: str
+    gauges: tuple[GaugeSpec, ...]
+    emission_schedule: tuple[tuple[int, int, int], ...]
+    agents: tuple[AgentSpec, ...]
 
     def to_dict(self) -> dict:
-        """The config as JSON-ready values (tuples dump as lists): what ``digest`` hashes."""
+        """Every field as JSON-ready values (tuples dump as lists): what ``digest`` hashes."""
         return {
-            "name": self.name,
-            "description": self.description,
-            "horizon_epochs": self.horizon_epochs,
-            "round_length": self.round_length,
-            "base_snapshot_cadence": self.base_snapshot_cadence,
-            "rng_seed": self.rng_seed,
-            "bootstrap_rounds": self.bootstrap_rounds,
+            **self._asdict(),
             "tokens": [t._asdict() for t in self.tokens],
-            "price_series": self.price_series,
-            "initial_balances": self.initial_balances,
-            "contract_accounts": self.contract_accounts,
             "base_escrow": self.base_escrow._asdict(),
             "gov_escrow": self.gov_escrow._asdict(),
             "aggregator": self.aggregator._asdict(),
-            "bribe_escrow_account": self.bribe_escrow_account,
             "gauges": [g._asdict() for g in self.gauges],
             "emission_schedule": [
                 {"start": s, "end": e, "per_week": w} for s, e, w in self.emission_schedule
@@ -281,12 +263,19 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         "base": (base_escrow.min_lock_weeks, base_escrow.max_lock_weeks),
         "gov": (gov_escrow.min_lock_weeks, gov_escrow.max_lock_weeks),
     }
+    bribe_escrow_account = f.string("bribe_escrow_account", default="bribe-market-escrow")
+    system_accounts = {
+        aggregator.protocol_account: "the aggregator's protocol account",
+        bribe_escrow_account: "the bribe escrow account",
+    }
     agents = []
     seen_accounts: set[str] = set()
     for entry in f.each("agents", default=[]):
         spec = _parse_agent(entry, seen_tokens, len(gauges), bounds)
         if spec.account in seen_accounts:
             raise entry.error(f"duplicate account {spec.account}", "account")
+        if spec.account in system_accounts:
+            raise entry.error(f"{spec.account} is {system_accounts[spec.account]}", "account")
         seen_accounts.add(spec.account)
         agents.append(spec)
 
@@ -307,7 +296,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         base_escrow=base_escrow,
         gov_escrow=gov_escrow,
         aggregator=aggregator,
-        bribe_escrow_account=f.string("bribe_escrow_account", default="bribe-market-escrow"),
+        bribe_escrow_account=bribe_escrow_account,
         gauges=tuple(gauges),
         emission_schedule=tuple(emissions),
         agents=tuple(sorted(agents, key=lambda a: a.account)),
@@ -470,10 +459,13 @@ class Fields:
         return value
 
     def gauge_id(self, *path) -> int:
-        """The gauge-id key that ends ``path``, as an int."""
-        if not (path[-1].isascii() and path[-1].isdigit()):
-            raise self.error(f"expected a gauge id, got {path[-1]!r}", *path)
-        return int(path[-1])
+        """The gauge-id key that ends ``path``, as an int.  Only canonical
+        decimal (``str(g)``, as the trace writes it) reads, so "07" is not a
+        second key for gauge 7."""
+        key = path[-1]
+        if not (key.isascii() and key.isdigit()) or key[0] == "0" and key != "0":
+            raise self.error(f"expected a gauge id, got {key!r}", *path)
+        return int(key)
 
     def gauge_items(self, *path, default=_REQUIRED) -> list[tuple[int, str]]:
         """``(gauge id, key)`` per key of the object at ``path``, by gauge id."""

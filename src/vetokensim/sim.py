@@ -21,7 +21,7 @@ from .agents import (
     decide,
 )
 from .bribemarket import BribeMarket
-from .errors import LedgerError, SimulationError, VeTokenSimError
+from .errors import SimulationError, VeTokenSimError
 from .escrow import Escrow
 from .gauges import EmissionSchedule, GaugeController
 from .ledger import Ledger, PriceSeries
@@ -40,7 +40,7 @@ def _weight_strs(escrow: Escrow, epoch: int) -> dict[str, str]:
     try:
         sum(nums) / den
     except OverflowError:
-        raise SimulationError(f"epoch {epoch}: the {escrow.config.token} weight total overflows a float") from None
+        raise SimulationError(f"the {escrow.config.token} weight total overflows a float") from None
     return {a: _ratio_str(num, den) for a, num in zip(accounts, nums)}
 
 
@@ -221,79 +221,71 @@ class World:
     # -- one epoch -----------------------------------------------------------------
 
     def step(self, epoch: int) -> dict:
-        self.aggregator.refresh_max_lock(epoch)
-        rnd = self.aggregator.ensure_round(epoch)
-        if epoch == rnd.open_epoch:
-            self._round_votes.clear()
+        where = f"epoch {epoch}"  # the phase running now: a failure names it
         try:
+            self.aggregator.refresh_max_lock(epoch)
+            rnd = self.aggregator.ensure_round(epoch)
+            if epoch == rnd.open_epoch:
+                self._round_votes.clear()
             bribes = self._round_bribes_usd(rnd.round_id, epoch)
-        except VeTokenSimError as exc:
-            raise SimulationError(f"epoch {epoch}: {exc}") from exc
-        prev = self._prev_round_weights(rnd.round_id)
-        prices_now = {t: self.prices.usd_price(t, epoch) for t in sorted(self.ledger.tokens)}
-        active = tuple(self.controller.gauges)
-        row_events = {
-            "lock_events": [],
-            "deposit_events": [],
-            "bribe_events": [],
-            "actions": [],
-        }
-        for spec in self.agents:
-            obs = self._observation(spec, epoch, rnd, bribes, prev, prices_now, active)
-            try:
-                actions = decide(spec, obs)
-                for action in actions:
+            prev = self._prev_round_weights(rnd.round_id)
+            prices_now = {t: self.prices.usd_price(t, epoch) for t in sorted(self.ledger.tokens)}
+            active = tuple(self.controller.gauges)
+            row_events = {
+                "lock_events": [],
+                "deposit_events": [],
+                "bribe_events": [],
+                "actions": [],
+            }
+            for spec in self.agents:
+                where = f"epoch {epoch}, agent {spec.account}"
+                obs = self._observation(spec, epoch, rnd, bribes, prev, prices_now, active)
+                for action in decide(spec, obs):
                     self._apply(spec, action, epoch, rnd, row_events)
-            except VeTokenSimError as exc:
-                raise SimulationError(f"epoch {epoch}, agent {spec.account}: {exc}") from exc
-        # the epoch's locks are final: check their weights before a round divides them
-        escrow_weights = {
-            "base": _weight_strs(self.base_escrow, epoch),
-            "governance": _weight_strs(self.aggregator.gov_escrow, epoch),
-        }
-
-        finalized_row = None
-        settlement_row = None
-        if epoch > 0 and epoch % self.config.round_length == 0:
-            closing_id = epoch // self.config.round_length - 1
-            closing = self.aggregator.rounds.get(closing_id)
-            if closing is not None and not closing.finalized:
-                try:
-                    self.aggregator.finalize_round(closing_id, epoch)
-                    settlement = self.market.settle_round(closing_id)
-                except VeTokenSimError as exc:
-                    raise SimulationError(f"epoch {epoch}, round {closing_id}: {exc}") from exc
-                finalized_row = self._finalized_row(closing)
-                settlement_row = self._settlement_row(settlement, closing.cut_den)
-                # from here on the loop reads only the open round and the one before it
-                self.aggregator.rounds.pop(closing_id - 1, None)
-
-        snapshot_row = None
-        if epoch % self.config.base_snapshot_cadence == 0:
-            weights = self.controller.take_snapshot(epoch)
-            try:
-                emission_events = self.controller.distribute_emissions(epoch)
-            except VeTokenSimError as exc:
-                raise SimulationError(f"epoch {epoch}: {exc}") from exc
-            keys = self._gauge_keys
-            per_gauge: dict[str, int] = {}
-            for gauge_id, _, amount in emission_events:
-                key = keys[gauge_id]
-                per_gauge[key] = per_gauge.get(key, 0) + amount
-            total = sum(weights.values()) or 1  # no weight anywhere: every gauge reads "0"
-            snapshot_row = {
-                "relative_weights": {keys[g]: _ratio_str(n, total) for g, n in sorted(weights.items())},
-                "emissions": per_gauge,
-                "emission_total": sum(per_gauge.values()),
+            where = f"epoch {epoch}"
+            # the epoch's locks are final: check their weights before a round divides them
+            escrow_weights = {
+                "base": _weight_strs(self.base_escrow, epoch),
+                "governance": _weight_strs(self.aggregator.gov_escrow, epoch),
             }
 
-        try:
+            finalized_row = None
+            settlement_row = None
+            if epoch > 0 and epoch % self.config.round_length == 0:
+                closing_id = epoch // self.config.round_length - 1
+                closing = self.aggregator.rounds.get(closing_id)
+                if closing is not None and not closing.finalized:
+                    where = f"epoch {epoch}, round {closing_id}"
+                    self.aggregator.finalize_round(closing_id, epoch)
+                    settlement = self.market.settle_round(closing_id)
+                    where = f"epoch {epoch}"
+                    finalized_row = self._finalized_row(closing)
+                    settlement_row = self._settlement_row(settlement, closing.cut_den)
+                    # from here on the loop reads only the open round and the one before it
+                    self.aggregator.rounds.pop(closing_id - 1, None)
+
+            snapshot_row = None
+            if epoch % self.config.base_snapshot_cadence == 0:
+                weights = self.controller.take_snapshot(epoch)
+                emission_events = self.controller.distribute_emissions(epoch)
+                keys = self._gauge_keys
+                per_gauge: dict[str, int] = {}
+                for gauge_id, _, amount in emission_events:
+                    key = keys[gauge_id]
+                    per_gauge[key] = per_gauge.get(key, 0) + amount
+                total = sum(weights.values()) or 1  # no weight anywhere: every gauge reads "0"
+                snapshot_row = {
+                    "relative_weights": {keys[g]: _ratio_str(n, total) for g, n in sorted(weights.items())},
+                    "emissions": per_gauge,
+                    "emission_total": sum(per_gauge.values()),
+                }
+
             token_totals = self.ledger.assert_conservation()
-        except LedgerError as exc:
-            raise SimulationError(f"epoch {epoch}: {exc}") from exc
-        return self._row(
-            epoch, rnd, row_events, escrow_weights, finalized_row, settlement_row, snapshot_row, token_totals
-        )
+            return self._row(
+                epoch, rnd, row_events, escrow_weights, finalized_row, settlement_row, snapshot_row, token_totals
+            )
+        except VeTokenSimError as exc:
+            raise SimulationError(f"{where}: {exc}") from exc
 
     # -- row entries, each built once per distinct value (see ``_entries``) ------
 

@@ -162,6 +162,19 @@ BAD_SHAPES = {
         _with_agent_params(exogenous_weights={"x": 1.0}),
         f"{PARAMS}.exogenous_weights.x: expected a gauge id, got 'x'",
     ),
+    "exogenous key with a leading zero": (
+        # "00" would read as gauge 0 again, and one of the two weights would be lost
+        _with_agent_params(exogenous_weights={"0": 0.5, "00": 0.7}),
+        f"{PARAMS}.exogenous_weights.00: expected a gauge id, got '00'",
+    ),
+    "agent named after the protocol account": (
+        _with_agent({"account": "agg", "strategy": "PassiveLocker"}),
+        "scenario.agents[0].account: agg is the aggregator's protocol account",
+    ),
+    "agent named after the bribe escrow account": (
+        _with_agent({"account": "bribe-market-escrow", "strategy": "PassiveLocker"}),
+        "scenario.agents[0].account: bribe-market-escrow is the bribe escrow account",
+    ),
     "exogenous weights a list": (
         _with_agent_params(exogenous_weights=[1]),
         f"{PARAMS}.exogenous_weights: expected an object, got list",
@@ -390,6 +403,23 @@ class TestRun:
         )
         assert code == 1
         assert "64-bit" in err
+
+    def test_seed_override_equals_the_seed_in_the_file(self, capsys, tmp_path):
+        # paper-bootstrap's followers add noise, so the seed changes the trace
+        raw = json.loads((SRC / "vetokensim" / "scenarios" / "paper-bootstrap.json").read_text())
+        path = tmp_path / "seed5.json"
+        path.write_text(json.dumps(dict(raw, rng_seed=5)))
+        runs = {
+            "flag": ("paper-bootstrap", "--seed", "5"),
+            "file": (str(path),),
+            "default": ("paper-bootstrap",),
+        }
+        traces = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert run_cli(capsys, "run", *args, "--out", str(out))[0] == 0
+            traces[name] = (out / "trace.ndjson").read_bytes()
+        assert traces["flag"] == traces["file"] != traces["default"]
 
     def test_scenario_file_path(self, capsys, tmp_path):
         path = tmp_path / "mini.json"
@@ -709,6 +739,13 @@ BAD_TRACE_FIELDS = {
                                    f"epoch 4: settlement.gauges.2.vote_weight: {RATIO} '1/-2'"),
     "word gauge id in a snapshot": ({"epoch": 3, "snapshot": {"relative_weights": {"x": "1"}}}, "snapshots",
                                     "epoch 3: snapshot.relative_weights.x: expected a gauge id, got 'x'"),
+    "gauge id with a leading zero": (
+        # "07" would read as gauge 7 again, and its bribe would be lost from the share table
+        {"epoch": 4, "settlement": {"round": 1, "gauges": {"7": {"bribe_usd": 1.0}, "07": {"bribe_usd": 3.0}}},
+         "round_finalized": {"round": 1, "tally": {"7": "1"}}},
+        "share_table",
+        "epoch 4: settlement.gauges.07: expected a gauge id, got '07'",
+    ),
     "base votes a list": (dict(DIRECT_LOCK, base_votes=[1]), "cost_per_vote --actor a --avenue direct-lock",
                           "epoch 5: base_votes: expected an object, got list"),
     "snapshot emissions a list": ({"epoch": 3, "snapshot": {"relative_weights": {"0": "1"}, "emissions": [1]}},

@@ -205,5 +205,6 @@ class TestTraceRatios:
     @pytest.mark.parametrize("text", ["x", "1/0", "-1", "1/-2", "", "1/", "/2", "1.5", "1/2/3", None, 5])
     def test_malformed_ratio_names_the_field(self, text):
         with pytest.raises(ScenarioError) as caught:
-            Fields({"round_finalized": {"tally": {"3": text}}}, "trace epoch 7: ").ratio("round_finalized", "tally", "3")
+            fields = Fields({"round_finalized": {"tally": {"3": text}}}, "trace epoch 7: ")
+            fields.ratio("round_finalized", "tally", "3")
         assert str(caught.value) == f"trace epoch 7: round_finalized.tally.3: expected a ratio n or n/d, got {text!r}"

@@ -70,8 +70,7 @@ REPORT_ARGS = [[metric] for metric in REPORTS if metric != "cost_per_vote"] + [
 def short_trace(tmp_path_factory):
     """(work dir, header line, rows, every (row index, path) site) of
     frax-three-avenues cut to 6 epochs."""
-    config = load_scenario("frax-three-avenues")
-    config.horizon_epochs = 6
+    config = load_scenario("frax-three-avenues")._replace(horizon_epochs=6)
     header, *lines = run_scenario(config).lines()
     rows = [json.loads(line) for line in lines]
     sites = [(i, path) for i, row in enumerate(rows) for path in _paths(row)]

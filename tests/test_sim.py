@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from vetokensim.errors import ScenarioError
+from vetokensim.errors import GaugeError, ScenarioError, SimulationError
+from vetokensim.gauges import GaugeController
 from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
 from vetokensim.sim import World, run_scenario
 from vetokensim.trace import SimTrace
@@ -184,6 +185,16 @@ class TestRunScenario:
         world = World(config)
         stepped = [world.step(0), world.step(1)]
         assert stepped == full.rows[:2]
+
+    def test_a_failing_snapshot_names_its_epoch(self, monkeypatch):
+        def failing_snapshot(self, now):
+            raise GaugeError("boom")
+
+        monkeypatch.setattr(GaugeController, "take_snapshot", failing_snapshot)
+        world = World(scenario_from_dict(make_scenario()))
+        with pytest.raises(SimulationError) as failure:
+            world.step(0)
+        assert str(failure.value) == "epoch 0: boom"
 
     def test_two_runs_identical_lines(self):
         config = load_scenario("paper-bootstrap")
