@@ -20,9 +20,9 @@ SelfPromoter
     better dollars per vote elsewhere.  If it also holds base-escrow weight it
     casts the same all-in vote at the base tier.
 
-A ``noise`` fraction diverts that share of a ballot to one uniformly random
-active gauge drawn from a seeded generator, so identical (spec, observation,
-seed) always yield identical actions.
+Every voting strategy's ballot goes through one noise step: a ``noise``
+fraction of it goes to one uniformly random active gauge drawn from a seeded
+generator, so identical (spec, observation, seed) yield identical actions.
 """
 
 from __future__ import annotations
@@ -223,10 +223,6 @@ def _apply_noise(ballot: dict[int, int], obs: Observation, noise: float) -> dict
     return scaled
 
 
-def _to_ballot(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(mapping.items()))
-
-
 def _usd_to_units(usd: float, price: float) -> int:
     """Base units that ``usd`` buys at ``price``, rounded down, with both read as
     the decimals their ``repr`` shows (0.1 is one tenth, not its binary value)."""
@@ -263,15 +259,12 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
     if spec.strategy == "PassiveLocker":
         return actions
 
+    ballot: dict[int, int] = {}  # the meta ballot {gauge: bps}; an empty one is not cast
     if spec.strategy == "FixedAllocator":
-        if gov_weight > 0 and spec.allocation:
-            ballot = _apply_noise(dict(spec.allocation), obs, spec.noise)
-            actions.append(MetaVoteAction(_to_ballot(ballot)))
-        return actions
-
-    if spec.strategy == "BribeFollowerGreedy":
+        ballot = dict(spec.allocation)
+    elif spec.strategy in ("BribeFollowerGreedy", "BribeFollowerEquilibrium") and gov_weight > 0:
         positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
-        if gov_weight > 0 and positive_bribes:
+        if positive_bribes and spec.strategy == "BribeFollowerGreedy":
             best = min(
                 positive_bribes,
                 key=lambda g: (
@@ -279,43 +272,37 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
                     g,
                 ),
             )
-            ballot = _apply_noise({best: BPS}, obs, spec.noise)
-            actions.append(MetaVoteAction(_to_ballot(ballot)))
-        return actions
-
-    if spec.strategy == "BribeFollowerEquilibrium":
-        positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
-        if gov_weight > 0 and positive_bribes:
+            ballot = {best: BPS}
+        elif positive_bribes and spec.strategy == "BribeFollowerEquilibrium":
             split = equilibrium_allocation(positive_bribes, gov_weight, dict(spec.exogenous_weights))
             total = sum(split.values())
             ballot = shares_to_bps({g: amount / total for g, amount in split.items()})
-            ballot = _apply_noise(ballot, obs, spec.noise)
-            actions.append(MetaVoteAction(_to_ballot(ballot)))
-        return actions
+    elif spec.strategy == "SelfPromoter":
+        # bribe own gauges once per round, then back the most bribed of them
+        own_bribes_usd: dict[int, float] = {}
+        budget = spec.budget_for_round(obs.round_id)
+        if obs.epoch == obs.round_open_epoch and budget > 0:
+            price = obs.token_prices.get(spec.bribe_token)
+            if price is None:
+                raise AgentError(f"no price for bribe token {spec.bribe_token}")
+            total_units = _usd_to_units(budget, price)
+            gauges = sorted(spec.own_gauges)
+            cut, extra = divmod(total_units, len(gauges))
+            for index, gauge_id in enumerate(gauges):
+                units = cut + (1 if index < extra else 0)
+                if units == 0:
+                    continue
+                actions.append(BribeAction(gauge_id, spec.bribe_token, units))
+                own_bribes_usd[gauge_id] = units / ONE * price
+        favourite = min(
+            spec.own_gauges,
+            key=lambda g: (-(obs.bribes_usd.get(g, 0.0) + own_bribes_usd.get(g, 0.0)), g),
+        )
+        ballot = {favourite: BPS}
 
-    # SelfPromoter: bribe own gauges once per round, then vote them
-    own_bribes_usd: dict[int, float] = {}
-    budget = spec.budget_for_round(obs.round_id)
-    if obs.epoch == obs.round_open_epoch and budget > 0:
-        price = obs.token_prices.get(spec.bribe_token)
-        if price is None:
-            raise AgentError(f"no price for bribe token {spec.bribe_token}")
-        total_units = _usd_to_units(budget, price)
-        gauges = sorted(spec.own_gauges)
-        cut, extra = divmod(total_units, len(gauges))
-        for index, gauge_id in enumerate(gauges):
-            units = cut + (1 if index < extra else 0)
-            if units == 0:
-                continue
-            actions.append(BribeAction(gauge_id, spec.bribe_token, units))
-            own_bribes_usd[gauge_id] = units / ONE * price
-    favourite = min(
-        spec.own_gauges,
-        key=lambda g: (-(obs.bribes_usd.get(g, 0.0) + own_bribes_usd.get(g, 0.0)), g),
-    )
-    if gov_weight > 0:
-        ballot = _apply_noise({favourite: BPS}, obs, spec.noise)
-        actions.append(MetaVoteAction(_to_ballot(ballot)))
-    if base_weight > 0:
+    if gov_weight > 0 and ballot:
+        ballot = _apply_noise(ballot, obs, spec.noise)
+        actions.append(MetaVoteAction(tuple(sorted(ballot.items()))))
+    if spec.strategy == "SelfPromoter" and base_weight > 0:
         actions.append(BaseVoteAction(((favourite, BPS),)))
     return actions

@@ -83,9 +83,12 @@ def _build_parser() -> _Parser:
 def _parse_round_range(text: str) -> tuple[int, int]:
     start, _, end = text.partition("..")
     # ASCII digits only: ``int`` would also take "1_0", " 1", "+1" and "١"
-    if not all(side.isascii() and side.isdigit() for side in (start, end)):
-        raise _UsageError(f"--round expects A..B, got {text!r}")
-    lo, hi = int(start), int(end)
+    try:
+        if not all(side.isascii() and side.isdigit() for side in (start, end)):
+            raise ValueError
+        lo, hi = int(start), int(end)  # fails past the digits ``int`` converts
+    except ValueError:
+        raise _UsageError(f"--round expects A..B, got {text!r}") from None
     if hi < lo:
         raise _UsageError(f"--round range {text!r} is empty")
     return lo, hi

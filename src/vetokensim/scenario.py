@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import sys
 from importlib import resources
 from typing import NamedTuple
@@ -328,7 +329,22 @@ def load_scenario(source: str) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}: JSON parse error at line {exc.lineno}: {exc.msg}") from None
+    except ValueError:  # ``int`` refused an integer: the first one of more digits than it converts
+        limit = sys.get_int_max_str_digits()
+        start = next(token.start() for token in _JSON_TOKEN.finditer(text) if len(token[1] or "") > limit)
+        line = text.count("\n", 0, start) + 1
+        raise ScenarioError(f"{source}: JSON parse error at line {line}: {_long_integer()}") from None
     return scenario_from_dict(raw)
+
+
+# a JSON string or number; group 1 is an integer's digits (no fraction, no exponent)
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(?![0-9.eE])|-?[0-9.eE+-]+')
+
+
+def _long_integer() -> str:
+    """Why a JSON parse failed with a ``ValueError`` that is not a ``JSONDecodeError``:
+    only ``int`` raises one, for an integer of more digits than it converts."""
+    return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 @contextlib.contextmanager
@@ -463,9 +479,12 @@ class Fields:
         decimal (``str(g)``, as the trace writes it) reads, so "07" is not a
         second key for gauge 7."""
         key = path[-1]
-        if not (key.isascii() and key.isdigit()) or key[0] == "0" and key != "0":
-            raise self.error(f"expected a gauge id, got {key!r}", *path)
-        return int(key)
+        if key.isascii() and key.isdigit() and (key[0] != "0" or key == "0"):
+            try:
+                return int(key)
+            except ValueError:  # more digits than ``int`` converts
+                pass
+        raise self.error(f"expected a gauge id, got {key!r}", *path)
 
     def gauge_items(self, *path, default=_REQUIRED) -> list[tuple[int, str]]:
         """``(gauge id, key)`` per key of the object at ``path``, by gauge id."""
@@ -480,7 +499,10 @@ class Fields:
         if isinstance(text, str):
             n, slash, d = text.partition("/")
             if n.isascii() and n.isdigit() and (not slash or d.isascii() and d.isdigit()):
-                num, den = int(n), int(d) if slash else 1
+                try:
+                    num, den = int(n), int(d) if slash else 1
+                except ValueError:  # more digits than ``int`` converts
+                    pass
         if num < 0 or den <= 0:
             raise self.error(f"expected a ratio n or n/d, got {text!r}", *path)
         try:

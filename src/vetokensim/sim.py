@@ -1,10 +1,10 @@
 """The deterministic epoch loop.
 
 Each epoch runs a fixed phase order: agents observe and act (in ascending
-account order), any round closing this epoch is finalized and its bribes
-settled, then the weekly weight snapshot is taken and emissions distributed.
-Every epoch appends one full trace row; re-running the same scenario (same
-seed) reproduces the trace byte for byte.
+account order), the round before the one that opens this epoch is finalized
+and its bribes settled, then the weekly weight snapshot is taken and emissions
+distributed.  Every epoch fills in one full trace row; re-running the same
+scenario (same seed) reproduces the trace byte for byte.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class World:
         self.market = BribeMarket(self.ledger, self.aggregator, self.prices, config.bribe_escrow_account)
         for gauge in config.gauges:
             self.controller.add_gauge(gauge.lp_accounts)
-        self.agents = list(config.agents)  # already sorted by account
         # each gauge's trace key, by gauge id: ``str(g)`` builds a new string on every call
         self._gauge_keys = [str(g) for g in self.controller.gauges]
         # row entries by value; the keys of a lock (three ints), a ballot (its
@@ -165,28 +164,24 @@ class World:
 
     # -- applying actions -------------------------------------------------------
 
-    def _apply_lock(self, account: str, action: LockAction, epoch: int, events: list) -> None:
-        escrow = self.base_escrow if action.escrow == "base" else self.aggregator.gov_escrow
-        label = "base" if action.escrow == "base" else "governance"
-        lock = escrow.lock(account, action.amount, action.unlock_epoch, epoch)
-        if lock is None:
-            return
-        events.append(
-            {
-                "account": account,
-                "escrow": label,
-                "amount": action.amount,
-                "unlock_epoch": lock.unlock_epoch,
-                "usd_cost": self.prices.usd_value(escrow.config.token, action.amount, epoch),
-            }
-        )
-
-    def _apply(self, spec: AgentSpec, action, epoch: int, rnd, row_events: dict) -> None:
+    def _apply(self, spec: AgentSpec, action, epoch: int, rnd, row: dict) -> None:
         if isinstance(action, LockAction):
-            self._apply_lock(spec.account, action, epoch, row_events["lock_events"])
+            base = action.escrow == "base"
+            escrow = self.base_escrow if base else self.aggregator.gov_escrow
+            lock = escrow.lock(spec.account, action.amount, action.unlock_epoch, epoch)
+            if lock is not None:
+                row["lock_events"].append(
+                    {
+                        "account": spec.account,
+                        "escrow": "base" if base else "governance",
+                        "amount": action.amount,
+                        "unlock_epoch": lock.unlock_epoch,
+                        "usd_cost": self.prices.usd_value(escrow.config.token, action.amount, epoch),
+                    }
+                )
         elif isinstance(action, DepositAction):
             self.aggregator.deposit_and_lock(spec.account, action.amount, epoch)
-            row_events["deposit_events"].append(
+            row["deposit_events"].append(
                 {
                     "account": spec.account,
                     "amount": action.amount,
@@ -197,7 +192,7 @@ class World:
             self.market.post_bribe(
                 rnd.round_id, action.gauge_id, spec.account, action.token, action.amount, epoch
             )
-            row_events["bribe_events"].append(
+            row["bribe_events"].append(
                 {
                     "round": rnd.round_id,
                     "gauge": action.gauge_id,
@@ -210,11 +205,11 @@ class World:
         elif isinstance(action, MetaVoteAction):
             self.aggregator.cast_meta_vote(spec.account, rnd.round_id, list(action.allocation), epoch)
             key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
-            row_events["actions"].append(_shared(self._round_votes, key, self._vote_entry))
+            row["actions"].append(_shared(self._round_votes, key, self._vote_entry))
         elif isinstance(action, BaseVoteAction):
             self.controller.vote_for_gauge_weights(spec.account, list(action.allocation), epoch)
             key = ("base_vote", spec.account, None, action.allocation)
-            row_events["actions"].append(_shared(self._entries, key, self._vote_entry))
+            row["actions"].append(_shared(self._entries, key, self._vote_entry))
         else:
             raise SimulationError(f"unknown action type {type(action).__name__}")
 
@@ -225,46 +220,48 @@ class World:
         try:
             self.aggregator.refresh_max_lock(epoch)
             rnd = self.aggregator.ensure_round(epoch)
-            if epoch == rnd.open_epoch:
+            closing = None
+            if epoch == rnd.open_epoch:  # a round closes at the epoch its successor opens
                 self._round_votes.clear()
+                closing = self.aggregator.rounds.get(rnd.round_id - 1)
             bribes = self._round_bribes_usd(rnd.round_id, epoch)
             prev = self._prev_round_weights(rnd.round_id)
             prices_now = {t: self.prices.usd_price(t, epoch) for t in sorted(self.ledger.tokens)}
             active = tuple(self.controller.gauges)
-            row_events = {
+            row = {
+                "type": "epoch",
+                "epoch": epoch,
+                "round_id": rnd.round_id,
                 "lock_events": [],
                 "deposit_events": [],
                 "bribe_events": [],
                 "actions": [],
+                "round_finalized": None,
+                "settlement": None,
+                "snapshot": None,
             }
-            for spec in self.agents:
+            for spec in self.config.agents:  # sorted by account
                 where = f"epoch {epoch}, agent {spec.account}"
                 obs = self._observation(spec, epoch, rnd, bribes, prev, prices_now, active)
                 for action in decide(spec, obs):
-                    self._apply(spec, action, epoch, rnd, row_events)
+                    self._apply(spec, action, epoch, rnd, row)
             where = f"epoch {epoch}"
             # the epoch's locks are final: check their weights before a round divides them
-            escrow_weights = {
+            row["escrow_weights"] = {
                 "base": _weight_strs(self.base_escrow, epoch),
                 "governance": _weight_strs(self.aggregator.gov_escrow, epoch),
             }
 
-            finalized_row = None
-            settlement_row = None
-            if epoch > 0 and epoch % self.config.round_length == 0:
-                closing_id = epoch // self.config.round_length - 1
-                closing = self.aggregator.rounds.get(closing_id)
-                if closing is not None and not closing.finalized:
-                    where = f"epoch {epoch}, round {closing_id}"
-                    self.aggregator.finalize_round(closing_id, epoch)
-                    settlement = self.market.settle_round(closing_id)
-                    where = f"epoch {epoch}"
-                    finalized_row = self._finalized_row(closing)
-                    settlement_row = self._settlement_row(settlement, closing.cut_den)
-                    # from here on the loop reads only the open round and the one before it
-                    self.aggregator.rounds.pop(closing_id - 1, None)
+            if closing is not None:
+                where = f"epoch {epoch}, round {closing.round_id}"
+                self.aggregator.finalize_round(closing.round_id, epoch)
+                settlement = self.market.settle_round(closing.round_id)
+                where = f"epoch {epoch}"
+                row["round_finalized"] = self._finalized_row(closing)
+                row["settlement"] = self._settlement_row(settlement, closing.cut_den)
+                # from here on the loop reads only the open round and the one before it
+                self.aggregator.rounds.pop(closing.round_id - 1, None)
 
-            snapshot_row = None
             if epoch % self.config.base_snapshot_cadence == 0:
                 weights = self.controller.take_snapshot(epoch)
                 emission_events = self.controller.distribute_emissions(epoch)
@@ -274,16 +271,13 @@ class World:
                     key = keys[gauge_id]
                     per_gauge[key] = per_gauge.get(key, 0) + amount
                 total = sum(weights.values()) or 1  # no weight anywhere: every gauge reads "0"
-                snapshot_row = {
+                row["snapshot"] = {
                     "relative_weights": {keys[g]: _ratio_str(n, total) for g, n in sorted(weights.items())},
                     "emissions": per_gauge,
                     "emission_total": sum(per_gauge.values()),
                 }
 
-            token_totals = self.ledger.assert_conservation()
-            return self._row(
-                epoch, rnd, row_events, escrow_weights, finalized_row, settlement_row, snapshot_row, token_totals
-            )
+            return self._row(row, self.ledger.assert_conservation())
         except VeTokenSimError as exc:
             raise SimulationError(f"{where}: {exc}") from exc
 
@@ -350,41 +344,25 @@ class World:
             }
         return {"round": settlement.round_id, "close_epoch": settlement.close_epoch, "gauges": gauges}
 
-    def _row(
-        self, epoch, rnd, row_events, escrow_weights, finalized_row, settlement_row, snapshot_row, token_totals
-    ) -> dict:
-        gov_escrow = self.aggregator.gov_escrow
+    def _row(self, row: dict, token_totals: dict) -> dict:
         entries, ballot = self._entries, self._ballot_entry
         last = self._last_totals
-        token_totals = self._last_totals = {
+        row["token_totals"] = self._last_totals = {
             token: last[token] if last.get(token) == sums else sums for token, sums in token_totals.items()
         }
-        return {
-            "type": "epoch",
-            "epoch": epoch,
-            "round_id": rnd.round_id,
-            "ledger_digest": self.ledger.digest(),
-            "token_totals": token_totals,
-            "escrow_weights": escrow_weights,
-            "locks": {
-                label: {
-                    a: _shared(entries, (l.amount, l.unlock_epoch, l.created_epoch), _lock_entry)
-                    for a, l in sorted(escrow.locks.items())
-                }
-                for label, escrow in (("base", self.base_escrow), ("governance", gov_escrow))
-            },
-            "base_votes": {
-                a: _shared(entries, tuple(sorted(alloc.items())), ballot)
-                for a, alloc in sorted(self.controller.allocations.items())
-            },
-            "lock_events": row_events["lock_events"],
-            "deposit_events": row_events["deposit_events"],
-            "bribe_events": row_events["bribe_events"],
-            "actions": row_events["actions"],
-            "round_finalized": finalized_row,
-            "settlement": settlement_row,
-            "snapshot": snapshot_row,
+        row["ledger_digest"] = self.ledger.digest()
+        row["locks"] = {
+            label: {
+                a: _shared(entries, (l.amount, l.unlock_epoch, l.created_epoch), _lock_entry)
+                for a, l in sorted(escrow.locks.items())
+            }
+            for label, escrow in (("base", self.base_escrow), ("governance", self.aggregator.gov_escrow))
         }
+        row["base_votes"] = {
+            a: _shared(entries, tuple(sorted(alloc.items())), ballot)
+            for a, alloc in sorted(self.controller.allocations.items())
+        }
+        return row
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:

@@ -7,7 +7,7 @@ import json
 import math
 
 from .errors import ScenarioError
-from .scenario import Fields, _utf8
+from .scenario import Fields, _long_integer, _utf8
 
 FORMAT_VERSION = 1  # the trace format ``write_ndjson`` writes and ``read_ndjson`` reads
 
@@ -73,6 +73,8 @@ def _ndjson_record(path: str, lineno: int, line: str) -> dict:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError:
+        raise ScenarioError(f"{path}:{lineno}: {_long_integer()}") from None
     if not isinstance(record, dict):
         raise ScenarioError(f"{path}:{lineno}: record is not a JSON object")
     return record

@@ -15,6 +15,7 @@ from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
 U = base_units
+LONG_DIGITS = "1" * 5000  # more digits than ``int`` converts from text (``sys.get_int_max_str_digits``)
 
 SCENARIO_TEMPLATE = {
     "name": "mini",

@@ -289,6 +289,46 @@ class TestSelfPromoter:
         base_votes = [a for a in actions if isinstance(a, BaseVoteAction)]
         assert base_votes == [BaseVoteAction(((0, BPS),))]
 
+    def test_budget_below_one_unit_per_gauge_posts_no_zero_bribe(self):
+        # 2e-18 USD buys two base units: one each for gauges 0 and 1, none for gauge 2
+        spec = AgentSpec(account="s", strategy="SelfPromoter", own_gauges=(2, 0, 1), budget_per_round=2e-18)
+        assert decide(spec, obs()) == [BribeAction(0, "BRIBE-USD", 1), BribeAction(1, "BRIBE-USD", 1)]
+
+
+# spec fields, observation fields -> decide's exact actions, where a voting
+# strategy casts no meta vote; the noise must not make a ballot out of none
+NO_META_VOTE = {
+    "FixedAllocator without governance weight": (
+        {"strategy": "FixedAllocator", "allocation": ((0, 6000), (2, 4000))}, {}, [],
+    ),
+    "FixedAllocator whose new lock ends before the close": (
+        {"strategy": "FixedAllocator", "allocation": ((0, BPS),),
+         "lock_schedule": (LockEntry(epoch=0, kind="gov", amount=U(5), weeks=2),)},
+        {}, [LockAction("gov", U(5), 2)],
+    ),
+    "FixedAllocator with an empty allocation": ({"strategy": "FixedAllocator"}, {"own_gov_weight_at_close": 5.0}, []),
+    **{
+        f"{strategy} {title}": ({"strategy": strategy}, observed, [])
+        for strategy in ("BribeFollowerGreedy", "BribeFollowerEquilibrium")
+        for title, observed in (
+            ("without governance weight", {"bribes_usd": {0: 10.0, 1: 5.0}}),
+            ("without a positive bribe", {"bribes_usd": {0: 0.0}, "own_gov_weight_at_close": 5.0}),
+        )
+    },
+    "SelfPromoter with base weight only": (
+        {"strategy": "SelfPromoter", "own_gauges": (1, 2)},
+        {"bribes_usd": {2: 5.0}, "own_base_weight": 3.0},
+        [BaseVoteAction(((2, BPS),))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_META_VOTE))
+def test_no_meta_vote(case):
+    spec_fields, observed, expected = NO_META_VOTE[case]
+    spec = AgentSpec(account="v", noise=0.5, **spec_fields)
+    assert decide(spec, obs(**observed)) == expected
+
 
 def reference_usd_to_units(usd: float, price: float) -> int:
     """``_usd_to_units`` as it was when it divided Fractions: the oracle that

@@ -15,7 +15,7 @@ from vetokensim.scenario import ScenarioConfig, load_scenario
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
-from conftest import make_scenario, write_trace
+from conftest import LONG_DIGITS, make_scenario, write_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -623,7 +623,11 @@ REPORT_OUTCOMES = {
 }
 
 
-@pytest.mark.parametrize("bounds", ["1_0..20", " 1..2", "+1..2", "-1..2", "\u0661..\u0662"])
+@pytest.mark.parametrize(
+    "bounds",
+    ["1_0..20", " 1..2", "+1..2", "-1..2", "\u0661..\u0662",
+     pytest.param(f"{LONG_DIGITS}..{LONG_DIGITS}", id="past the int digit limit")],
+)
 def test_round_bounds_take_only_ascii_digits(bounds, mature_trace, capsys, tmp_path):
     out = tmp_path / "export.csv"
     result = run_cli(capsys, "report", mature_trace, "--metric", "share_table", f"--round={bounds}", "--out", str(out))
@@ -643,7 +647,10 @@ def test_report_outcome(case, mature_trace, capsys, tmp_path):
 @pytest.mark.parametrize(
     "line,problem",
     [("{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
-     ("[1, 2]", "record is not a JSON object")],
+     ("[1, 2]", "record is not a JSON object"),
+     pytest.param('{"epoch": 1, "snapshot": {"emissions": {"0": %s}}}' % LONG_DIGITS,
+                  f"an integer of more than {sys.get_int_max_str_digits()} digits\n",
+                  id="integer past the digit limit")],
 )
 def test_malformed_trace_line_exits_one(line, problem, mature_trace, capsys, tmp_path):
     path = tmp_path / "trace.ndjson"
@@ -737,6 +744,12 @@ BAD_TRACE_FIELDS = {
     ),
     "negative bribe vote weight": (BRIBE, "cost_per_vote --actor b --avenue bribe",
                                    f"epoch 4: settlement.gauges.2.vote_weight: {RATIO} '1/-2'"),
+    "gauge id past the int digit limit": (
+        {"epoch": 3, "snapshot": {"relative_weights": {LONG_DIGITS: "1"}}}, "snapshots",
+        f"epoch 3: snapshot.relative_weights.{LONG_DIGITS}: expected a gauge id, got '{LONG_DIGITS}'",
+    ),
+    "ratio past the int digit limit": ({"epoch": 3, "snapshot": {"relative_weights": {"0": LONG_DIGITS + "/3"}}},
+                                       "snapshots", f"epoch 3: snapshot.relative_weights.0: {RATIO} '{LONG_DIGITS}/3'"),
     "word gauge id in a snapshot": ({"epoch": 3, "snapshot": {"relative_weights": {"x": "1"}}}, "snapshots",
                                     "epoch 3: snapshot.relative_weights.x: expected a gauge id, got 'x'"),
     "gauge id with a leading zero": (

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from
 from vetokensim.sim import World, run_scenario
 from vetokensim.trace import SimTrace
 
-from conftest import U, make_scenario
+from conftest import LONG_DIGITS, U, make_scenario
 
 
 class TestLoadScenario:
@@ -46,6 +47,16 @@ class TestLoadScenario:
         path.write_text('{"name": "x",\n  broken\n}')
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(str(path))
+
+    def test_integer_past_the_digit_limit_reports_its_line(self, tmp_path):
+        # the string's and the float's digits come first, but only an integer's count
+        path = tmp_path / "bad.json"
+        text = f'{{"name": "{LONG_DIGITS}",\n "rng_seed": 1.{LONG_DIGITS}e7,\n "horizon_epochs": -{LONG_DIGITS}\n}}'
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as failure:
+            load_scenario(str(path))
+        limit = sys.get_int_max_str_digits()
+        assert str(failure.value) == f"{path}: JSON parse error at line 3: an integer of more than {limit} digits"
 
     def test_packaged_scenarios_load(self):
         names = set(packaged_scenarios())
@@ -216,6 +227,24 @@ class TestRunScenario:
             lock = row["locks"]["base"].get(account)
             if lock:
                 assert lock["unlock_epoch"] == row["epoch"] + max_weeks
+
+    @pytest.mark.parametrize("kind, label, weeks", [("base", "base", 52), ("gov", "governance", 16)])
+    def test_zero_amount_entry_without_a_lock_makes_none(self, kind, label, weeks):
+        raw = make_scenario(
+            horizon_epochs=1,
+            initial_balances=[["alice", "CRV", 10], ["alice", "CVX", 10]],
+            agents=[
+                {
+                    "account": "alice",
+                    "strategy": "PassiveLocker",
+                    "params": {"lock_schedule": [{"epoch": 0, "kind": kind, "amount": 0, "weeks": weeks}]},
+                }
+            ],
+        )
+        (row,) = run_scenario(scenario_from_dict(raw))
+        assert row["lock_events"] == []
+        assert row["locks"][label] == {}
+        assert row["escrow_weights"][label] == {}
 
     def test_one_week_pool_is_relocked_in_full(self):
         # the pooled lock ends at every epoch; it is withdrawn and locked again

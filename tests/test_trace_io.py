@@ -5,6 +5,7 @@ the line of a bad record or a misplaced header."""
 import argparse
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from vetokensim.scenario import load_scenario, packaged_scenarios
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
+from conftest import LONG_DIGITS
 from test_metrics import epoch_row, final_cost_per_vote, finalized
 from test_mutation import REPORT_ARGS  # every --metric, with frax active in each avenue
 
@@ -158,6 +160,10 @@ STRICT_CASES = {
                            "format_version: expected format version 1, got '1'"),
     "no horizon": (lambda header, rows: [_with(header, horizon_epochs=None)] + rows, 1,
                    "horizon_epochs: expected an integer, got None"),
+    "horizon past the int digit limit": (
+        lambda header, rows: [_with(header, horizon_epochs="@").replace('"@"', LONG_DIGITS)] + rows, 1,
+        f"an integer of more than {sys.get_int_max_str_digits()} digits",
+    ),
     "row 9 repeated": (lambda header, rows: [header] + rows[:10] + [rows[9]] + rows[10:], 12,
                        "a second row for epoch 9"),
     "row 5 left out": (lambda header, rows: [header] + rows[:5] + rows[6:], 7,
