@@ -142,7 +142,11 @@ class BaseVoteAction(NamedTuple):
     allocation: tuple[tuple[int, int], ...]
 
 
-def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, tol: float = 1e-9):
+# the bisection stops once its bounds are within this fraction of the upper one
+LEVEL_WIDTH = 1e-9
+
+
+def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
     """Split follower weight across bribed gauges to equalise dollars per vote.
 
     Water-filling: binary search on the common dollars-per-vote level L; each
@@ -150,36 +154,28 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, t
     supported gauge pays exactly L and unsupported gauges pay at most L.  With
     no exogenous weight the allocation is proportional to bribes.
 
-    Each probe sums a list built from the bribes (and exogenous weights, when
-    any is positive) collected once per call, in gauge order, with the builtin
-    ``sum``; only the answer is built as a dict.  A level that is zero or not
+    Each probe sums, with the builtin ``sum``, lists of the bribed gauges'
+    bribes and exogenous weights collected once per call in gauge order, and
+    the answer is read from the same lists.  A level that is zero or not
     finite, from bribes or a weight at the edge of the float range, raises
-    ``AgentError``.  The search stops early when no float lies strictly
-    between its bounds.
+    ``AgentError``.  The search stops once its bounds are within
+    ``LEVEL_WIDTH`` of the upper one, or when no float lies between them.
     """
-    if tol <= 0:
-        raise AgentError("tol must be positive")
     if follower_weight <= 0:
         raise AgentError("follower_weight must be positive")
-    bribes = {g: float(b) for g, b in bribes_usd.items() if b > 0}
-    if not bribes:
+    gauges = [g for g, b in bribes_usd.items() if b > 0]
+    if not gauges:
         raise AgentError("no positive bribes to follow")
-    exo = {g: max(0.0, float(w)) for g, w in (exogenous_weight or {}).items()}
-
-    def allocated(level: float) -> dict[int, float]:
-        return {g: max(0.0, b / level - exo.get(g, 0.0)) for g, b in bribes.items()}
-
-    # sum(allocated(level).values()) without the dict: b / level - 0.0 is
-    # b / level, and max(0.0, x) is x for x >= 0, so both give the same float
-    amounts = list(bribes.values())
-    offsets = [exo.get(g, 0.0) for g in bribes]
+    amounts = [float(bribes_usd[g]) for g in gauges]
+    exo = exogenous_weight or {}
+    offsets = [max(0.0, float(exo.get(g, 0.0))) for g in gauges]
     if any(offsets):
         pairs = list(zip(amounts, offsets))
 
         def demand(level: float) -> float:
             return sum([max(0.0, b / level - e) for b, e in pairs])
     else:
-
+        # the general demand's floats: b / level - 0.0 is b / level, and max(0.0, x) is x for x >= 0
         def demand(level: float) -> float:
             return sum([b / level for b in amounts])
 
@@ -192,7 +188,7 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, t
         lo /= 2.0
         if lo == 0.0:
             raise AgentError(f"no positive level covers follower weight {follower_weight!r}")
-    while hi - lo > tol * hi:
+    while hi - lo > LEVEL_WIDTH * hi:
         mid = (lo + hi) / 2.0
         # a midpoint equal to a bound would repeat the step forever
         if demand(mid) >= follower_weight:
@@ -203,7 +199,8 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, t
             if mid == hi:
                 break
             hi = mid
-    return {g: amount for g, amount in allocated(lo).items() if amount > 0}
+    # max(0.0, x) > 0 exactly when x > 0, and is then x
+    return {g: amount for g, b, e in zip(gauges, amounts, offsets) if (amount := b / lo - e) > 0}
 
 
 def _apply_noise(ballot: dict[int, int], obs: Observation, noise: float) -> dict[int, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from decimal import Decimal, InvalidOperation
 from typing import NamedTuple
@@ -22,24 +23,35 @@ ONE = 10**DECIMALS
 
 
 def base_units(tokens) -> int:
-    """Convert a token quantity (int, float, str or Decimal) to base units, exactly."""
-    if not isinstance(tokens, (int, float, str, Decimal)):
+    """Convert a token quantity (int, float, str or Decimal) to base units, exactly:
+    no digit is rounded away.  Base units of more digits than ``int`` converts
+    to text (``sys.get_int_max_str_digits()``) are refused, since no trace
+    could write them."""
+    if isinstance(tokens, bool) or not isinstance(tokens, (int, float, str, Decimal)):
         raise LedgerError(f"unparseable token amount: {tokens!r}")
     if isinstance(tokens, float):
         # go through repr so 0.5 means five tenths, not its binary expansion
         tokens = repr(tokens)
     try:
-        scaled = Decimal(tokens).scaleb(DECIMALS)
+        value = Decimal(tokens)  # exact: a context rounds arithmetic, not construction
     except InvalidOperation as exc:
         raise LedgerError(f"unparseable token amount: {tokens!r}") from exc
-    if not scaled.is_finite():
+    if not value.is_finite():
         raise LedgerError(f"unparseable token amount: {tokens!r}")
-    if scaled != scaled.to_integral_value():
+    sign, digits, exponent = value.as_tuple()
+    coefficient = "".join(map(str, digits)).rstrip("0")
+    if not coefficient:
+        return 0
+    # base units are the coefficient, less its trailing zeros, times 10**shift
+    shift = exponent + DECIMALS + len(digits) - len(coefficient)
+    if shift < 0:
         raise LedgerError(f"{tokens!r} has more than {DECIMALS} fractional digits")
-    units = int(scaled)
-    if units < 0:
+    if sign:
         raise LedgerError(f"token amounts are unsigned, got {tokens!r}")
-    return units
+    limit = sys.get_int_max_str_digits()  # 0 for no limit
+    if limit and len(coefficient) + shift > limit:
+        raise LedgerError(f"token amount of more than {limit} digits in base units")
+    return int(coefficient) * 10**shift
 
 
 def check_amount(amount) -> int:
@@ -87,10 +99,19 @@ class Ledger:
         return self.balances[token].get(account, 0)
 
     def mint(self, token: str, to: str, amount: int) -> None:
+        """Credit ``amount`` new base units to ``to``.  A minted total of more
+        digits than ``int`` converts to text is refused: every balance, bucket
+        and event amount is at most its token's minted total, so each stays
+        writable to a trace."""
         self._require_token(token)
         check_amount(amount)
+        total = self.total_minted[token] + amount
+        limit = sys.get_int_max_str_digits()  # 0 for no limit
+        # 8**limit < 10**limit, so only a total of 3 * limit bits or more pays for the power
+        if limit and total.bit_length() > 3 * limit and total >= 10**limit:
+            raise LedgerError(f"the minted {token} total would have more than {limit} digits")
         self.balances[token][to] = self.balances[token].get(to, 0) + amount
-        self.total_minted[token] += amount
+        self.total_minted[token] = total
 
     def transfer(self, token: str, from_account: str, to_account: str, amount: int) -> None:
         spec = self._require_token(token)

@@ -55,10 +55,11 @@ def _quotient(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 
 class Table:
-    """A metric result that ``export`` writes.
+    """A metric result that ``export`` writes: plain data, ``COLUMNS`` and ``rows``.
 
     ``COLUMNS`` is the schema: one ``(name, cell type)`` pair per column, the
-    CSV header and the JSON keys alike.  ``float`` columns (cells may be None)
+    CSV header and the JSON keys alike; ``rows`` holds one tuple of cells per
+    row, in column order.  ``float`` columns (cells may be None)
     are decimals, written through ``_fmt`` in CSV and ``_fnum`` in JSON;
     other cells are written as they are.  The JSON document is ``{"rows": [{name:
     cell}]}`` indented by two, unless a table overrides ``json_payload``.
@@ -76,18 +77,12 @@ class Table:
             return NotImplemented
         return vars(other) == vars(self)
 
-    def columns(self) -> tuple[tuple[str, type], ...]:
-        return self.COLUMNS
-
-    def cell_rows(self) -> list[tuple]:
-        return self.rows
-
     def json_payload(self, names: list[str], rows: list[tuple]):
         return {"rows": [dict(zip(names, row)) for row in rows]}
 
     def in_rounds(self, lo: int, hi: int):
         """This table with only the rows whose round_id is in ``lo..hi``."""
-        at = [name for name, _ in self.columns()].index("round_id")
+        at = [name for name, _ in self.COLUMNS].index("round_id")
         return type(self)([row for row in self.rows if lo <= row[at] <= hi])
 
 
@@ -129,7 +124,9 @@ class ParticipationStats(Table):
         self.weight_voting_fraction = weight_voting_fraction
         self.mean_voters_by_proposal_type = mean_voters_by_proposal_type
 
-    def cell_rows(self) -> list[tuple]:
+    @property
+    def rows(self) -> list[tuple]:
+        # a property, so ``vars`` (which the run summary writes) holds only the five fields
         gauge_voters = self.mean_voters_by_proposal_type.get("gauge", 0.0)
         return [(self.unique_lockers, self.unique_voters, self.voter_fraction,
                  self.weight_voting_fraction, gauge_voters)]
@@ -147,12 +144,8 @@ class DiffMatrix(Table):
         self.gauge_order = gauge_order
         self.round_ids = round_ids
         self.cells = cells  # rows follow round_ids, columns gauge_order
-
-    def columns(self) -> tuple[tuple[str, type], ...]:
-        return (("round_id", int),) + tuple((str(g), float) for g in self.gauge_order)
-
-    def cell_rows(self) -> list[tuple]:
-        return [(round_id, *line) for round_id, line in zip(self.round_ids, self.cells)]
+        self.COLUMNS = (("round_id", int),) + tuple((str(g), float) for g in gauge_order)
+        self.rows = [(round_id, *line) for round_id, line in zip(round_ids, cells)]
 
     def json_payload(self, names, rows):
         # the gauge columns become one list of cells per round
@@ -250,9 +243,7 @@ class Correlation(Table):
 
     def __init__(self, value: float):
         self.value = value
-
-    def cell_rows(self) -> list[tuple]:
-        return [(self.value,)]
+        self.rows = [(value,)]
 
     def json_payload(self, names, rows):
         return dict(zip(names, rows[0]))
@@ -585,13 +576,12 @@ def export(obj, fmt: str, path: str) -> None:
         raise MetricsError(f"unknown export format {fmt!r}")
     if not isinstance(obj, Table):
         raise MetricsError(f"no {fmt.upper()} export for {type(obj).__name__}")
-    columns = obj.columns()
-    names = [name for name, _ in columns]
+    names = [name for name, _ in obj.COLUMNS]
     decimal = _fmt if fmt == "csv" else _fnum
     # format column by column, so each column's formatter is chosen once
-    by_column = zip(*obj.cell_rows())
+    by_column = zip(*obj.rows)
     rows = list(zip(*(decimal(cells) if kind is float else cells
-                      for (_, kind), cells in zip(columns, by_column))))
+                      for (_, kind), cells in zip(obj.COLUMNS, by_column))))
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")

@@ -142,17 +142,19 @@ def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
         raise f.error(f"must be one of {names}, got {strategy!r}", "strategy")
     params = f.at("params", default={})
     schedule = tuple(_parse_lock_entry(entry, config_bounds) for entry in params.each("lock_schedule", default=[]))
-    allocation = [
-        (pair.integer(0, minimum=0, maximum=gauge_count - 1), pair.integer(1, minimum=0, maximum=BPS))
-        for pair in params.each("allocation", size=2, default=[])
-    ]
-    if sum(b for _, b in allocation) > BPS:
+    allocation: dict[int, int] = {}
+    for pair in params.each("allocation", size=2, default=[]):
+        gauge_id = pair.integer(0, minimum=0, maximum=gauge_count - 1)
+        if gauge_id in allocation:
+            raise pair.error(f"duplicate gauge {gauge_id}")
+        allocation[gauge_id] = pair.integer(1, minimum=0, maximum=BPS)
+    if sum(allocation.values()) > BPS:
         raise params.error(f"exceeds {BPS} bps", "allocation")
     budget = params.value("budget_per_round", default=0.0)
     if isinstance(budget, list):
-        budget = tuple(params.number("budget_per_round", i) for i, _ in enumerate(budget))
+        budget = tuple(params.number("budget_per_round", i, minimum=0) for i, _ in enumerate(budget))
     else:
-        budget = params.number("budget_per_round", default=0.0)
+        budget = params.number("budget_per_round", minimum=0, default=0.0)
     own_gauges = tuple(
         params.integer("own_gauges", i, minimum=0, maximum=gauge_count - 1)
         for i, _ in enumerate(params.list("own_gauges", default=[]))
@@ -169,12 +171,12 @@ def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
     for gauge_id, key in params.gauge_items("exogenous_weights", default={}):
         if gauge_id >= gauge_count:
             raise params.error(f"{gauge_id} is above the maximum of {gauge_count - 1}", "exogenous_weights", key)
-        exogenous.append((gauge_id, params.number("exogenous_weights", key)))
+        exogenous.append((gauge_id, params.number("exogenous_weights", key, minimum=0)))
     return AgentSpec(
         account=account,
         strategy=strategy,
         lock_schedule=schedule,
-        allocation=tuple(allocation),
+        allocation=tuple(allocation.items()),
         budget_per_round=budget,
         own_gauges=own_gauges,
         bribe_token=bribe_token,

@@ -319,7 +319,7 @@ def test_criterion_7_oracle_equivalence():
         bribes = {g: rng.uniform(1.0, 100.0) for g in range(n)}
         exo = {g: rng.uniform(0.0, 50.0) if rng.random() < 0.6 else 0.0 for g in range(n)}
         weight = rng.uniform(1.0, 100.0)
-        result = equilibrium_allocation(bribes, weight, exo, tol=1e-12)
+        result = equilibrium_allocation(bribes, weight, exo)
         oracle = _oracle_waterfill(bribes, weight, exo)
         scale = max(1.0, weight)
         for g in bribes:

@@ -115,11 +115,9 @@ class TestEquilibriumAllocation:
         with pytest.raises(AgentError):
             equilibrium_allocation({0: 0.0}, 10.0)
 
-    def test_bad_weight_and_tol(self):
+    def test_bad_weight(self):
         with pytest.raises(AgentError):
             equilibrium_allocation({0: 1.0}, 0.0)
-        with pytest.raises(AgentError):
-            equilibrium_allocation({0: 1.0}, 1.0, tol=0.0)
 
     @given(
         bribes=st.lists(st.floats(min_value=0.5, max_value=500.0), min_size=1, max_size=5),
@@ -151,18 +149,17 @@ class TestEquilibriumAllocation:
             max_size=60,
         ),
         weight=st.floats(min_value=1e-3, max_value=1e7),
-        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
         with_exogenous=st.booleans(),
         order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_reference(self, gauges, weight, tol, with_exogenous, order):
+    def test_bit_identical_to_reference(self, gauges, weight, with_exogenous, order):
         ids = list(range(len(gauges)))
         order.shuffle(ids)  # gauge order is insertion order, not id order
         bribes = {g: b for g, (b, _) in zip(ids, gauges)}
         exo = {g: w for g, (_, w) in zip(ids, gauges) if w is not None} if with_exogenous else None
-        got = equilibrium_allocation(bribes, weight, exo, tol=tol)
-        want = reference_equilibrium_allocation(bribes, weight, exo, tol=tol)
+        got = equilibrium_allocation(bribes, weight, exo)
+        want = reference_equilibrium_allocation(bribes, weight, exo)
         assert list(got) == list(want)
         assert list(got.values()) == list(want.values())
 
@@ -184,15 +181,16 @@ class TestEquilibriumAllocation:
             equilibrium_allocation({0: 1e-300}, 1.0, {0: 1e30})
 
     @pytest.mark.parametrize(
-        "bribes, weight, tol, rel",
+        "bribes, weight, rel",
         [
-            ({0: 0.3, 1: 0.7, 2: 0.11}, 1.7, 1e-30, 1e-15),  # tol below the float spacing
-            # tol * level underflows to 0.0; a subnormal level has few significant bits
-            ({0: 1.6e-311, 1: 1.1e-311, 2: 8.5e-311}, 3.1e9, 1e-9, 1e-2),
+            # LEVEL_WIDTH * level underflows to 0.0; a subnormal level has few
+            # significant bits, so the search ends where the midpoint is a bound:
+            ({0: 1.24472e-318, 1: 6.19636e-318}, 4049.6339015056997, 1e-2),  # the upper one
+            ({0: 1.6e-311, 1: 1.1e-311, 2: 8.5e-311}, 3.1e9, 1e-2),  # the lower one
         ],
     )
-    def test_search_ends_when_bounds_meet(self, bribes, weight, tol, rel):
-        split = equilibrium_allocation(bribes, weight, tol=tol)
+    def test_search_ends_when_bounds_meet(self, bribes, weight, rel):
+        split = equilibrium_allocation(bribes, weight)
         assert sum(split.values()) == pytest.approx(weight, rel=rel)
 
 

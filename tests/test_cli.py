@@ -114,6 +114,18 @@ BAD_FLOATS = {
         _with_agent_params(budget_per_round=[1, "abc"]),
         f"{PARAMS}.budget_per_round[1]: expected a finite number, got 'abc'",
     ),
+    "negative budget": (
+        _with_agent_params(budget_per_round=-1.0),
+        f"{PARAMS}.budget_per_round: -1.0 is below the minimum of 0",
+    ),
+    "negative budget in list": (
+        _with_agent_params(budget_per_round=[1, -1]),
+        f"{PARAMS}.budget_per_round[1]: -1 is below the minimum of 0",
+    ),
+    "negative exogenous weight": (
+        _with_agent_params(exogenous_weights={"0": -0.5}),
+        f"{PARAMS}.exogenous_weights.0: -0.5 is below the minimum of 0",
+    ),
     "string exogenous weight": (
         _with_agent_params(exogenous_weights={"0": "x"}),
         f"{PARAMS}.exogenous_weights.0: expected a finite number, got 'x'",
@@ -139,6 +151,20 @@ def _with_agent(agent) -> dict:
 
 def _with_gauge(gauge) -> dict:
     return make_scenario(gauges=[gauge])
+
+
+def _with_balance(amount) -> dict:
+    return make_scenario(initial_balances=[["a", "CRV", amount]])
+
+
+def _allocator(*pairs) -> dict:
+    """A FixedAllocator casting the ``[gauge, bps]`` pairs, with gauges 0 and 1."""
+    return make_scenario(agents=[{"account": "a", "strategy": "FixedAllocator", "params": {"allocation": list(pairs)}}],
+                         gauges=[{"name": f"g{g}", "lp_accounts": [[f"lp{g}", 10000]]} for g in (0, 1)])
+
+
+BALANCE = "scenario.initial_balances[0]"
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 
 # a scenario with a field of the wrong shape -> the exact validate error
@@ -236,6 +262,39 @@ BAD_SHAPES = {
         _with_agent_params(lock_schedule=[{"epoch": 0, "kind": "stake", "amount": 1}]),
         f"{PARAMS}.lock_schedule[0].kind: must be base, gov or deposit, got 'stake'",
     ),
+    # a token amount is converted exactly, or refused
+    "boolean amount": (_with_balance(True), f"{BALANCE}: unparseable token amount: True"),
+    "amount with a far fractional digit": (_with_balance("1e-1000050"),
+                                           f"{BALANCE}: '1e-1000050' has more than 18 fractional digits"),
+    "amount past the decimal exponent range": (
+        _with_balance("1e999990"), f"{BALANCE}: token amount of more than {DIGIT_LIMIT} digits in base units"),
+    "amount past the int digit limit": (
+        _with_balance("1" * (DIGIT_LIMIT - 10)),
+        f"{BALANCE}: token amount of more than {DIGIT_LIMIT} digits in base units",
+    ),
+    # ``decide`` reads the allocation as a dict, so a second entry would drop the first
+    "allocation naming a gauge twice": (_allocator([0, 5000], [0, 5000]),
+                                        f"{PARAMS}.allocation[1]: duplicate gauge 0"),
+    "allocation over 10000 bps": (_allocator([0, 6000], [1, 5000]), f"{PARAMS}.allocation: exceeds 10000 bps"),
+    "escrow of an unknown token": (make_scenario(base_escrow={"token": "XYZ", "max_lock_weeks": 208}),
+                                   "scenario.base_escrow.token: unknown token XYZ"),
+    "aggregator of an unknown token": (
+        make_scenario(aggregator={"protocol_account": "agg", "wrapper_token": "XYZ", "gov_token": "CVX"}),
+        "scenario.aggregator.wrapper_token: unknown token",
+    ),
+    "empty price series": (_with_price_points([]), "scenario.price_series.CRV: needs at least one point"),
+    "zero-amount extension past max_lock_weeks": (
+        _with_agent_params(lock_schedule=[{"epoch": 0, "kind": "gov", "amount": 0, "weeks": 17}]),
+        f"{PARAMS}.lock_schedule[0].weeks: extension 17 outside [0, 16]",
+    ),
+    "zero deposit": (_with_agent_params(lock_schedule=[{"epoch": 0, "kind": "deposit", "amount": 0}]),
+                     f"{PARAMS}.lock_schedule[0].amount: deposits must be positive"),
+    "unknown bribe token": (
+        _with_agent({"account": "a", "strategy": "SelfPromoter", "params": {"own_gauges": [0], "bribe_token": "XYZ"}}),
+        f"{PARAMS}.bribe_token: unknown token XYZ",
+    ),
+    "exogenous gauge id above the maximum": (_with_agent_params(exogenous_weights={"1": 1.0}),
+                                             f"{PARAMS}.exogenous_weights.1: 1 is above the maximum of 0"),
 }
 
 
@@ -500,6 +559,12 @@ class TestRun:
         assert (code, err) == (2, f"error: {problem}\n")
         assert not (out / "trace.ndjson").exists()
         assert not (out / "summary.json").exists()
+
+    def test_minted_total_past_the_int_digit_limit_exits_two_before_the_trace(self, capsys, tmp_path):
+        # each balance is DIGIT_LIMIT digits of base units, and their sum one more
+        balance = ["a", "CRV", "9" * (DIGIT_LIMIT - 18)]
+        self._exits_two_before_the_trace(capsys, tmp_path, {"initial_balances": [balance, balance]},
+                                         f"the minted CRV total would have more than {DIGIT_LIMIT} digits")
 
     @pytest.mark.parametrize("case", sorted(USD_BEYOND_A_FLOAT))
     def test_usd_value_past_the_float_range_exits_two_before_the_trace(self, case, capsys, tmp_path):

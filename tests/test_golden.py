@@ -197,8 +197,7 @@ def test_direct_lockers_run_digests(tmp_path):
 def _exogenous_followers_scenario() -> dict:
     """Equilibrium followers that each see their own exogenous weight on four
     bribed gauges: one leaves a congested gauge unsupported, one crowds a
-    single gauge, and one carries only zero and negative weights, which count
-    as none."""
+    single gauge, and one carries only zero weights, which count as none."""
     horizon = 10
 
     def follower(account, amount, exogenous):
@@ -209,7 +208,7 @@ def _exogenous_followers_scenario() -> dict:
     agents = [
         follower("equil-a", 3000, {"0": 500.0, "1": 0.0, "2": 2500.0}),
         follower("equil-b", 1200, {"3": 40.5}),
-        follower("equil-c", 700, {"0": -5.0, "1": 0.0}),
+        follower("equil-c", 700, {"0": 0.0, "1": 0.0}),
         {"account": "briber-0", "strategy": "SelfPromoter",
          "params": {"own_gauges": [0, 1], "budget_per_round": [30, 10, 45, 20, 5, 60]}},
         {"account": "briber-1", "strategy": "SelfPromoter",
@@ -232,6 +231,10 @@ def _exogenous_followers_scenario() -> dict:
 def test_exogenous_followers_digest(tmp_path):
     # the only golden trace whose equilibrium followers carry exogenous weight
     config = scenario_from_dict(_exogenous_followers_scenario())
+    # the parser refuses a negative weight, which the kernel counts as none;
+    # set one on the parsed config, so the run still pins that
+    equil_c = next(spec for spec in config.agents if spec.account == "equil-c")
+    equil_c.exogenous_weights = ((0, -5.0), (1, 0.0))
     assert trace_digest(run_scenario(config), tmp_path) == "575f896ae0f651ca"
 
 

@@ -14,6 +14,11 @@ class TestBaseUnits:
         assert base_units("2.5") == 25 * 10 ** (DECIMALS - 1)
         assert base_units(0) == 0
 
+    def test_exact_past_28_significant_digits(self):
+        # Decimal's default context keeps 28 digits; no digit may be rounded away
+        assert base_units("589735030408322.123456789012345678") == 589735030408322123456789012345678
+        assert base_units(12345678901234567890123456789) == 12345678901234567890123456789 * ONE
+
     def test_float_goes_through_repr(self):
         assert base_units(0.5) == ONE // 2
 
