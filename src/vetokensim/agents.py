@@ -262,13 +262,8 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
     elif spec.strategy in ("BribeFollowerGreedy", "BribeFollowerEquilibrium") and gov_weight > 0:
         positive_bribes = {g: b for g, b in obs.bribes_usd.items() if b > 0}
         if positive_bribes and spec.strategy == "BribeFollowerGreedy":
-            best = min(
-                positive_bribes,
-                key=lambda g: (
-                    -positive_bribes[g] / (obs.prev_round_weights.get(g, 0.0) + gov_weight),
-                    g,
-                ),
-            )
+            prev = obs.prev_round_weights
+            _, best = min((-b / (prev.get(g, 0.0) + gov_weight), g) for g, b in positive_bribes.items())
             ballot = {best: BPS}
         elif positive_bribes and spec.strategy == "BribeFollowerEquilibrium":
             split = equilibrium_allocation(positive_bribes, gov_weight, dict(spec.exogenous_weights))

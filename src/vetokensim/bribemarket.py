@@ -5,6 +5,11 @@ Deposits sit in a reserved market escrow account until settlement, so ledger
 conservation covers them.  Payouts are exact to the base unit: flooring
 remainders are handed out by largest fractional share (ties by account id).
 A bribed gauge that attracted no votes refunds its bribers in full.
+
+The settlement records every gauge's payout and refund cuts, but moves tokens
+only once every gauge is settled: one ledger transfer per (token, account) per
+round, for the sum of that account's cuts.  A settlement that fails moves no
+tokens.
 """
 
 from __future__ import annotations
@@ -52,13 +57,15 @@ def _prorata(total: int, weights: dict[str, int]) -> dict[str, int]:
     """
     grand = sum(weights.values())
     floors: dict[str, int] = {}
-    remainders: list[tuple[int, str]] = []
+    remainders: list[tuple[int, str]] = []  # (-remainder, who): sorts largest first, ties by id
     for who in sorted(weights):
         floors[who], remainder = divmod(total * weights[who], grand)
-        remainders.append((remainder, who))
+        remainders.append((-remainder, who))
     leftover = total - sum(floors.values())
-    for _, who in sorted(remainders, key=lambda item: (-item[0], item[1]))[:leftover]:
-        floors[who] += 1
+    if leftover > 0:
+        remainders.sort()
+        for _, who in remainders[:leftover]:
+            floors[who] += 1
     return floors
 
 
@@ -114,15 +121,23 @@ class BribeMarket:
             for gauge_id, cut in rnd.voter_gauge_num[voter].items():
                 if cut > 0:
                     voters_by_gauge.setdefault(gauge_id, {})[voter] = cut
+        owed: dict[str, dict[str, int]] = {}  # token -> {account: base units}, over every gauge
         for gauge_id in sorted(settlement.gauges):
-            self._settle_gauge(rnd, gauge_id, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}))
+            self._settle_gauge(rnd, gauge_id, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}), owed)
         # the share table sums the round's bribe_usd in gauge order, as here
         if not math.isfinite(sum(gs.bribe_usd for _, gs in sorted(settlement.gauges.items()))):
             raise PriceError("the round's bribe_usd total overflows a float")
+        # only now, with every gauge settled, do tokens move: one transfer per (token, account)
+        for token in sorted(owed):
+            for account, amount in sorted(owed[token].items()):
+                self.ledger.transfer(token, self.escrow_account, account, amount)
         self.settled.add(round_id)
         return settlement
 
-    def _settle_gauge(self, rnd, gauge_id: int, gs: GaugeSettlement, voters: dict[str, int]) -> None:
+    def _settle_gauge(
+        self, rnd, gauge_id: int, gs: GaugeSettlement, voters: dict[str, int], owed: dict[str, dict[str, int]]
+    ) -> None:
+        """Record the gauge's payouts or refunds in ``gs`` and add each cut to ``owed``."""
         close = rnd.close_epoch
         gs.vote_num = sum(voters.values())
         gs.bribe_usd = sum(
@@ -138,14 +153,16 @@ class BribeMarket:
             # nobody voted for the bribed gauge: return every deposit
             for briber, tokens in sorted(gs.deposits_by_briber.items()):
                 for token, amount in sorted(tokens.items()):
-                    self.ledger.transfer(token, self.escrow_account, briber, amount)
+                    pending = owed.setdefault(token, {})
+                    pending[briber] = pending.get(briber, 0) + amount
                     gs.refunds.setdefault(briber, {})[token] = amount
             return
         gs.usd_per_vote = gs.bribe_usd / (gs.vote_num / rnd.cut_den)
         _check_usd(gs.usd_per_vote, gauge_id, "usd_per_vote")
         for token, total in sorted(gs.deposits.items()):
+            pending = owed.setdefault(token, {})
             for voter, cut in _prorata(total, voters).items():
                 if cut == 0:
                     continue
-                self.ledger.transfer(token, self.escrow_account, voter, cut)
+                pending[voter] = pending.get(voter, 0) + cut
                 gs.payouts.setdefault(voter, {})[token] = cut

@@ -35,16 +35,17 @@ def shares_to_bps(shares, total_bps: int = BPS) -> dict[int, int]:
     common = math.lcm(*(den for _, den in ratios.values()))
     nums = {g: num * (common // den) for g, (num, den) in ratios.items()}
     total = sum(nums.values())
-    if total == 0 or total_bps <= 0:
-        return {}
     floors: dict[int, int] = {}
-    remainders: dict[int, int] = {}
+    order: list[tuple[int, int, int]] = []  # (-remainder, -num, g): largest first, then larger share, lower id
     for g, num in nums.items():
-        floors[g], remainders[g] = divmod(num * total_bps, total)
+        floors[g], remainder = divmod(num * total_bps, total)
+        order.append((-remainder, -num, g))
+    # no shares (then lcm() is 1 and the loop never divides) or total_bps <= 0: no bps above 0, so {}
     leftover = total_bps - sum(floors.values())
-    order = sorted(nums, key=lambda g: (-remainders[g], -nums[g], g))
-    for g in order[:leftover]:
-        floors[g] += 1
+    if leftover > 0:
+        order.sort()
+        for _, _, g in order[:leftover]:
+            floors[g] += 1
     return {g: bps for g, bps in floors.items() if bps > 0}
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from bisect import bisect_right
 from decimal import Decimal, InvalidOperation
@@ -22,22 +23,29 @@ DECIMALS = 18
 ONE = 10**DECIMALS
 
 
+# ASCII digits, an optional fraction and an optional exponent; the sign is
+# there only so that a negative amount is refused as unsigned
+_AMOUNT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
 def base_units(tokens) -> int:
     """Convert a token quantity (int, float, str or Decimal) to base units, exactly:
-    no digit is rounded away.  Base units of more digits than ``int`` converts
-    to text (``sys.get_int_max_str_digits()``) are refused, since no trace
-    could write them."""
+    no digit is rounded away.  Text must be plain ``_AMOUNT_TEXT``: Decimal
+    alone would also read "1_0" as 10, and take " 1 ", "+1" and non-ASCII
+    digits.  Base units of more digits than ``int`` converts to text
+    (``sys.get_int_max_str_digits()``) are refused, since no trace could
+    write them."""
     if isinstance(tokens, bool) or not isinstance(tokens, (int, float, str, Decimal)):
         raise LedgerError(f"unparseable token amount: {tokens!r}")
-    if isinstance(tokens, float):
-        # go through repr so 0.5 means five tenths, not its binary expansion
-        tokens = repr(tokens)
+    if isinstance(tokens, (float, Decimal)):
+        # a float's repr, so 0.5 means five tenths, not its binary expansion
+        tokens = str(tokens)
+    if isinstance(tokens, str) and not _AMOUNT_TEXT.fullmatch(tokens):
+        raise LedgerError(f"unparseable token amount: {tokens!r}")
     try:
         value = Decimal(tokens)  # exact: a context rounds arithmetic, not construction
-    except InvalidOperation as exc:
+    except InvalidOperation as exc:  # an exponent past Decimal's range
         raise LedgerError(f"unparseable token amount: {tokens!r}") from exc
-    if not value.is_finite():
-        raise LedgerError(f"unparseable token amount: {tokens!r}")
     sign, digits, exponent = value.as_tuple()
     coefficient = "".join(map(str, digits)).rstrip("0")
     if not coefficient:

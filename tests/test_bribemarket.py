@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vetokensim.aggregator import Aggregator
 from vetokensim.bribemarket import BribeMarket, _prorata
-from vetokensim.errors import BribeMarketError
+from vetokensim.errors import BribeMarketError, PriceError
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import EmissionSchedule, GaugeController
 from vetokensim.ledger import ONE, Ledger, PriceSeries
@@ -173,6 +173,92 @@ class TestSettleRound:
                 assert actual == expected
                 assert sum(actual.values()) == total  # conservation, exactly
             ledger.assert_conservation()
+
+
+def count_transfers(ledger):
+    """Record every ``ledger.transfer`` call's arguments from now on."""
+    calls = []
+    transfer = ledger.transfer
+
+    def counted(*args):
+        calls.append(args)
+        transfer(*args)
+
+    ledger.transfer = counted
+    return calls
+
+
+class TestSettlementTransfers:
+    """Settlement records every gauge's cuts but moves each (token, account) total once."""
+
+    def test_one_transfer_per_token_and_voter(self):
+        ledger, agg, market = build(gauges=3)
+        gov_lock(ledger, agg, "A", U(30))
+        gov_lock(ledger, agg, "B", U(10))
+        agg.ensure_round(0)
+        for g, units in enumerate((U(100), U(200), U(300))):
+            fund_and_post(ledger, market, f"briber{g}", g, units)
+        ledger.mint("CRV", "c", U(50))
+        market.post_bribe(0, 1, "c", "CRV", U(50), 0)
+        agg.cast_meta_vote("A", 0, [(0, 2500), (1, 2500), (2, 5000)], 0)
+        agg.cast_meta_vote("B", 0, [(0, 10000)], 0)
+        agg.finalize_round(0, 2)
+        calls = count_transfers(ledger)
+        settlement = market.settle_round(0)
+
+        payouts = {g: gs.payouts for g, gs in settlement.gauges.items()}
+        # A voted 7.5 of gauge 0's 17.5 weight units at close, B the other 10;
+        # the leftover base unit goes to A's larger remainder
+        a0 = U(100) * 3 // 7 + 1
+        assert payouts == {
+            0: {"A": {"BRIBE-USD": a0}, "B": {"BRIBE-USD": U(100) - a0}},
+            1: {"A": {"BRIBE-USD": U(200), "CRV": U(50)}},
+            2: {"A": {"BRIBE-USD": U(300)}},
+        }
+        escrow = market.escrow_account
+        assert calls == [
+            ("BRIBE-USD", escrow, "A", a0 + U(200) + U(300)),
+            ("BRIBE-USD", escrow, "B", U(100) - a0),
+            ("CRV", escrow, "A", U(50)),
+        ]
+        assert ledger.balance(escrow, "BRIBE-USD") == ledger.balance(escrow, "CRV") == 0
+
+    def test_refunds_are_batched_too(self):
+        ledger, agg, market = build(gauges=3)
+        gov_lock(ledger, agg, "A", U(10))
+        agg.ensure_round(0)
+        fund_and_post(ledger, market, "b", 0, U(100))
+        fund_and_post(ledger, market, "b", 1, U(200))
+        fund_and_post(ledger, market, "c", 2, U(300))
+        agg.cast_meta_vote("A", 0, [(2, 10000)], 0)  # nobody votes for gauges 0 and 1
+        agg.finalize_round(0, 2)
+        calls = count_transfers(ledger)
+        settlement = market.settle_round(0)
+
+        assert settlement.gauges[0].refunds == {"b": {"BRIBE-USD": U(100)}}
+        assert settlement.gauges[1].refunds == {"b": {"BRIBE-USD": U(200)}}
+        escrow = market.escrow_account
+        assert calls == [("BRIBE-USD", escrow, "A", U(300)), ("BRIBE-USD", escrow, "b", U(300))]
+        assert ledger.balance("b", "BRIBE-USD") == U(300)
+
+    def test_a_failed_settlement_moves_no_tokens(self):
+        ledger, agg, market = build(gauges=2, bribe_price=1e300)
+        gov_lock(ledger, agg, "A", U(10))
+        gov_lock(ledger, agg, "B", 1000)  # about 1e-15 weight units at close
+        agg.ensure_round(0)
+        ledger.mint("CRV", "c", U(100))
+        market.post_bribe(0, 0, "c", "CRV", U(100), 0)
+        fund_and_post(ledger, market, "b", 1, U(1))  # 1e300 USD over B's sliver of weight
+        agg.cast_meta_vote("A", 0, [(0, 10000)], 0)
+        agg.cast_meta_vote("B", 0, [(1, 10000)], 0)
+        agg.finalize_round(0, 2)
+        before = {token: dict(held) for token, held in ledger.balances.items()}
+        calls = count_transfers(ledger)
+        # gauge 0 settles first, then gauge 1's dollars per vote overflows
+        with pytest.raises(PriceError, match="gauge 1 usd_per_vote overflows a float"):
+            market.settle_round(0)
+        assert calls == []
+        assert ledger.balances == before
 
 
 class TestDollarsPerVote:

@@ -264,6 +264,11 @@ BAD_SHAPES = {
     ),
     # a token amount is converted exactly, or refused
     "boolean amount": (_with_balance(True), f"{BALANCE}: unparseable token amount: True"),
+    # Decimal alone would read these as 10, 1, 1 and 1 tokens
+    "amount with a digit separator": (_with_balance("1_0"), f"{BALANCE}: unparseable token amount: '1_0'"),
+    "amount with spaces": (_with_balance(" 1 "), f"{BALANCE}: unparseable token amount: ' 1 '"),
+    "amount with a plus sign": (_with_balance("+1"), f"{BALANCE}: unparseable token amount: '+1'"),
+    "amount in non-ASCII digits": (_with_balance("\u0661"), f"{BALANCE}: unparseable token amount: '\u0661'"),
     "amount with a far fractional digit": (_with_balance("1e-1000050"),
                                            f"{BALANCE}: '1e-1000050' has more than 18 fractional digits"),
     "amount past the decimal exponent range": (

@@ -44,6 +44,21 @@ class TestAddGauge:
         assert (first, second) == (0, 1)
 
 
+class TestEmissionSchedule:
+    def test_abutting_ranges_switch_rate_at_the_boundary(self):
+        # [0, 4) at 100 a week, then [4, 9) at 60: each range is half-open
+        schedule = EmissionSchedule([(4, 9, 60), (0, 4, 100)])
+        assert [schedule.amount_for(e) for e in (0, 3, 4, 8, 9)] == [100, 100, 60, 60, 0]
+
+
+class TestCheckAllocation:
+    def test_zero_bps_entries_are_dropped(self):
+        _, _, controller = build()
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
+        assert controller.check_allocation([(0, 0), (1, 10000)]) == {1: 10000}
+
+
 class TestVoteForGaugeWeights:
     def test_single_voter_owns_snapshot(self):
         ledger, escrow, controller = build()

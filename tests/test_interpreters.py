@@ -1,0 +1,78 @@
+"""The packaged scenarios write their pinned bytes under every other CPython
+that ``requires-python`` admits and that this machine has: each one found, in
+pyenv's ``versions`` folder or as ``python3.1x`` on ``PATH``, runs
+``python -m vetokensim.cli run`` in a subprocess, with the standard library
+only, and its trace and stdout digests must equal the pins in
+``test_golden``.  The test skips when no other interpreter is found.
+
+``summary.json`` is left out: its float sums use the built-in ``sum()``,
+which CPython 3.12 made compensated, so paper-bootstrap's summary differs
+there."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_golden import GOLDEN, STDOUT_GOLDEN, file_digest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+OLDEST = (3, 10, 7)  # the first CPython with ``sys.get_int_max_str_digits``
+PROBE = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3], sys.executable)"
+
+
+def _candidates():
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    yield from sorted(pyenv.glob("versions/*/bin/python"))
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        for minor in range(10, 20):
+            path = Path(folder or ".") / f"python3.{minor}"
+            if path.is_file() and os.access(path, os.X_OK):
+                yield path
+
+
+def other_interpreters() -> dict[str, str]:
+    """Each other CPython >= ``OLDEST`` found, as {real executable: version}."""
+    found = {}
+    this = os.path.realpath(sys.executable)
+    for candidate in _candidates():
+        try:
+            probe = subprocess.run([str(candidate), "-c", PROBE], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = probe.stdout.strip().split(maxsplit=4)
+        if probe.returncode != 0 or len(fields) != 5 or fields[0] != "CPython":
+            continue
+        version = tuple(map(int, fields[1:4]))
+        executable = os.path.realpath(fields[4])
+        if version >= OLDEST and executable != this:
+            found.setdefault(executable, ".".join(fields[1:4]))
+    return found
+
+
+def test_packaged_scenarios_keep_their_bytes_on_other_interpreters(tmp_path):
+    interpreters = other_interpreters()
+    print(f"\n{len(interpreters)} other interpreter(s): {', '.join(sorted(interpreters.values())) or 'none'}")
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10.7 found")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    digests = {}
+    for executable, version in sorted(interpreters.items()):
+        for name in sorted(GOLDEN):
+            out = tmp_path / version / name
+            run = subprocess.run(
+                [executable, "-m", "vetokensim.cli", "run", name, "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert run.returncode == 0, f"{version} {name}: {run.stderr}"
+            stdout = run.stdout.replace(str(out), "OUT")
+            stdout_digest = hashlib.sha256(stdout.encode()).hexdigest()[:16]
+            digests[version, name] = (file_digest(out / "trace.ndjson"), stdout_digest)
+    assert digests == {
+        (version, name): (GOLDEN[name], STDOUT_GOLDEN[name])
+        for version in interpreters.values()
+        for name in GOLDEN
+    }

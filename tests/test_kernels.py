@@ -62,7 +62,7 @@ SHARE_VALUES = st.one_of(
 
 
 class TestSharesToBps:
-    @given(shares=tied(SHARE_VALUES), total_bps=st.sampled_from([BPS, 8500, 7, 0]))
+    @given(shares=tied(SHARE_VALUES), total_bps=st.sampled_from([BPS, 8500, 7, 0, -3]))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, shares, total_bps):
         assert shares_to_bps(shares, total_bps) == reference_shares_to_bps(shares, total_bps)
