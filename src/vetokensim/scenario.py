@@ -336,6 +336,8 @@ def load_scenario(source: str) -> ScenarioConfig:
         start = next(token.start() for token in _JSON_TOKEN.finditer(text) if len(token[1] or "") > limit)
         line = text.count("\n", 0, start) + 1
         raise ScenarioError(f"{source}: JSON parse error at line {line}: {_long_integer()}") from None
+    except RecursionError:
+        raise ScenarioError(f"{source}: JSON parse error: nested too deeply") from None
     return scenario_from_dict(raw)
 
 

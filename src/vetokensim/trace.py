@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import json
 import math
+from json.scanner import make_scanner
 
 from .errors import ScenarioError
 from .scenario import Fields, _long_integer, _utf8
 
 FORMAT_VERSION = 1  # the trace format ``write_ndjson`` writes and ``read_ndjson`` reads
+
+# the stdlib scanner that ``json.loads`` runs: ``_scan(text, i)`` is
+# ``(value, end)`` for the JSON value that starts at ``text[i]``
+_scan = make_scanner(json.JSONDecoder())
 
 
 class SimTrace:
@@ -17,13 +22,16 @@ class SimTrace:
 
     ``rows`` is any iterable that can be walked more than once: the list that
     ``run_scenario`` builds, or the file that ``read_ndjson`` parses again on
-    each pass, one line at a time.  Rows are read-only.  The rows of one run
-    hold each repeated value once: every equal lock entry, ballot (base votes,
-    a round's ballots and its base allocation), vote entry, ``[gauge, bps]``
-    pair and allocation list is one object, every gauge key is one string per
-    gauge, and a token's ``token_totals`` entry is the previous row's dict
-    while it does not change.  A settlement row holds the settlement's own
-    ``briber_usd`` and per-account token dicts.
+    each pass, one line at a time.  Rows are read-only, and shared values must
+    be copied before editing.  The rows of one run hold each repeated value
+    once: every equal lock entry, ballot (base votes, a round's ballots and its
+    base allocation), vote entry, ``[gauge, bps]`` pair and allocation list is
+    one object, every gauge key is one string per gauge, and a token's
+    ``token_totals`` entry is the previous row's dict while it does not change.
+    A settlement row holds the settlement's own ``briber_usd`` and per-account
+    token dicts.  Rows read from a file share less: a leading value whose text
+    repeats the previous row's (often ``actions`` and ``base_votes``) is the
+    previous row's object.
     """
 
     def __init__(self, header: dict, rows):
@@ -75,14 +83,65 @@ def _ndjson_record(path: str, lineno: int, line: str) -> dict:
         raise ScenarioError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
     except ValueError:
         raise ScenarioError(f"{path}:{lineno}: {_long_integer()}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
     if not isinstance(record, dict):
         raise ScenarioError(f"{path}:{lineno}: record is not a JSON object")
     return record
 
 
+def _row_record(path: str, lineno: int, line: str, lead: list) -> tuple[dict, list]:
+    """``(json.loads(line), its lead)``, given the previous row's lead.
+
+    A row's lead is its first members as ``(member text, key, value)``, up to
+    and including the first whose text differs from the previous row's.  While
+    a member's text repeats, the previous row's key and value are taken as
+    they are; the first member that does not repeat is parsed alone, and the
+    rest of the record in one ``json.loads``.  A line that is not a compact
+    object with string keys, or that fails to parse, goes through
+    ``_ndjson_record`` as a whole and starts an empty lead, so every record
+    and every error is the one ``json.loads`` gives."""
+    try:
+        found = _reuse_lead(line, lead)
+    except (ValueError, StopIteration, RecursionError):
+        found = None
+    return found or (_ndjson_record(path, lineno, line), [])
+
+
+def _reuse_lead(line: str, lead: list) -> tuple[dict, list] | None:
+    """``_row_record`` for a compact object line, or None for any other line."""
+    if not line.startswith('{"'):
+        return None
+    record, pos = {}, 1
+    for kept, (text, key, value) in enumerate(lead):
+        end = pos + len(text)
+        close = line[end:end + 1]
+        if (close != "," and close != "}") or not line.startswith(text, pos):
+            lead = lead[:kept]
+            break
+        record[key] = value
+        if close == "}":
+            return (record, lead[:kept + 1]) if line[end + 1:] in ("", "\n") else None
+        pos = end + 1
+    if not line.startswith('"', pos):
+        return None
+    key, end = _scan(line, pos)
+    if not line.startswith(":", end):
+        return None
+    value, end = _scan(line, end + 1)
+    record[key] = value
+    lead = [*lead, (line[pos:end], key, value)]
+    if line.startswith(',"', end):
+        record.update(json.loads("{" + line[end + 1:]))
+    elif line[end:] not in ("}", "}\n"):
+        return None
+    return record, lead
+
+
 class _NdjsonRows:
     """The records after the header line of an ndjson trace, parsed anew on
-    each pass and handed out one at a time, so a pass holds one row.  Blank
+    each pass and handed out one at a time, so a pass holds one row and the
+    leading values it shares with the row before (``_row_record``).  Blank
     lines are skipped; a bad line, a second header or a row out of epoch order
     fails at its line, and a pass that ends before the horizon fails at its end."""
 
@@ -93,12 +152,13 @@ class _NdjsonRows:
     def __iter__(self):
         path, horizon = self.path, self.horizon
         epoch = 0  # the epoch of the next row
+        lead = []  # the previous row's leading members
         with _utf8(path), open(path, "r", encoding="utf-8") as handle:
             handle.readline()  # the header, checked by ``SimTrace.read_ndjson``
             for lineno, line in enumerate(handle, 2):
                 if line.isspace():
                     continue
-                record = _ndjson_record(path, lineno, line)
+                record, lead = _row_record(path, lineno, line, lead)
                 if record.get("type") == "header":
                     raise ScenarioError(f"{path}:{lineno}: a second header record")
                 found = record.get("epoch")

@@ -16,6 +16,7 @@ from vetokensim.trace import SimTrace
 
 U = base_units
 LONG_DIGITS = "1" * 5000  # more digits than ``int`` converts from text (``sys.get_int_max_str_digits``)
+DEEP = "[" * 100_000 + "]" * 100_000  # a JSON array nested past any recursion limit
 
 SCENARIO_TEMPLATE = {
     "name": "mini",

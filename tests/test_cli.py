@@ -15,7 +15,7 @@ from vetokensim.scenario import ScenarioConfig, load_scenario
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace
 
-from conftest import LONG_DIGITS, make_scenario, write_trace
+from conftest import DEEP, LONG_DIGITS, make_scenario, write_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -758,6 +758,15 @@ def test_scenario_not_utf8_exits_one(command, capsys, tmp_path):
     argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
     code, stdout, err = run_cli(capsys, *argv)
     assert (code, stdout, err) == (1, "", f"error: {path}:{line}: not valid UTF-8: invalid continuation byte\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_scenario_nested_too_deeply_exits_one(command, capsys, tmp_path):
+    path, out = tmp_path / "deep.json", tmp_path / "out"
+    path.write_text(json.dumps(make_scenario(horizon_epochs=2))[:-1] + f', "notes": {DEEP}}}')
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert run_cli(capsys, *argv) == (1, "", f"error: {path}: JSON parse error: nested too deeply\n")
     assert not out.exists()
 
 

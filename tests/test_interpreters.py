@@ -2,12 +2,11 @@
 that ``requires-python`` admits and that this machine has: each one found, in
 pyenv's ``versions`` folder or as ``python3.1x`` on ``PATH``, runs
 ``python -m vetokensim.cli run`` in a subprocess, with the standard library
-only, and its trace and stdout digests must equal the pins in
-``test_golden``.  The test skips when no other interpreter is found.
-
-``summary.json`` is left out: its float sums use the built-in ``sum()``,
-which CPython 3.12 made compensated, so paper-bootstrap's summary differs
-there."""
+only, and its trace, ``summary.json`` and stdout digests must equal the pins
+in ``test_golden``.  Each one then runs ``report`` on its own paper-mature
+trace, which goes through the trace reader's ``json.scanner`` path, and the
+exports must equal the pinned in-process ones.  The test skips when no other
+interpreter is found."""
 
 import hashlib
 import os
@@ -17,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import GOLDEN, STDOUT_GOLDEN, file_digest
+from test_golden import EXPORT_GOLDEN, GOLDEN, STDOUT_GOLDEN, SUMMARY_GOLDEN, file_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 OLDEST = (3, 10, 7)  # the first CPython with ``sys.get_int_max_str_digits``
+REPORTED = ("participation", "round_results", "settlements", "snapshots")  # on the paper-mature trace
 PROBE = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3], sys.executable)"
 
 
@@ -59,20 +59,28 @@ def test_packaged_scenarios_keep_their_bytes_on_other_interpreters(tmp_path):
     if not interpreters:
         pytest.skip("no other CPython >= 3.10.7 found")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def cli(executable, version, *argv) -> str:
+        run = subprocess.run([executable, "-m", "vetokensim.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, f"{version} {argv}: {run.stderr}"
+        return run.stdout
+
     digests = {}
     for executable, version in sorted(interpreters.items()):
         for name in sorted(GOLDEN):
             out = tmp_path / version / name
-            run = subprocess.run(
-                [executable, "-m", "vetokensim.cli", "run", name, "--out", str(out)],
-                capture_output=True, text=True, env=env, timeout=300,
-            )
-            assert run.returncode == 0, f"{version} {name}: {run.stderr}"
-            stdout = run.stdout.replace(str(out), "OUT")
-            stdout_digest = hashlib.sha256(stdout.encode()).hexdigest()[:16]
-            digests[version, name] = (file_digest(out / "trace.ndjson"), stdout_digest)
+            stdout = cli(executable, version, "run", name, "--out", str(out)).replace(str(out), "OUT")
+            digests[version, name] = (file_digest(out / "trace.ndjson"), file_digest(out / "summary.json"),
+                                      hashlib.sha256(stdout.encode()).hexdigest()[:16])
+        mature = tmp_path / version / "paper-mature"
+        for metric in REPORTED:
+            export = mature / f"{metric}.csv"
+            cli(executable, version, "report", str(mature / "trace.ndjson"), "--metric", metric, "--out", str(export))
+            digests[version, metric] = file_digest(export)
     assert digests == {
-        (version, name): (GOLDEN[name], STDOUT_GOLDEN[name])
-        for version in interpreters.values()
-        for name in GOLDEN
+        **{(version, name): (GOLDEN[name], SUMMARY_GOLDEN[name], STDOUT_GOLDEN[name])
+           for version in interpreters.values() for name in GOLDEN},
+        **{(version, metric): EXPORT_GOLDEN["paper-mature", metric, "csv"]
+           for version in interpreters.values() for metric in REPORTED},
     }

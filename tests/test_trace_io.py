@@ -10,25 +10,42 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vetokensim import metrics
 from vetokensim.cli import REPORTS, main
 from vetokensim.errors import ScenarioError, VeTokenSimError
-from vetokensim.scenario import load_scenario, packaged_scenarios
+from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
 from vetokensim.sim import run_scenario
-from vetokensim.trace import SimTrace
+from vetokensim.trace import SimTrace, _ndjson_record, _row_record
 
-from conftest import LONG_DIGITS
+from conftest import DEEP, LONG_DIGITS, make_scenario
 from test_metrics import epoch_row, final_cost_per_vote, finalized
 from test_mutation import REPORT_ARGS  # every --metric, with frax active in each avenue
+
+
+def _lockers() -> dict:
+    """Three base-tier lockers who re-cast the same ballot every epoch, so each
+    row's leading values (``actions``, ``base_votes``, the event lists) mostly
+    repeat the row before."""
+    agents = [{"account": f"locker-{i}", "strategy": "SelfPromoter",
+               "params": {"own_gauges": [i % 2], "lock_schedule": [
+                   {"epoch": 0, "kind": "base", "amount": 100 * (i + 1), "weeks": 52},
+                   {"epoch": 6 + i, "kind": "base", "amount": 50, "weeks": 104}]}} for i in range(3)]
+    return make_scenario(horizon_epochs=12, agents=agents,
+                         initial_balances=[[agent["account"], "CRV", 1000] for agent in agents],
+                         gauges=[{"name": f"g{g}", "lp_accounts": [[f"lp{g}", 10000]]} for g in range(2)],
+                         emission_schedule=[{"start": 0, "end": 12, "per_week": 1000}])
 
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory, randomized_1000):
     """name -> (config, in-memory trace, path of its ndjson file), for every
-    packaged scenario and randomized-1000."""
+    packaged scenario, randomized-1000 and ``_lockers``."""
     work = tmp_path_factory.mktemp("traces")
     configs = {name: load_scenario(name) for name in packaged_scenarios()}
+    configs["lockers"] = scenario_from_dict(_lockers())
     runs = {name: (config, run_scenario(config)) for name, config in configs.items()}
     runs["randomized-1000"] = randomized_1000
     out = {}
@@ -63,7 +80,7 @@ def _in_memory_report(trace, argv, out) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("name", sorted(packaged_scenarios()) + ["randomized-1000"])
+@pytest.mark.parametrize("name", sorted(packaged_scenarios()) + ["randomized-1000", "lockers"])
 def test_report_from_file_matches_in_memory(name, written, tmp_path, capsys):
     config, trace, path = written[name]
     for argv in _report_args(config, trace):
@@ -174,6 +191,13 @@ STRICT_CASES = {
                                  "epoch 52 is past horizon_epochs 52"),
     "epoch not an integer": (lambda header, rows: [header, rows[0], _with(rows[1], epoch="1")] + rows[2:], 3,
                              "epoch: expected epoch 1, got '1'"),
+    "header nested too deeply": (lambda header, rows: [header[:-1] + f',"notes":{DEEP}}}'] + rows, 1,
+                                 "invalid JSON: nested too deeply"),
+    # the reader parses a row's first value alone and the rest in one call
+    "first value nested too deeply": (lambda header, rows: [header] + rows[:2] + [f'{{"actions":{DEEP},"epoch":2}}']
+                                      + rows[3:], 4, "invalid JSON: nested too deeply"),
+    "later value nested too deeply": (lambda header, rows: [header] + rows[:2] + [f'{{"epoch":2,"x":{DEEP}}}']
+                                      + rows[3:], 4, "invalid JSON: nested too deeply"),
 }
 
 
@@ -208,3 +232,103 @@ def test_bribe_totals_do_not_depend_on_the_key_order(tmp_path):
         metrics.fold(trace, cost)
         totals.append(cost.totals("b"))
     assert totals[0] == totals[1]
+
+
+def test_rows_read_from_a_file_share_repeated_leading_values(written):
+    _, trace, path = written["lockers"]
+    rows = list(SimTrace.read_ndjson(path))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
+    assert [json.dumps(row) for row in rows] == [json.dumps(json.loads(line)) for line in lines]
+    assert rows == list(trace)
+    assert rows[1]["actions"] is rows[0]["actions"]
+    assert rows[2]["base_votes"] is rows[1]["base_votes"]
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _key_at(line: str, at: int) -> str:
+    """One top-level key of a row line, chosen by ``at``."""
+    keys = list(json.loads(line))
+    return keys[at % len(keys)]
+
+
+# mutation -> the line it makes of a row line (ending in a newline), given the
+# row line before it, a position in the line and a piece of text
+MUTATIONS = {
+    "insert": lambda line, previous, at, piece: line[:at] + piece + line[at:],
+    "delete": lambda line, previous, at, piece: line[:at] + line[at + 1:],
+    "replace": lambda line, previous, at, piece: line[:at] + piece + line[at + 1:],
+    "cut": lambda line, previous, at, piece: line[:at] + piece + "\n",
+    "cut on the last line": lambda line, previous, at, piece: line[:at] + piece,
+    "trailing comma": lambda line, previous, at, piece: line[:-2] + ",}\n",
+    "non-string key": lambda line, previous, at, piece: "{1:2," + line[1:],
+    # the key's own value first, so the first member may repeat the previous row's
+    "duplicate key first": lambda line, previous, at, piece: '{"%s":%s,' % (
+        _key_at(line, at), _compact(json.loads(line)[_key_at(line, at)])) + line[1:],
+    "duplicate key last": lambda line, previous, at, piece: line[:-2] + ',"%s":%s}\n' % (
+        _key_at(line, at), json.dumps(piece)),
+    # the previous row's epoch and its comma, then more text: "epoch":4, -> "epoch":37,
+    "previous epoch extended": lambda line, previous, at, piece: re.sub(
+        r'"epoch":\d+,', re.search(r'"epoch":\d+', previous)[0] + piece, line, count=1),
+}
+# whitespace, number text, separators, values and a member with a number for its key
+PIECES = [" ", "\t", "", "0", "7", "7,", ".5", "e1", "-", ",", ":", "}", "]", '"', ",}", "[]", "null", "1:2,"]
+
+
+def _reads_like_json_loads(path: str, lines: list[str], index: int, mutated: str) -> None:
+    """Read ``lines`` (row lines) up to ``index``, then ``mutated`` in place of
+    line ``index``, then line ``index + 1`` from the lead it leaves, and check
+    each record or error against ``_ndjson_record``."""
+    lead = []
+    for lineno, row in enumerate(lines[:index], 2):
+        _, lead = _row_record(path, lineno, row, lead)
+    for lineno, row in ((index + 2, mutated), (index + 3, lines[index + 1])):
+        try:
+            expected = _ndjson_record(path, lineno, row)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as failure:
+                _row_record(path, lineno, row, lead)
+            assert str(failure.value) == str(exc)
+            return
+        record, lead = _row_record(path, lineno, row, lead)
+        assert json.dumps(record) == json.dumps(expected)  # key order and duplicates included
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reader_matches_json_loads_on_mutated_rows(mutation, data, written):
+    _, _, path = written["lockers"]
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    index = data.draw(st.integers(1, len(lines) - 2), label="row")
+    line = lines[index]
+    # the leading values come before "escrow_weights": mostly mutate them
+    lead_end = line.index('"escrow_weights"')
+    edges = [m.start() + shift for m in re.finditer(r'[,:}\]"]', line[:lead_end]) for shift in (0, 1)]
+    at = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, len(line))), label="at")
+    piece = data.draw(st.sampled_from(PIECES), label="piece")
+    _reads_like_json_loads(path, lines, index, MUTATIONS[mutation](line, lines[index - 1], at, piece))
+
+
+# a line read after row 4 of the ``_lockers`` trace, made with that row's ``actions``
+# text, so its first member repeats the row before
+EDGE_LINES = {
+    "repeated member closing the record": '{"actions":%s}\n',
+    "text after a repeated member's closing brace": '{"actions":%s}x\n',
+    "a repeated member run into the next key": '{"actions":%s7"base_votes":{}}\n',
+    "whitespace after a repeated member": '{"actions":%s, "base_votes":{}}\n',
+    "number key after a repeated member": '{"actions":%s,1:2}\n',
+    "space for the colon after a parsed key": '{"actions":%s,"base_votes" {}}\n',
+    "trailing comma after a parsed member": '{"actions":%s,"base_votes":{},}\n',
+    "text after a parsed member's closing brace": '{"actions":%s,"base_votes":{}}x\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_LINES))
+def test_reader_matches_json_loads_at_the_edges(case, written):
+    _, _, path = written["lockers"]
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    actions = _compact(json.loads(lines[4])["actions"])
+    _reads_like_json_loads(path, lines, 5, EDGE_LINES[case] % actions)
