@@ -10,8 +10,6 @@ bribe flow; a metrics engine reads the resulting trace.
 
 from .errors import VeTokenSimError
 from .scenario import ScenarioConfig, load_scenario, packaged_scenarios
-from .sim import World, run_scenario
-from .trace import SimTrace
 
 __version__ = "0.1.0"
 
@@ -25,3 +23,17 @@ __all__ = [
     "run_scenario",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the epoch loop and the trace reader load on first use (PEP 562), so a
+    # command that runs neither never loads them
+    if name in ("World", "run_scenario"):
+        from .sim import World, run_scenario
+
+        return World if name == "World" else run_scenario
+    if name == "SimTrace":
+        from .trace import SimTrace
+
+        return SimTrace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

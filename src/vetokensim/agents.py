@@ -33,65 +33,9 @@ from decimal import Decimal
 from typing import NamedTuple
 
 from .errors import AgentError
-from .gauges import BPS, shares_to_bps
-from .ledger import ONE
-
-STRATEGIES = (
-    "PassiveLocker",
-    "FixedAllocator",
-    "BribeFollowerGreedy",
-    "BribeFollowerEquilibrium",
-    "SelfPromoter",
-)
-
-
-class LockEntry(NamedTuple):
-    """One schedule item: create/extend a lock, or deposit into the aggregator.
-
-    kind is "base", "gov" or "deposit"; weeks is the lock duration from the
-    entry's epoch (ignored for deposits).  A zero amount re-extends an
-    existing lock without adding to it.
-    """
-
-    epoch: int
-    kind: str
-    amount: int
-    weeks: int = 0
-
-
-class AgentSpec:
-    def __init__(
-        self,
-        account: str,
-        strategy: str,
-        lock_schedule: tuple[LockEntry, ...] = (),
-        allocation: tuple[tuple[int, int], ...] = (),
-        budget_per_round: float | tuple[float, ...] = 0.0,
-        own_gauges: tuple[int, ...] = (),
-        bribe_token: str = "BRIBE-USD",
-        noise: float = 0.0,
-        exogenous_weights: tuple[tuple[int, float], ...] = (),
-    ):
-        self.account = account
-        self.strategy = strategy
-        self.lock_schedule = lock_schedule
-        self.allocation = allocation
-        self.budget_per_round = budget_per_round
-        self.own_gauges = own_gauges
-        self.bribe_token = bribe_token
-        self.noise = noise
-        self.exogenous_weights = exogenous_weights
-        # epoch -> schedule entries due then, in schedule order; built once here
-        self.schedule_by_epoch: dict[int, list[LockEntry]] = {}
-        for entry in lock_schedule:
-            self.schedule_by_epoch.setdefault(entry.epoch, []).append(entry)
-
-    def budget_for_round(self, round_id: int) -> float:
-        if isinstance(self.budget_per_round, (int, float)):
-            return float(self.budget_per_round)
-        if round_id < len(self.budget_per_round):
-            return float(self.budget_per_round[round_id])
-        return 0.0
+from .gauges import shares_to_bps
+from .ledger import BPS, ONE
+from .scenario import AgentSpec
 
 
 class Observation(NamedTuple):

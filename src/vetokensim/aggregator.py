@@ -18,9 +18,10 @@ result share is its tally numerator over the sum of all of them.
 from __future__ import annotations
 
 from .errors import AggregatorError
-from .escrow import Escrow, EscrowConfig
-from .gauges import BPS, GaugeController, shares_to_bps
-from .ledger import Ledger, check_amount
+from .escrow import Escrow
+from .gauges import GaugeController, shares_to_bps
+from .ledger import BPS, Ledger, check_amount
+from .scenario import EscrowConfig
 
 
 class MetaRound:

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 usage/validation error, 2 runtime error.  Output is
 plain text (no colour, so NO_COLOR needs no special handling).
+
+Each command loads only the modules it runs: ``validate`` and ``scenarios``
+stop at ``scenario``, ``report`` adds ``trace`` and ``metrics``, and only
+``run`` loads the epoch loop (``sim``) and the protocol modules under it.
 """
 
 from __future__ import annotations
@@ -11,15 +15,28 @@ import json
 import os
 import sys
 
-from . import metrics
 from .errors import ScenarioError, SimulationError, VeTokenSimError
-from .scenario import MAX_SEED, load_scenario, packaged_scenarios
-from .sim import run_scenario
-from .trace import SimTrace
+from .scenario import AVENUES, MAX_SEED, load_scenario, packaged_scenarios
+
+
+def run_scenario(config):
+    """``sim.run_scenario``, loading the epoch loop on the first call: only
+    ``run`` needs it.  ``_cmd_run`` looks this name up when it runs, so a
+    wrapper set here (a timer, say) sees the call."""
+    from .sim import run_scenario
+
+    return run_scenario(config)
+
+
+def _metrics():
+    """The ``metrics`` module, loaded on first use: only ``run`` and ``report`` read a trace."""
+    from . import metrics
+
+    return metrics
 
 
 def _shares(trace, args):
-    return metrics.share_table(trace)
+    return _metrics().share_table(trace)
 
 
 # --metric -> (round-keyed, source, derive).  ``source(trace, args)`` builds a
@@ -28,19 +45,19 @@ def _shares(trace, args):
 # look ``metrics.<fn>`` up when called, so a wrapper installed on the module
 # sees every call.  The order is the order of the --metric choices.
 REPORTS = {
-    "participation": (False, lambda trace, args: metrics.participation_stats(trace), None),
+    "participation": (False, lambda trace, args: _metrics().participation_stats(trace), None),
     "share_table": (True, _shares, None),
-    "pearson": (True, _shares, lambda table: metrics.Correlation(metrics.pearson(table.pairs()))),
-    "outliers": (True, _shares, lambda table: metrics.outlier_table(table)),
-    "diff_matrix": (True, _shares, lambda table: metrics.diff_matrix(table)),
+    "pearson": (True, _shares, lambda table: _metrics().Correlation(_metrics().pearson(table.pairs()))),
+    "outliers": (True, _shares, lambda table: _metrics().outlier_table(table)),
+    "diff_matrix": (True, _shares, lambda table: _metrics().diff_matrix(table)),
     "cost_per_vote": (
         False,
-        lambda trace, args: metrics.cost_per_vote_series(trace, args.actor, args.avenue),
+        lambda trace, args: _metrics().cost_per_vote_series(trace, args.actor, args.avenue),
         None,
     ),
-    "snapshots": (False, lambda trace, args: metrics.gauge_snapshots(trace), None),
-    "round_results": (True, lambda trace, args: metrics.round_results(trace), None),
-    "settlements": (True, lambda trace, args: metrics.settlements(trace), None),
+    "snapshots": (False, lambda trace, args: _metrics().gauge_snapshots(trace), None),
+    "round_results": (True, lambda trace, args: _metrics().round_results(trace), None),
+    "settlements": (True, lambda trace, args: _metrics().settlements(trace), None),
 }
 
 
@@ -72,7 +89,7 @@ def _build_parser() -> _Parser:
     report.add_argument("--metric", required=True, choices=list(REPORTS))
     report.add_argument("--round", default=None, metavar="A..B", help="restrict to rounds A..B inclusive")
     report.add_argument("--actor", default=None, help="account for cost_per_vote")
-    report.add_argument("--avenue", default=None, choices=metrics.AVENUES, help="avenue for cost_per_vote")
+    report.add_argument("--avenue", default=None, choices=AVENUES, help="avenue for cost_per_vote")
     report.add_argument("--out", required=True, help="output file")
     report.add_argument("--format", default="csv", choices=("csv", "json"))
 
@@ -94,7 +111,9 @@ def _parse_round_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _phase_pearson(table: metrics.ShareTable, bootstrap_rounds: int) -> dict:
+def _phase_pearson(table, bootstrap_rounds: int) -> dict:
+    metrics = _metrics()
+
     def safe(rows):
         try:
             return metrics.pearson([(r.bribe_share, r.vote_share) for r in rows])
@@ -112,12 +131,13 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _summarize(config, trace: SimTrace) -> dict:
+def _summarize(config, trace) -> dict:
     # one pass over the trace feeds every fold; cost per vote follows every
     # agent account in each avenue
+    metrics = _metrics()
     accounts = [spec.account for spec in config.agents]
     participation, shares = metrics.Participation(), metrics.Shares()
-    costs = [metrics.CostFold(trace.header, avenue, accounts) for avenue in metrics.AVENUES]
+    costs = [metrics.CostFold(trace.header, avenue, accounts) for avenue in AVENUES]
     metrics.fold(trace, participation, shares, *costs)
     summary: dict = {
         "scenario": config.name,
@@ -202,12 +222,14 @@ def _cmd_report(args) -> int:
     if round_range and not round_keyed:
         note = " (epoch-keyed)" if args.metric == "snapshots" else ""
         raise _UsageError(f"--round does not apply to {args.metric}{note}")
+    from .trace import SimTrace
+
     table = source(SimTrace.read_ndjson(args.trace), args)
     if round_range:
         table = table.in_rounds(*round_range)
     if derive:
         table = derive(table)
-    metrics.export(table, args.format, args.out)
+    _metrics().export(table, args.format, args.out)
     print(f"wrote {args.out}")
     return 0
 

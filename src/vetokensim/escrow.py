@@ -19,18 +19,9 @@ and ``withdraw`` are its steps, each checking its own preconditions.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import EscrowError
 from .ledger import ONE, Ledger, check_amount
-
-
-class EscrowConfig(NamedTuple):
-    token: str
-    max_lock_weeks: int
-    min_lock_weeks: int = 1
-    whitelist: tuple[str, ...] = ()
-    whitelist_enforced: bool = False
+from .scenario import EscrowConfig
 
 
 class Lock:

@@ -16,9 +16,7 @@ import math
 
 from .errors import GaugeError
 from .escrow import Escrow
-from .ledger import Ledger
-
-BPS = 10_000
+from .ledger import BPS, Ledger
 
 
 def shares_to_bps(shares, total_bps: int = BPS) -> dict[int, int]:

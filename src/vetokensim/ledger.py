@@ -21,6 +21,7 @@ from .errors import LedgerError, PriceError
 
 DECIMALS = 18
 ONE = 10**DECIMALS
+BPS = 10_000  # basis points in a whole: gauge LP shares and vote allocations
 
 
 # ASCII digits, an optional fraction and an optional exponent; the sign is

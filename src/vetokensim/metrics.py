@@ -28,10 +28,8 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, ScenarioError
-from .scenario import Fields
+from .scenario import AVENUES, Fields
 from .trace import SimTrace
-
-AVENUES = ("direct-lock", "aggregator-lock", "bribe")
 
 ZERO = (0, 1)  # the ratio 0 as a (num, den) pair
 

@@ -2,7 +2,10 @@
 typed reader ``Fields`` that the parser and the trace readers share.
 
 ``scenario_from_dict`` is the one place that checks a scenario value; every
-malformed field fails with a ``ScenarioError`` naming its path.
+malformed field, and every key no field names, fails with a ``ScenarioError``
+naming its path.  The config types (``EscrowConfig``, ``AgentSpec``,
+``LockEntry``) live here, at the bottom of the module graph with ``errors``
+and ``ledger``, so validating a scenario loads no protocol module.
 """
 
 from __future__ import annotations
@@ -12,17 +15,82 @@ import json
 import os
 import re
 import sys
-from importlib import resources
 from typing import NamedTuple
 
-from .agents import STRATEGIES, AgentSpec, LockEntry
 from .errors import ScenarioError, VeTokenSimError
-from .escrow import EscrowConfig
-from .gauges import BPS
-from .ledger import Token, base_units
+from .ledger import BPS, Token, base_units
 
 
 MAX_SEED = 2**64 - 1
+
+# the acquisition avenues whose cost per vote ``metrics`` follows
+AVENUES = ("direct-lock", "aggregator-lock", "bribe")
+
+# the strategies ``agents.decide`` runs; the ``agents`` docstring describes each
+STRATEGIES = (
+    "PassiveLocker",
+    "FixedAllocator",
+    "BribeFollowerGreedy",
+    "BribeFollowerEquilibrium",
+    "SelfPromoter",
+)
+
+
+class LockEntry(NamedTuple):
+    """One schedule item: create/extend a lock, or deposit into the aggregator.
+
+    kind is "base", "gov" or "deposit"; weeks is the lock duration from the
+    entry's epoch (ignored for deposits).  A zero amount re-extends an
+    existing lock without adding to it.
+    """
+
+    epoch: int
+    kind: str
+    amount: int
+    weeks: int = 0
+
+
+class AgentSpec:
+    def __init__(
+        self,
+        account: str,
+        strategy: str,
+        lock_schedule: tuple[LockEntry, ...] = (),
+        allocation: tuple[tuple[int, int], ...] = (),
+        budget_per_round: float | tuple[float, ...] = 0.0,
+        own_gauges: tuple[int, ...] = (),
+        bribe_token: str = "BRIBE-USD",
+        noise: float = 0.0,
+        exogenous_weights: tuple[tuple[int, float], ...] = (),
+    ):
+        self.account = account
+        self.strategy = strategy
+        self.lock_schedule = lock_schedule
+        self.allocation = allocation
+        self.budget_per_round = budget_per_round
+        self.own_gauges = own_gauges
+        self.bribe_token = bribe_token
+        self.noise = noise
+        self.exogenous_weights = exogenous_weights
+        # epoch -> schedule entries due then, in schedule order; built once here
+        self.schedule_by_epoch: dict[int, list[LockEntry]] = {}
+        for entry in lock_schedule:
+            self.schedule_by_epoch.setdefault(entry.epoch, []).append(entry)
+
+    def budget_for_round(self, round_id: int) -> float:
+        if isinstance(self.budget_per_round, (int, float)):
+            return float(self.budget_per_round)
+        if round_id < len(self.budget_per_round):
+            return float(self.budget_per_round[round_id])
+        return 0.0
+
+
+class EscrowConfig(NamedTuple):
+    token: str
+    max_lock_weeks: int
+    min_lock_weeks: int = 1
+    whitelist: tuple[str, ...] = ()
+    whitelist_enforced: bool = False
 
 
 class GaugeSpec(NamedTuple):
@@ -99,6 +167,7 @@ def _agent_dict(spec: AgentSpec) -> dict:
 
 
 def _parse_escrow(f: Fields, tokens) -> EscrowConfig:
+    f.known(EscrowConfig._fields)
     token = f.string("token")
     if token not in tokens:
         raise f.error(f"unknown token {token}", "token")
@@ -117,6 +186,7 @@ def _parse_escrow(f: Fields, tokens) -> EscrowConfig:
 
 
 def _parse_lock_entry(f: Fields, config_bounds) -> LockEntry:
+    f.known(LockEntry._fields)
     kind = f.value("kind")
     if kind not in ("base", "gov", "deposit"):
         raise f.error(f"must be base, gov or deposit, got {kind!r}", "kind")
@@ -134,13 +204,23 @@ def _parse_lock_entry(f: Fields, config_bounds) -> LockEntry:
     return LockEntry(epoch=epoch, kind=kind, amount=amount, weeks=weeks)
 
 
+# an agent's scenario keys, and those of its ``params``: every other
+# ``AgentSpec`` argument
+_AGENT_KEYS = ("account", "strategy", "params")
+_AGENT_PARAMS = (
+    "lock_schedule", "allocation", "budget_per_round", "own_gauges", "bribe_token", "noise", "exogenous_weights",
+)
+
+
 def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
+    f.known(_AGENT_KEYS)
     account = f.string("account")
     strategy = f.string("strategy")
     if strategy not in STRATEGIES:
         names = ", ".join(STRATEGIES[:-1]) + f" or {STRATEGIES[-1]}"
         raise f.error(f"must be one of {names}, got {strategy!r}", "strategy")
     params = f.at("params", default={})
+    params.known(_AGENT_PARAMS)
     schedule = tuple(_parse_lock_entry(entry, config_bounds) for entry in params.each("lock_schedule", default=[]))
     allocation: dict[int, int] = {}
     for pair in params.each("allocation", size=2, default=[]):
@@ -187,9 +267,11 @@ def _parse_agent(f: Fields, tokens, gauge_count, config_bounds) -> AgentSpec:
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     f = Fields(raw, "scenario")
+    f.known(ScenarioConfig._fields)
     tokens = []
     seen_tokens: set[str] = set()
     for entry in f.each("tokens"):
+        entry.known(Token._fields)
         symbol = entry.string("symbol")
         if not symbol or symbol in seen_tokens:
             raise entry.error(f"empty or duplicate symbol {symbol!r}", "symbol")
@@ -228,6 +310,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     gov_escrow = _parse_escrow(f.at("gov_escrow"), seen_tokens)
 
     agg = f.at("aggregator")
+    agg.known(AggregatorParams._fields)
     aggregator = AggregatorParams(
         protocol_account=agg.string("protocol_account"),
         wrapper_token=agg.string("wrapper_token"),
@@ -241,6 +324,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
     gauges = []
     for entry in f.each("gauges"):
+        entry.known(GaugeSpec._fields)
         shares = [(pair.string(0), pair.integer(1, minimum=1)) for pair in entry.each("lp_accounts", size=2)]
         if sum(bps for _, bps in shares) != BPS:
             raise entry.error(f"shares must sum to {BPS} bps", "lp_accounts")
@@ -248,6 +332,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
     emissions = []
     for entry in f.each("emission_schedule", default=[]):
+        entry.known(("start", "end", "per_week"))
         start = entry.integer("start", minimum=0)
         end = entry.integer("end", minimum=1)
         per_week = entry.amount("per_week")
@@ -306,11 +391,18 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     )
 
 
+def _packaged():
+    """The directory of packaged scenarios.  ``importlib.resources`` is
+    imported here, not at the top: loading a scenario file needs no package data."""
+    from importlib import resources
+
+    return resources.files(__package__) / "scenarios"
+
+
 def packaged_scenarios() -> dict[str, str]:
     """Names and descriptions of the scenarios shipped with the package."""
     out = {}
-    root = resources.files(__package__) / "scenarios"
-    for item in sorted(root.iterdir(), key=lambda p: p.name):
+    for item in sorted(_packaged().iterdir(), key=lambda p: p.name):
         if item.name.endswith(".json"):
             f = Fields(json.loads(item.read_text()), f"{item.name}: ")
             out[f.string("name")] = f.string("description", default="")
@@ -323,7 +415,7 @@ def load_scenario(source: str) -> ScenarioConfig:
         with _utf8(source), open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
     else:
-        candidate = resources.files(__package__) / "scenarios" / f"{source}.json"
+        candidate = _packaged() / f"{source}.json"
         if not candidate.is_file():
             raise ScenarioError(f"no scenario file or packaged scenario named {source!r}")
         text = candidate.read_text()
@@ -391,6 +483,13 @@ class Fields:
         for key in self.base if self.whole else self.base + path:
             where += f"[{key}]" if isinstance(key, int) else key if where.endswith(" ") else f".{key}"
         return ScenarioError(f"{where}: {problem}")
+
+    def known(self, keys) -> None:
+        """Refuse a key of this object that is not one of ``keys``: a misspelt
+        field would otherwise read as absent and silently take its default."""
+        for key in self.object():
+            if key not in keys:
+                raise self.error("unknown field", key)
 
     def value(self, *path, default=_REQUIRED):
         """The value at ``path``, of any type."""

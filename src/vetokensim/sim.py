@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .aggregator import Aggregator
 from .agents import (
-    AgentSpec,
     BaseVoteAction,
     BribeAction,
     DepositAction,
@@ -25,7 +24,7 @@ from .errors import SimulationError, VeTokenSimError
 from .escrow import Escrow
 from .gauges import EmissionSchedule, GaugeController
 from .ledger import Ledger, PriceSeries
-from .scenario import ScenarioConfig
+from .scenario import AgentSpec, ScenarioConfig
 from .trace import FORMAT_VERSION, SimTrace, _ratio_str
 
 

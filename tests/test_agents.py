@@ -5,12 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vetokensim.agents import (
-    AgentSpec,
     BaseVoteAction,
     BribeAction,
     DepositAction,
     LockAction,
-    LockEntry,
     MetaVoteAction,
     Observation,
     _usd_to_units,
@@ -20,6 +18,7 @@ from vetokensim.agents import (
 from vetokensim.errors import AgentError
 from vetokensim.gauges import BPS
 from vetokensim.ledger import ONE
+from vetokensim.scenario import AgentSpec, LockEntry
 
 
 from conftest import U

@@ -26,33 +26,78 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture(scope="module")
-def loaded_by_cli_import():
-    """Modules a fresh interpreter loads to import ``vetokensim.cli``.  Every CLI
-    call pays for its imports; the diff is taken against the modules already
-    loaded, since site hooks may preload some."""
-    code = (
+# the modules ``import vetokensim.cli`` leaves for the commands that run them
+LATE_MODULES = ("sim", "metrics", "trace", "agents", "aggregator", "bribemarket", "escrow", "gauges")
+# the package modules every command loads: the cli and the scenario parser
+BASE = {"vetokensim", "vetokensim.cli", "vetokensim.errors", "vetokensim.ledger", "vetokensim.scenario"}
+
+
+def loaded_by(code: str, *flags: str) -> set[str]:
+    """Modules a fresh interpreter (run with ``flags``) loads to import
+    ``vetokensim.cli`` and run ``code``.  Every CLI call pays for its imports;
+    the diff is taken against the modules already loaded, since site hooks may
+    preload some."""
+    script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import vetokensim.cli\n"
+        f"{code}\n"
         "print(vetokensim.cli.__file__)\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, *flags, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=60, check=True)
-    path, names = done.stdout.splitlines()
+    *_, path, names = done.stdout.splitlines()
     assert Path(path).resolve().is_relative_to(SRC)
     return set(names.split())
 
 
+@pytest.fixture(scope="module")
+def loaded_by_cli_import():
+    return loaded_by("")
+
+
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_fractions(loaded_by_cli_import):
-    assert "vetokensim.metrics" in loaded_by_cli_import
+    assert "vetokensim.scenario" in loaded_by_cli_import
+    assert loaded_by_cli_import.isdisjoint(f"vetokensim.{name}" for name in LATE_MODULES)
     assert loaded_by_cli_import.isdisjoint({"dataclasses", "inspect", "fractions"})
 
 
 def test_importing_the_cli_loads_no_hashlib(loaded_by_cli_import):
     # only ``run`` hashes; ``_hashlib`` loads OpenSSL
     assert loaded_by_cli_import.isdisjoint({"hashlib", "_hashlib"})
+
+
+def _package(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.partition(".")[0] == "vetokensim"}
+
+
+@pytest.mark.parametrize("command", ["load_scenario", "validate", "scenarios"])
+def test_loading_a_scenario_loads_only_the_parser(command, tmp_path):
+    path = str(tmp_path / "s.json")
+    Path(path).write_text(json.dumps(make_scenario()))
+    code = {
+        "load_scenario": f"vetokensim.cli.load_scenario({path!r})",  # the benchmark's set-up
+        "validate": f"assert vetokensim.cli.main(['validate', {path!r}]) == 0",
+        "scenarios": "assert vetokensim.cli.main(['scenarios']) == 0",
+    }[command]
+    assert _package(loaded_by(code)) == BASE
+
+
+def test_report_loads_no_protocol_or_loop_module(mature_trace, tmp_path):
+    argv = ["report", mature_trace, "--metric", "share_table", "--out", str(tmp_path / "s.csv")]
+    loaded = _package(loaded_by(f"assert vetokensim.cli.main({argv!r}) == 0"))
+    assert loaded == BASE | {"vetokensim.trace", "vetokensim.metrics"}
+
+
+def test_validating_a_scenario_file_loads_no_importlib_resources(tmp_path):
+    # -S skips the site hooks, which may load importlib.resources themselves;
+    # only a packaged scenario name needs the package data
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_scenario()))
+    argv = ["validate", str(path)]
+    code = f"assert vetokensim.cli.main({argv!r}) == 0\nassert 'importlib.resources' not in sys.modules"
+    assert "vetokensim.scenario" in loaded_by(code, "-S")
 
 
 class TestValidate:
@@ -767,6 +812,33 @@ def test_scenario_nested_too_deeply_exits_one(command, capsys, tmp_path):
     path.write_text(json.dumps(make_scenario(horizon_epochs=2))[:-1] + f', "notes": {DEEP}}}')
     argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
     assert run_cli(capsys, *argv) == (1, "", f"error: {path}: JSON parse error: nested too deeply\n")
+    assert not out.exists()
+
+
+def _with_lock_entry(**entry) -> dict:
+    return _with_agent_params(lock_schedule=[{"epoch": 0, "kind": "base", "amount": 1, "weeks": 4, **entry}])
+
+
+# a scenario with one key no parser reads -> the path the error names
+UNKNOWN_FIELDS = {
+    "top level": (make_scenario(round_lenght=3), "scenario.round_lenght"),
+    "nested": (
+        make_scenario(gov_escrow={"token": "CVX", "max_lock_weeks": 16, "max_lock_week": 8}),
+        "scenario.gov_escrow.max_lock_week",
+    ),
+    "params": (_with_agent_params(nois=0.5), f"{PARAMS}.nois"),
+    "lock_schedule": (_with_lock_entry(week=4), f"{PARAMS}.lock_schedule[0].week"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", list(UNKNOWN_FIELDS))
+def test_unknown_scenario_field_exits_one(case, command, capsys, tmp_path):
+    raw, where = UNKNOWN_FIELDS[case]
+    path, out = tmp_path / "s.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert run_cli(capsys, *argv) == (1, "", f"error: {where}: unknown field\n")
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
 """The package's module graph: the epoch loop in ``sim`` sits above the
-``scenario`` and ``trace`` modules, so a trace reader never loads it."""
+``scenario`` and ``trace`` modules, so a trace reader never loads it, and the
+scenario parser sits at the bottom with the config types, under every protocol
+module.  These tests read the source; the fresh-interpreter tests in
+``test_cli.py`` back the same claims at runtime, command by command."""
 
 import ast
 from pathlib import Path
@@ -35,3 +38,7 @@ def test_only_the_cli_and_the_package_import_the_loop():
 ])
 def test_trace_readers_import_only_scenario_and_trace(module, allowed):
     assert package_imports(module) == allowed
+
+
+def test_the_scenario_parser_imports_only_errors_and_ledger():
+    assert package_imports("scenario") == {"errors", "ledger"}
