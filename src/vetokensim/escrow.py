@@ -123,9 +123,9 @@ class Escrow:
     def weight_numerator(self, account: str, now: int) -> int:
         """Voting weight of ``account`` at ``now`` over ``weight_denominator``."""
         lock = self.locks.get(account)
-        if lock is None:
+        if lock is None or lock.unlock_epoch <= now:
             return 0
-        return lock.amount * max(0, lock.unlock_epoch - now)
+        return lock.amount * (lock.unlock_epoch - now)
 
     def total_weight_numerator(self, now: int) -> int:
         """Sum of every lock's voting weight at ``now`` over ``weight_denominator``."""

@@ -68,6 +68,7 @@ class GaugeController:
         self.emission_token = emission_token
         self.gauges: dict[int, list[tuple[str, int]]] = {}  # gauge id -> LP shares
         self.allocations: dict[str, dict[int, int]] = {}  # account -> {gauge id: bps}
+        self.allocations_version = 0  # moves each time a vote changes ``allocations``
         self.snapshot: tuple[int, dict[int, int]] | None = None  # (epoch, weights)
 
     def add_gauge(self, lp_accounts) -> int:
@@ -82,7 +83,7 @@ class GaugeController:
         for gauge_id, bps in allocation:
             if gauge_id not in self.gauges:
                 raise GaugeError(f"unknown gauge {gauge_id}")
-            if not isinstance(bps, int) or bps < 0:
+            if type(bps) is not int or bps < 0:
                 raise GaugeError(f"bps for gauge {gauge_id} must be a non-negative int")
             if gauge_id in seen:
                 raise GaugeError(f"gauge {gauge_id} listed twice in allocation")
@@ -95,7 +96,9 @@ class GaugeController:
         cleaned = self.check_allocation(allocation)
         if self.escrow.weight_numerator(account, now) == 0:
             raise GaugeError(f"{account} has no voting weight at epoch {now}")
-        self.allocations[account] = cleaned
+        if self.allocations.get(account) != cleaned:  # an equal re-vote keeps the stored dict
+            self.allocations[account] = cleaned
+            self.allocations_version += 1
         return cleaned
 
     def relative_weights(self, now: int) -> dict[int, int]:

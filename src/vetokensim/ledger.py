@@ -23,6 +23,12 @@ DECIMALS = 18
 ONE = 10**DECIMALS
 BPS = 10_000  # basis points in a whole: gauge LP shares and vote allocations
 
+# The one canonical JSON text: sorted keys, no spaces.  Trace records, the
+# ledger digest and the config digest are written with it.  Everything it
+# writes is a tree, so it skips the per-container cycle check; a cyclic value
+# raises RecursionError.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
 
 # ASCII digits, an optional fraction and an optional exponent; the sign is
 # there only so that a negative amount is refused as unsigned
@@ -186,8 +192,7 @@ class Ledger:
             "minted": self.total_minted,
             "escrow_held": self.escrow_held,
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 class PriceSeries:

@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import ScenarioError, VeTokenSimError
-from .ledger import BPS, Token, base_units
+from .ledger import BPS, Token, base_units, canonical_json
 
 
 MAX_SEED = 2**64 - 1
@@ -141,8 +141,7 @@ class ScenarioConfig(NamedTuple):
 
     def digest(self) -> str:
         import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
 
 
 def _agent_dict(spec: AgentSpec) -> dict:

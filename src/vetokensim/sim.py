@@ -104,6 +104,9 @@ class World:
         self._entries: dict[tuple, dict | list] = {}
         self._round_votes: dict[tuple, dict] = {}
         self._last_totals: dict[str, dict] = {}  # the last row's token_totals, to share unchanged entries
+        # the last row's base_votes, built at this allocations_version: reused while no vote changes it
+        self._base_votes: dict[str, dict] = {}
+        self._base_votes_version = self.controller.allocations_version
 
     def header(self) -> dict:
         return {
@@ -357,10 +360,14 @@ class World:
             }
             for label, escrow in (("base", self.base_escrow), ("governance", self.aggregator.gov_escrow))
         }
-        row["base_votes"] = {
-            a: _shared(entries, tuple(sorted(alloc.items())), ballot)
-            for a, alloc in sorted(self.controller.allocations.items())
-        }
+        controller = self.controller
+        if self._base_votes_version != controller.allocations_version:
+            self._base_votes_version = controller.allocations_version
+            self._base_votes = {
+                a: _shared(entries, tuple(sorted(alloc.items())), ballot)
+                for a, alloc in sorted(controller.allocations.items())
+            }
+        row["base_votes"] = self._base_votes
         return row
 
 

@@ -8,7 +8,7 @@ import math
 from json.scanner import make_scanner
 
 from .errors import ScenarioError
-from .scenario import Fields, _long_integer, _utf8
+from .scenario import Fields, _long_integer, _utf8, canonical_json
 
 FORMAT_VERSION = 1  # the trace format ``write_ndjson`` writes and ``read_ndjson`` reads
 
@@ -26,8 +26,10 @@ class SimTrace:
     be copied before editing.  The rows of one run hold each repeated value
     once: every equal lock entry, ballot (base votes, a round's ballots and its
     base allocation), vote entry, ``[gauge, bps]`` pair and allocation list is
-    one object, every gauge key is one string per gauge, and a token's
-    ``token_totals`` entry is the previous row's dict while it does not change.
+    one object, every gauge key is one string per gauge, a token's
+    ``token_totals`` entry is the previous row's dict while it does not
+    change, and ``base_votes`` is the previous row's map while no vote
+    changes an allocation.
     A settlement row holds the settlement's own ``briber_usd`` and per-account
     token dicts.  Rows read from a file share less: a leading value whose text
     repeats the previous row's (often ``actions`` and ``base_votes``) is the
@@ -47,11 +49,12 @@ class SimTrace:
             yield Fields(row, f"trace epoch {row.get('epoch')}: ")
 
     def lines(self):
-        """The ndjson lines, header first, each dumped when it is reached."""
-        dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        yield dump({"type": "header", **self.header})
+        """The ndjson lines, header first, each encoded when it is reached.  The
+        encoder makes no cycle check, so a row that contains itself raises
+        RecursionError."""
+        yield canonical_json({"type": "header", **self.header})
         for row in self:
-            yield dump(row)
+            yield canonical_json(row)
 
     def write_ndjson(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

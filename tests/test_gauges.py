@@ -58,6 +58,14 @@ class TestCheckAllocation:
         controller.add_gauge([("Q", 10000)])
         assert controller.check_allocation([(0, 0), (1, 10000)]) == {1: 10000}
 
+    @pytest.mark.parametrize("bps", [True, False])
+    def test_a_bool_is_not_bps(self, bps):
+        # ``isinstance(True, int)`` holds, so the type is checked exactly
+        _, _, controller = build()
+        controller.add_gauge([("P", 10000)])
+        with pytest.raises(GaugeError, match="bps for gauge 0 must be a non-negative int"):
+            controller.check_allocation([(0, bps)])
+
 
 class TestVoteForGaugeWeights:
     def test_single_voter_owns_snapshot(self):
@@ -76,6 +84,24 @@ class TestVoteForGaugeWeights:
         weights = shares(controller.relative_weights(0))
         assert weights[0] == Fraction(6, 10)
         assert weights[1] == Fraction(4, 10)
+
+    def test_only_a_changed_vote_moves_the_version(self):
+        ledger, escrow, controller = build()
+        controller.add_gauge([("P", 10000)])
+        controller.add_gauge([("Q", 10000)])
+        give_weight(ledger, escrow, "A", 100)
+        assert controller.allocations_version == 0
+        controller.vote_for_gauge_weights("A", [(0, 6000), (1, 4000)], 0)
+        stored = controller.allocations["A"]
+        assert controller.allocations_version == 1
+        # an equal re-vote, in either order, keeps the stored dict
+        controller.vote_for_gauge_weights("A", [(1, 4000), (0, 6000)], 1)
+        controller.vote_for_gauge_weights("A", [(0, 6000), (1, 4000)], 2)
+        assert controller.allocations["A"] is stored
+        assert controller.allocations_version == 1
+        controller.vote_for_gauge_weights("A", [(0, 10000), (1, 0)], 3)
+        assert controller.allocations == {"A": {0: 10000}}
+        assert controller.allocations_version == 2
 
     def test_bps_overflow(self):
         ledger, escrow, controller = build()

@@ -194,6 +194,12 @@ def test_direct_lockers_run_digests(tmp_path):
     assert run_digests(_direct_lockers_scenario(), tmp_path) == ("06bf4821acb57a28", "6d2bd22e48c554a2")
 
 
+def test_direct_lockers_trace_digest(tmp_path):
+    # base votes that mostly repeat from row to row, at many accounts
+    trace = run_scenario(scenario_from_dict(_direct_lockers_scenario()))
+    assert trace_digest(trace, tmp_path) == "86762be49b8e8bfc"
+
+
 def _exogenous_followers_scenario() -> dict:
     """Equilibrium followers that each see their own exogenous weight on four
     bribed gauges: one leaves a congested gauge unsupported, one crowds a

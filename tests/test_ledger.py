@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +82,14 @@ class TestTransfer:
         digest = ledger.digest()
         ledger.transfer("CRV", "A", "A", U(50))
         assert ledger.digest() == digest
+
+    def test_digest_is_the_sha256_of_the_sorted_compact_book(self, ledger):
+        ledger.mint("CRV", "B", U(7))
+        ledger.mint("CRV", "A", U(100))
+        ledger.move_to_escrow("CRV", "A", U(40))
+        payload = {"balances": ledger.balances, "minted": ledger.total_minted, "escrow_held": ledger.escrow_held}
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert ledger.digest() == hashlib.sha256(blob.encode()).hexdigest()
 
     def test_non_transferable_token(self, ledger):
         ledger.mint("SBT", "A", U(10))

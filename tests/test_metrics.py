@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vetokensim import metrics
-from vetokensim.errors import MetricsError
+from vetokensim.errors import MetricsError, ScenarioError
 from vetokensim.metrics import ShareRow, ShareTable
 from vetokensim.scenario import load_scenario, packaged_scenarios
 from vetokensim.sim import run_scenario
@@ -422,6 +422,48 @@ class TestCostPerVote:
         assert cost_series(trace, "aggregator-lock", ["frax", "curve"]) == {}
         with pytest.raises(MetricsError, match="account lurker was never active in avenue direct-lock"):
             metrics.cost_per_vote_series(trace, "lurker", "direct-lock")
+
+
+def ballot_trace(ballots):
+    """frax locks $100 at epoch 0 and votes 250 weight with ``ballots[epoch]``
+    at each epoch's snapshot; the ballots may be one shared object, as in a run."""
+    rows = []
+    for epoch, ballot in enumerate(ballots):
+        row = epoch_row(
+            epoch,
+            base_votes={"frax": ballot},
+            snapshot={"relative_weights": {"0": "1"}, "emissions": {}, "emission_total": 0},
+        )
+        row["escrow_weights"]["base"]["frax"] = "250"
+        rows.append(row)
+    rows[0]["lock_events"] = [
+        {"account": "frax", "escrow": "base", "amount": 1, "unlock_epoch": 208, "usd_cost": 100.0}
+    ]
+    return make_trace(rows)
+
+
+class TestDirectLockBallots:
+    """The direct-lock fold sums a ballot that rows share once, but checks
+    every ballot object it has not seen."""
+
+    def test_a_shared_ballot_counts_at_every_snapshot(self):
+        shared = {"0": 6000, "1": 4000}
+        copies = [dict(shared) for _ in range(4)]
+        series = metrics.cost_per_vote_series(ballot_trace([shared] * 4), "frax", "direct-lock")
+        assert series == metrics.cost_per_vote_series(ballot_trace(copies), "frax", "direct-lock")
+        assert series.final_usd_per_vote() == pytest.approx(0.1)
+
+    def test_a_shared_invalid_ballot_fails_at_its_first_epoch(self):
+        bad = {"0": 10000, "1": -1}
+        with pytest.raises(ScenarioError, match=r"^trace epoch 1: base_votes\.frax\.1: -1 is below the minimum"):
+            metrics.cost_per_vote_series(ballot_trace([{"0": 10000}, bad, bad, bad]), "frax", "direct-lock")
+
+    def test_an_equal_ballot_that_is_another_object_is_checked(self):
+        # {"0": True} == {"0": 1}: only the same object may skip the check
+        good = {"0": 1}
+        trace = ballot_trace([good, good, {"0": True}, good])
+        with pytest.raises(ScenarioError, match=r"^trace epoch 2: base_votes\.frax\.0: expected an integer, got True"):
+            metrics.cost_per_vote_series(trace, "frax", "direct-lock")
 
 
 @pytest.fixture(scope="module")

@@ -351,6 +351,71 @@ class TestSharedEntries:
         assert len({id(e) for e in locks}) == len(states) < len(locks)
 
 
+def _moving_favourite():
+    """b-promo votes its base weight every epoch on the more bribed of its two
+    gauges; a-rival bribes gauge 1 in rounds 1 and 3 only, so b-promo's
+    favourite moves from gauge 0 to gauge 1 and back twice."""
+    return scenario_from_dict(make_scenario(
+        horizon_epochs=8,
+        initial_balances=[["a-rival", "BRIBE-USD", 100], ["b-promo", "CRV", 1000]],
+        gauges=[{"name": f"g{g}", "lp_accounts": [[f"lp{g}", 10000]]} for g in range(2)],
+        agents=[
+            {"account": "a-rival", "strategy": "SelfPromoter",
+             "params": {"own_gauges": [1], "budget_per_round": [0, 50, 0, 50]}},
+            {"account": "b-promo", "strategy": "SelfPromoter",
+             "params": {"own_gauges": [0, 1], "budget_per_round": 0,
+                        "lock_schedule": [{"epoch": 0, "kind": "base", "amount": 1000, "weeks": 52}]}},
+        ],
+    ))
+
+
+class TestBaseVotesSharing:
+    """A row's ``base_votes`` is the previous row's map while no vote changes
+    an allocation, and a new map as soon as one does."""
+
+    @staticmethod
+    def _steps(config):
+        """(row, accounts whose allocation the epoch changed, whether the
+        controller's ``allocations_version`` moved, the world) per epoch."""
+        world = World(config)
+        controller = world.controller
+        for epoch in range(config.horizon_epochs):
+            before = {a: dict(alloc) for a, alloc in controller.allocations.items()}
+            version = controller.allocations_version
+            row = world.step(epoch)
+            changed = {a for a, alloc in controller.allocations.items() if before.get(a) != alloc}
+            yield row, changed, controller.allocations_version != version, world
+
+    @pytest.mark.parametrize("config, changer", [
+        (lambda: load_scenario("frax-three-avenues"), "convex-like"),
+        (_moving_favourite, "b-promo"),
+    ], ids=["aggregator base re-vote", "moving favourite"])
+    def test_the_map_is_shared_until_an_allocation_changes(self, config, changer):
+        previous, kept, changes, repeats = None, 0, 0, 0
+        for row, changed, moved, world in self._steps(config()):
+            votes = row["base_votes"]
+            assert moved == bool(changed), row["epoch"]
+            assert votes == {
+                a: {str(g): bps for g, bps in sorted(alloc.items())}
+                for a, alloc in sorted(world.controller.allocations.items())
+            }
+            if previous is not None and not changed:
+                assert votes is previous["base_votes"]
+                kept += 1
+                # a base vote equal to the stored one is still an action of its row
+                repeats += any(action["kind"] == "base_vote" for action in row["actions"])
+            elif previous is not None:
+                assert votes is not previous["base_votes"]
+                changes += changer in changed
+            previous = row
+        assert kept > 0 and changes > 0 and repeats > 0
+
+    def test_the_favourite_moves_and_comes_back(self):
+        trace = run_scenario(_moving_favourite())
+        favourites = [row["base_votes"]["b-promo"] for row in trace]
+        assert favourites == [{"0": 10000}] * 3 + [{"1": 10000}] + [{"0": 10000}] * 3 + [{"1": 10000}]
+
+
 class TestTraceIO:
     def test_ndjson_roundtrip(self, tmp_path):
         config = scenario_from_dict(make_scenario(horizon_epochs=2))

@@ -244,6 +244,14 @@ def test_rows_read_from_a_file_share_repeated_leading_values(written):
     assert rows[2]["base_votes"] is rows[1]["base_votes"]
 
 
+def test_the_writer_makes_no_cycle_check():
+    # rows are trees; a hand-built row that holds itself recurses until Python stops it
+    row = epoch_row(0)
+    row["actions"].append(row)
+    with pytest.raises(RecursionError):
+        list(SimTrace({}, [row]).lines())
+
+
 def _compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
