@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import AgentError
 from .gauges import shares_to_bps
-from .ledger import BPS, ONE
+from .ledger import BPS, ONE, left_sum
 from .scenario import AgentSpec
 
 
@@ -98,7 +98,7 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
     supported gauge pays exactly L and unsupported gauges pay at most L.  With
     no exogenous weight the allocation is proportional to bribes.
 
-    Each probe sums, with the builtin ``sum``, lists of the bribed gauges'
+    Each probe adds, with ``ledger.left_sum``, lists of the bribed gauges'
     bribes and exogenous weights collected once per call in gauge order, and
     the answer is read from the same lists.  A level that is zero or not
     finite, from bribes or a weight at the edge of the float range, raises
@@ -117,14 +117,14 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
         pairs = list(zip(amounts, offsets))
 
         def demand(level: float) -> float:
-            return sum([max(0.0, b / level - e) for b, e in pairs])
+            return left_sum([max(0.0, b / level - e) for b, e in pairs])
     else:
         # the general demand's floats: b / level - 0.0 is b / level, and max(0.0, x) is x for x >= 0
         def demand(level: float) -> float:
-            return sum([b / level for b in amounts])
+            return left_sum([b / level for b in amounts])
 
     # at hi the demand is at most follower_weight; walk lo down until demand covers it
-    hi = sum(amounts) / follower_weight
+    hi = left_sum(amounts) / follower_weight
     if not 0.0 < hi < math.inf:
         raise AgentError(f"equilibrium level {hi!r} is out of range for follower weight {follower_weight!r}")
     lo = hi
@@ -211,7 +211,7 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
             ballot = {best: BPS}
         elif positive_bribes and spec.strategy == "BribeFollowerEquilibrium":
             split = equilibrium_allocation(positive_bribes, gov_weight, dict(spec.exogenous_weights))
-            total = sum(split.values())
+            total = left_sum(split.values())
             ballot = shares_to_bps({g: amount / total for g, amount in split.items()})
     elif spec.strategy == "SelfPromoter":
         # bribe own gauges once per round, then back the most bribed of them

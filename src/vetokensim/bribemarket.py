@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .aggregator import Aggregator
 from .errors import BribeMarketError, PriceError
-from .ledger import Ledger, PriceSeries, check_amount
+from .ledger import Ledger, PriceSeries, check_amount, left_sum
 
 
 class BribeDeposit(NamedTuple):
@@ -124,8 +124,8 @@ class BribeMarket:
         owed: dict[str, dict[str, int]] = {}  # token -> {account: base units}, over every gauge
         for gauge_id in sorted(settlement.gauges):
             self._settle_gauge(rnd, gauge_id, settlement.gauges[gauge_id], voters_by_gauge.get(gauge_id, {}), owed)
-        # the share table sums the round's bribe_usd in gauge order, as here
-        if not math.isfinite(sum(gs.bribe_usd for _, gs in sorted(settlement.gauges.items()))):
+        # the share table adds the round's bribe_usd in gauge order with left_sum, as here
+        if not math.isfinite(left_sum(gs.bribe_usd for _, gs in sorted(settlement.gauges.items()))):
             raise PriceError("the round's bribe_usd total overflows a float")
         # only now, with every gauge settled, do tokens move: one transfer per (token, account)
         for token in sorted(owed):
@@ -140,11 +140,11 @@ class BribeMarket:
         """Record the gauge's payouts or refunds in ``gs`` and add each cut to ``owed``."""
         close = rnd.close_epoch
         gs.vote_num = sum(voters.values())
-        gs.bribe_usd = sum(
+        gs.bribe_usd = left_sum(
             self.prices.usd_value(token, amount, close) for token, amount in sorted(gs.deposits.items())
         )
         gs.briber_usd = {
-            briber: sum(self.prices.usd_value(t, a, close) for t, a in sorted(tokens.items()))
+            briber: left_sum(self.prices.usd_value(t, a, close) for t, a in sorted(tokens.items()))
             for briber, tokens in sorted(gs.deposits_by_briber.items())
         }
         # each briber_usd sums terms no larger than those of bribe_usd, so it is finite too

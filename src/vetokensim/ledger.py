@@ -30,6 +30,17 @@ BPS = 10_000  # basis points in a whole: gauge LP shares and vote allocations
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 
+def left_sum(values):
+    """The left-to-right sum of ``values`` from int 0, so an empty sum is 0.
+    Every float total in the package adds with it: the built-in ``sum()``
+    compensates float rounding since CPython 3.12, and a run or a report must
+    read the same on every interpreter."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 # ASCII digits, an optional fraction and an optional exponent; the sign is
 # there only so that a negative amount is refused as unsigned
 _AMOUNT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")

@@ -28,6 +28,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, ScenarioError
+from .ledger import left_sum
 from .scenario import AVENUES, Fields
 from .trace import SimTrace
 
@@ -50,16 +51,6 @@ def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def _quotient(a: tuple[int, int], b: tuple[int, int]) -> float:
     """``a / b`` as a correctly rounded float; 0.0 when ``b`` is zero."""
     return (a[0] * b[1]) / (a[1] * b[0]) if b[0] else 0.0
-
-
-def _sum(values):
-    """The left-to-right sum of ``values`` from int 0, so an empty sum is 0.
-    The built-in ``sum()`` compensates float rounding since CPython 3.12, and
-    a metric must read the same on every interpreter."""
-    total = 0
-    for value in values:
-        total += value
-    return total
 
 
 class Table:
@@ -298,7 +289,7 @@ class Participation:
         lockers, voters, voters_per_round = self.lockers, self.voters, self.voters_per_round
         voter_fraction = len(voters) / len(lockers) if lockers else 0.0
         mean_by_type = {
-            "gauge": (_sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0
+            "gauge": (left_sum(voters_per_round) / len(voters_per_round)) if voters_per_round else 0.0
         }
         return ParticipationStats(
             unique_lockers=len(lockers),
@@ -332,7 +323,7 @@ class Shares:
         # string order ("10" < "2"), gives the float total of the in-memory row
         bribe_usd = {gauge_id: gauges.number(g, "bribe_usd", minimum=0) for gauge_id, g in gauges.gauge_items()}
         votes = {tally.gauge_id(g): tally.ratio(g) for g in tally.root}
-        bribe_total = _sum(bribe_usd.values())
+        bribe_total = left_sum(bribe_usd.values())
         if not math.isfinite(bribe_total):
             raise f.error("bribe_usd total overflows a float", "settlement", "gauges")
         vote_total = ZERO
@@ -361,14 +352,14 @@ def pearson(pairs) -> float:
     if len(points) < 2:
         raise MetricsError("pearson needs at least two pairs")
     n = len(points)
-    mean_x = _sum(x for x, _ in points) / n
-    mean_y = _sum(y for _, y in points) / n
-    var_x = _sum((x - mean_x) ** 2 for x, _ in points)
-    var_y = _sum((y - mean_y) ** 2 for _, y in points)
+    mean_x = left_sum(x for x, _ in points) / n
+    mean_y = left_sum(y for _, y in points) / n
+    var_x = left_sum((x - mean_x) ** 2 for x, _ in points)
+    var_y = left_sum((y - mean_y) ** 2 for _, y in points)
     # a constant column is degenerate even when rounding puts its mean an ulp off
     if var_x == 0 or var_y == 0 or len({x for x, _ in points}) == 1 or len({y for _, y in points}) == 1:
         raise MetricsError("pearson undefined for degenerate variance")
-    cov = _sum((x - mean_x) * (y - mean_y) for x, y in points)
+    cov = left_sum((x - mean_x) * (y - mean_y) for x, y in points)
     return cov / math.sqrt(var_x * var_y)
 
 

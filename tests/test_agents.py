@@ -39,14 +39,21 @@ def reference_equilibrium_allocation(bribes_usd, follower_weight, exogenous_weig
     def allocated(level: float) -> dict[int, float]:
         return {g: max(0.0, b / level - exo.get(g, 0.0)) for g, b in bribes.items()}
 
+    def total(values) -> float:
+        # left to right from 0: the built-in ``sum()`` compensates rounding since CPython 3.12
+        result = 0
+        for value in values:
+            result += value
+        return result
+
     # at hi the demand is at most follower_weight; walk lo down until demand covers it
-    hi = sum(bribes.values()) / follower_weight
+    hi = total(bribes.values()) / follower_weight
     lo = hi
-    while sum(allocated(lo).values()) < follower_weight:
+    while total(allocated(lo).values()) < follower_weight:
         lo /= 2.0
     while hi - lo > tol * hi:
         mid = (lo + hi) / 2.0
-        if sum(allocated(mid).values()) >= follower_weight:
+        if total(allocated(mid).values()) >= follower_weight:
             lo = mid
         else:
             hi = mid

@@ -5,10 +5,13 @@ pyenv's ``versions`` folder or as ``python3.1x`` on ``PATH``, runs
 only, and its trace, ``summary.json`` and stdout digests must equal the pins
 in ``test_golden``.  Each one then runs ``report`` on its own paper-mature
 trace, which goes through the trace reader's ``json.scanner`` path, and the
-exports must equal the pinned in-process ones.  The test skips when no other
-interpreter is found."""
+exports must equal the pinned in-process ones.  Each one also runs a small
+randomized scenario from a file, which reaches the equilibrium kernel and the
+settlement with other inputs than the packaged ones.  The test skips when no
+other interpreter is found."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,11 +19,14 @@ from pathlib import Path
 
 import pytest
 
+from test_acceptance import _randomized_scenario
 from test_golden import EXPORT_GOLDEN, GOLDEN, STDOUT_GOLDEN, SUMMARY_GOLDEN, file_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 OLDEST = (3, 10, 7)  # the first CPython with ``sys.get_int_max_str_digits``
 REPORTED = ("participation", "round_results", "settlements", "snapshots")  # on the paper-mature trace
+# ``_randomized_scenario(horizon=80, seed=2)``: its trace and ``summary.json`` digests, made under 3.11
+RANDOMIZED_80_GOLDEN = ("a839217b6ee8e0d9", "39ea581f64c7696d")
 PROBE = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3], sys.executable)"
 
 
@@ -66,8 +72,13 @@ def test_packaged_scenarios_keep_their_bytes_on_other_interpreters(tmp_path):
         assert run.returncode == 0, f"{version} {argv}: {run.stderr}"
         return run.stdout
 
+    randomized = tmp_path / "randomized-80.json"
+    randomized.write_text(json.dumps(_randomized_scenario(horizon=80, seed=2)))
     digests = {}
     for executable, version in sorted(interpreters.items()):
+        out = tmp_path / version / "randomized-80"
+        cli(executable, version, "run", str(randomized), "--out", str(out))
+        digests[version, "randomized-80"] = (file_digest(out / "trace.ndjson"), file_digest(out / "summary.json"))
         for name in sorted(GOLDEN):
             out = tmp_path / version / name
             stdout = cli(executable, version, "run", name, "--out", str(out)).replace(str(out), "OUT")
@@ -83,4 +94,5 @@ def test_packaged_scenarios_keep_their_bytes_on_other_interpreters(tmp_path):
            for version in interpreters.values() for name in GOLDEN},
         **{(version, metric): EXPORT_GOLDEN["paper-mature", metric, "csv"]
            for version in interpreters.values() for metric in REPORTED},
+        **{(version, "randomized-80"): RANDOMIZED_80_GOLDEN for version in interpreters.values()},
     }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vetokensim.errors import LedgerError, PriceError
-from vetokensim.ledger import DECIMALS, ONE, Ledger, PriceSeries, base_units
+from vetokensim.ledger import DECIMALS, ONE, Ledger, PriceSeries, base_units, left_sum
 
 from conftest import U
 
@@ -148,6 +148,20 @@ class TestUsdValue:
         series.add_point("CRV", 10, 4.0)
         series.add_point("CRV", 20, 5.0)
         assert series.usd_price("CRV", epoch) == 4.0
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_without_compensation(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum (CPython 3.12's ``sum()``) gives 1.0
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_sum_is_int_zero(self):
+        total = left_sum([])
+        assert total == 0 and type(total) is int
+
+    def test_generator_input_sums_like_the_list(self):
+        values = [0.1, 0.2, 0.3, 1e16, 1.0, -1e16, 2.5]
+        assert left_sum(value for value in values) == left_sum(values)
 
 
 @settings(max_examples=60, deadline=None)

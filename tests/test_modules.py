@@ -33,7 +33,7 @@ def test_only_the_cli_and_the_package_import_the_loop():
 
 
 @pytest.mark.parametrize("module, allowed", [
-    ("metrics", {"errors", "scenario", "trace"}),
+    ("metrics", {"errors", "ledger", "scenario", "trace"}),
     ("trace", {"errors", "scenario"}),
 ])
 def test_trace_readers_import_only_scenario_and_trace(module, allowed):
