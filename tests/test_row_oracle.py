@@ -55,8 +55,8 @@ def rebuilt(world: World) -> dict:
     }
 
 
-def check_rows(config) -> int:
-    """Step ``config`` epoch by epoch against the oracle; the number of rows checked."""
+def check_rows(config) -> None:
+    """Step ``config`` epoch by epoch against the oracle."""
     world = World(config)
     rows, built = [], []
     for epoch in range(config.horizon_epochs):
@@ -68,12 +68,11 @@ def check_rows(config) -> int:
         built.append(canonical_json(row))
     for epoch, (row, text) in enumerate(zip(rows, built)):
         assert canonical_json(row) == text, f"epoch {epoch} changed after it was built"
-    return len(rows)
 
 
 @pytest.mark.parametrize("name", sorted(packaged_scenarios()))
 def test_packaged_rows_match_the_oracle(name):
-    assert check_rows(load_scenario(name)) > 0
+    check_rows(load_scenario(name))
 
 
 @settings(max_examples=25, deadline=None)
