@@ -104,6 +104,15 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
     finite, from bribes or a weight at the edge of the float range, raises
     ``AgentError``.  The search stops once its bounds are within
     ``LEVEL_WIDTH`` of the upper one, or when no float lies between them.
+
+    Probes go through a memo: ``covered``, the highest level seen to cover
+    the weight, and ``short``, the lowest seen not to.  Float demand never
+    rises with the level (the rounded ``b / level``, ``- e``, ``max`` and each
+    rounded addition are monotone), so one probe answers every level on its
+    side, and each bound and the result are bit for bit those of probing
+    every level.  With no exogenous weight the demand crosses the weight
+    within n roundings of ``hi``, so one seed probe just below ``hi`` answers
+    every later midpoint.
     """
     if follower_weight <= 0:
         raise AgentError("follower_weight must be positive")
@@ -112,7 +121,7 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
         raise AgentError("no positive bribes to follow")
     amounts = [float(bribes_usd[g]) for g in gauges]
     exo = exogenous_weight or {}
-    offsets = [max(0.0, float(exo.get(g, 0.0))) for g in gauges]
+    offsets = [max(0.0, float(exo.get(g, 0.0))) for g in gauges] if exo else [0.0] * len(gauges)
     if any(offsets):
         pairs = list(zip(amounts, offsets))
 
@@ -123,19 +132,33 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
         def demand(level: float) -> float:
             return left_sum([b / level for b in amounts])
 
+    covered, short = 0.0, math.inf  # demand covers the weight at every level up to covered, at none from short
+
+    def covers(level: float) -> bool:
+        nonlocal covered, short
+        if covered < level < short:
+            if demand(level) >= follower_weight:
+                covered = level
+            else:
+                short = level
+        return level <= covered
+
     # at hi the demand is at most follower_weight; walk lo down until demand covers it
     hi = left_sum(amounts) / follower_weight
     if not 0.0 < hi < math.inf:
         raise AgentError(f"equilibrium level {hi!r} is out of range for follower weight {follower_weight!r}")
     lo = hi
-    while demand(lo) < follower_weight:
+    while not covers(lo):
         lo /= 2.0
         if lo == 0.0:
             raise AgentError(f"no positive level covers follower weight {follower_weight!r}")
+    if not any(offsets):
+        # the demand at level L is sum(b) / L within n rounding errors, so it crosses the weight just below hi
+        covers(hi * (1 - 2**-40))
     while hi - lo > LEVEL_WIDTH * hi:
         mid = (lo + hi) / 2.0
         # a midpoint equal to a bound would repeat the step forever
-        if demand(mid) >= follower_weight:
+        if covers(mid):
             if mid == lo:
                 break
             lo = mid

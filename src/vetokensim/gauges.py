@@ -30,7 +30,7 @@ def shares_to_bps(shares, total_bps: int = BPS) -> dict[int, int]:
     apportionment runs on integers.
     """
     ratios = {g: s.as_integer_ratio() for g, s in shares.items() if s > 0}
-    common = math.lcm(*(den for _, den in ratios.values()))
+    common = math.lcm(*{den for _, den in ratios.values()})  # float shares have few distinct denominators
     nums = {g: num * (common // den) for g, (num, den) in ratios.items()}
     total = sum(nums.values())
     floors: dict[int, int] = {}

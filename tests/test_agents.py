@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vetokensim import agents
 from vetokensim.agents import (
     BaseVoteAction,
     BribeAction,
@@ -17,11 +19,13 @@ from vetokensim.agents import (
 )
 from vetokensim.errors import AgentError
 from vetokensim.gauges import BPS
-from vetokensim.ledger import ONE
-from vetokensim.scenario import AgentSpec, LockEntry
-
+from vetokensim.ledger import ONE, left_sum
+from vetokensim.scenario import AgentSpec, LockEntry, load_scenario, packaged_scenarios, scenario_from_dict
+from vetokensim.sim import run_scenario
 
 from conftest import U
+from test_acceptance import _randomized_scenario
+from test_golden import _exogenous_followers_scenario
 
 
 def reference_equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None, tol: float = 1e-9):
@@ -159,6 +163,11 @@ class TestEquilibriumAllocation:
         order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=300, deadline=None)
+    # the probe-count cases below, and a wide split whose seed probe answers every midpoint
+    @example(gauges=[(0.1, None), (0.2, None)], weight=0.3, with_exogenous=False, order=random.Random(0))
+    @example(gauges=[(3.0, None), (5.0, None), (7.0, None)], weight=0.9, with_exogenous=False, order=random.Random(0))
+    @example(gauges=[(1.0 + g / 7, None) for g in range(200)], weight=1234.5, with_exogenous=False,
+             order=random.Random(1))
     def test_bit_identical_to_reference(self, gauges, weight, with_exogenous, order):
         ids = list(range(len(gauges)))
         order.shuffle(ids)  # gauge order is insertion order, not id order
@@ -198,6 +207,86 @@ class TestEquilibriumAllocation:
     def test_search_ends_when_bounds_meet(self, bribes, weight, rel):
         split = equilibrium_allocation(bribes, weight)
         assert sum(split.values()) == pytest.approx(weight, rel=rel)
+
+
+def left_sum_calls(monkeypatch) -> list:
+    """Count the calls of ``left_sum`` made in ``vetokensim.agents``: the list
+    returned grows by one entry per call."""
+    calls = []
+
+    def counted(values):
+        calls.append(None)
+        return left_sum(values)
+
+    monkeypatch.setattr(agents, "left_sum", counted)
+    return calls
+
+
+class TestProbeCount:
+    """The probe memo answers most bisection steps: a count of probe sums,
+    never a time, guards it.  Probing every level made 32 sums in the first
+    two cases."""
+
+    @pytest.mark.parametrize(
+        "bribes, weight, most",
+        [
+            ({0: 0.1, 1: 0.2}, 0.3, 4),
+            ({0: 3.0, 1: 5.0, 2: 7.0}, 0.9, 4),
+            ({0: 1.0, 1: 2.0, 2: 3.0}, 7.0, 2),  # the start level covers the weight: no search
+        ],
+    )
+    def test_left_sum_calls(self, monkeypatch, bribes, weight, most):
+        calls = left_sum_calls(monkeypatch)
+        equilibrium_allocation(bribes, weight)
+        assert len(calls) <= most
+
+
+def kernel_traffic(monkeypatch, config) -> tuple[list, int]:
+    """Run ``config`` with the kernel that ``decide`` calls wrapped: each call's
+    (arguments, answer), and the number of ``left_sum`` calls inside the kernel."""
+    kernel, traffic, sums = equilibrium_allocation, [], 0
+    calls = left_sum_calls(monkeypatch)
+
+    def wrapped(*args):
+        nonlocal sums
+        before = len(calls)
+        answer = kernel(*args)
+        sums += len(calls) - before
+        traffic.append((args, answer))
+        return answer
+
+    monkeypatch.setattr(agents, "equilibrium_allocation", wrapped)
+    run_scenario(config)
+    return traffic, sums
+
+
+class TestKernelTraffic:
+    """Every kernel call of real runs equals the reference bisection bit for
+    bit.  The golden digests alone would miss a float difference that
+    ``shares_to_bps`` rounds away."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(lambda: scenario_from_dict(_randomized_scenario(horizon=80, seed=2)), id="randomized-80"),
+            pytest.param(lambda: scenario_from_dict(_exogenous_followers_scenario()), id="exogenous-followers"),
+        ]
+        + [pytest.param(lambda name=name: load_scenario(name), id=name) for name in sorted(packaged_scenarios())],
+    )
+    def test_every_call_matches_the_reference(self, monkeypatch, config):
+        config = config()
+        traffic, _ = kernel_traffic(monkeypatch, config)
+        # each run with an equilibrium follower reaches the kernel through the module global
+        assert bool(traffic) == any(spec.strategy == "BribeFollowerEquilibrium" for spec in config.agents)
+        for args, answer in traffic:
+            want = reference_equilibrium_allocation(*args)
+            assert list(answer.items()) == list(want.items()), args
+
+    def test_probe_sums_of_a_whole_run(self, monkeypatch):
+        # a work count, not a time: probing every level made 1 008 sums here
+        traffic, sums = kernel_traffic(monkeypatch, scenario_from_dict(_randomized_scenario(horizon=80, seed=2)))
+        assert len(traffic) == 159
+        assert sums <= 364
 
 
 class TestObservation:

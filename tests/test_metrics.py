@@ -466,6 +466,62 @@ class TestDirectLockBallots:
             metrics.cost_per_vote_series(trace, "frax", "direct-lock")
 
 
+class UncachedCostSeries(metrics.CostSeries):
+    """``CostSeries`` that forgets its checked ballots before every row, so each
+    ballot is summed and checked anew: the oracle for the ballot-sum cache."""
+
+    def add(self, f):
+        self._ballot_bps.clear()
+        super().add(f)
+
+
+BALLOT_ACTORS = ("frax", "curve")
+BALLOT_BPS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(2, 10_000))
+BALLOTS = st.dictionaries(st.sampled_from(["0", "1", "2"]), BALLOT_BPS, max_size=3)
+
+
+@st.composite
+def shared_ballot_trace(draw):
+    """A direct-lock trace whose rows give each actor, at random, the previous
+    row's ballot object, a new equal object (each 0 or 1 swapped between int
+    and bool: ``{"0": True} == {"0": 1}``) or a new ballot; an outsider's
+    ballot rides along."""
+    last = {actor: draw(BALLOTS) for actor in BALLOT_ACTORS}
+    rows = []
+    for epoch in range(draw(st.integers(1, 8))):
+        for actor in BALLOT_ACTORS:
+            how = draw(st.sampled_from(["same", "equal", "new"]))
+            if how == "equal":
+                last[actor] = {g: (int(v) if type(v) is bool else bool(v)) if v in (0, 1) else v
+                               for g, v in last[actor].items()}
+            elif how == "new":
+                last[actor] = draw(BALLOTS)
+        snapshot = {"relative_weights": {"0": "1"}, "emissions": {}, "emission_total": 0}
+        row = epoch_row(epoch, base_votes={**last, "outsider": {"0": -1}},
+                        snapshot=snapshot if draw(st.integers(0, 3)) else None)
+        row["escrow_weights"]["base"] = {"frax": "250", "curve": "7/3", "outsider": "1"}
+        rows.append(row)
+    rows[0]["lock_events"] = [
+        {"account": actor, "escrow": "base", "amount": 1, "unlock_epoch": 208, "usd_cost": 100.0}
+        for actor in BALLOT_ACTORS
+    ]
+    return make_trace(rows)
+
+
+@given(trace=shared_ballot_trace())
+@settings(max_examples=200, deadline=None)
+def test_ballot_cache_matches_a_fold_without_it(trace):
+    def folded(cls):
+        cost = cls(trace.header, "direct-lock", BALLOT_ACTORS)
+        try:
+            metrics.fold(trace, cost)
+        except ScenarioError as error:
+            return str(error)
+        return cost.series()
+
+    assert folded(metrics.CostSeries) == folded(UncachedCostSeries)
+
+
 @pytest.fixture(scope="module")
 def scenario_traces(randomized_1000):
     """(config, trace) of each packaged scenario and of randomized-1000."""
