@@ -90,6 +90,23 @@ class BaseVoteAction(NamedTuple):
 LEVEL_WIDTH = 1e-9
 
 
+def _water_level(pairs, follower_weight: float) -> float:
+    """The closed-form water-filling level of ``(bribe, exogenous)`` pairs: with
+    gauges taken by ``bribe / exogenous``, highest first (no exogenous weight
+    first of all), grow the supported prefix while the next gauge's ratio is
+    above the level ``sum(bribe) / (follower_weight + sum(exogenous))`` of the
+    prefix so far.  Only probes read it, so its roundings change no answer."""
+    ordered = sorted(pairs, key=lambda pair: -pair[0] / pair[1] if pair[1] else -math.inf)
+    bribes, weight, level = 0.0, follower_weight, math.inf
+    for b, e in ordered:
+        if e and b / e <= level:
+            break
+        bribes += b
+        weight += e
+        level = bribes / weight
+    return level
+
+
 def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
     """Split follower weight across bribed gauges to equalise dollars per vote.
 
@@ -110,9 +127,10 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
     rises with the level (the rounded ``b / level``, ``- e``, ``max`` and each
     rounded addition are monotone), so one probe answers every level on its
     side, and each bound and the result are bit for bit those of probing
-    every level.  With no exogenous weight the demand crosses the weight
-    within n roundings of ``hi``, so one seed probe just below ``hi`` answers
-    every later midpoint.
+    every level.  The demand crosses the weight within a few roundings of the
+    closed-form level (``hi`` itself with no exogenous weight, else
+    ``_water_level``), so two seed probes around it answer nearly every
+    later midpoint.
     """
     if follower_weight <= 0:
         raise AgentError("follower_weight must be positive")
@@ -122,9 +140,8 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
     amounts = [float(bribes_usd[g]) for g in gauges]
     exo = exogenous_weight or {}
     offsets = [max(0.0, float(exo.get(g, 0.0))) for g in gauges] if exo else [0.0] * len(gauges)
-    if any(offsets):
-        pairs = list(zip(amounts, offsets))
-
+    pairs = list(zip(amounts, offsets)) if any(offsets) else None
+    if pairs:
         def demand(level: float) -> float:
             return left_sum([max(0.0, b / level - e) for b, e in pairs])
     else:
@@ -152,9 +169,13 @@ def equilibrium_allocation(bribes_usd, follower_weight, exogenous_weight=None):
         lo /= 2.0
         if lo == 0.0:
             raise AgentError(f"no positive level covers follower weight {follower_weight!r}")
-    if not any(offsets):
-        # the demand at level L is sum(b) / L within n rounding errors, so it crosses the weight just below hi
-        covers(hi * (1 - 2**-40))
+    if hi - lo > LEVEL_WIDTH * hi:
+        # the demand crosses the weight within a few roundings of the closed-form level, so a probe
+        # just below it and one just above answer nearly every midpoint.  With no exogenous weight
+        # that level is hi, which the walk has probed: only the probe below can be summed.
+        level = hi if pairs is None else _water_level(pairs, follower_weight)
+        covers(level * (1 - 2**-40))
+        covers(level * (1 + 2**-40))
     while hi - lo > LEVEL_WIDTH * hi:
         mid = (lo + hi) / 2.0
         # a midpoint equal to a bound would repeat the step forever

@@ -14,7 +14,6 @@ import math
 import re
 import sys
 from bisect import bisect_right
-from decimal import Decimal, InvalidOperation
 from typing import NamedTuple
 
 from .errors import LedgerError, PriceError
@@ -46,13 +45,33 @@ def left_sum(values):
 _AMOUNT_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
+def _past_digit_limit(value: int) -> int:
+    """The digit limit of ``int`` text conversion (``sys.get_int_max_str_digits()``)
+    if ``value`` has more digits than it, else 0.  Tested without ``str``, which
+    raises past the limit; 8**limit < 10**limit, so only a value of 3 * limit
+    bits or more pays for the power."""
+    limit = sys.get_int_max_str_digits()  # 0 for no limit
+    return limit if limit and value.bit_length() > 3 * limit and value >= 10**limit else 0
+
+
 def base_units(tokens) -> int:
     """Convert a token quantity (int, float, str or Decimal) to base units, exactly:
     no digit is rounded away.  Text must be plain ``_AMOUNT_TEXT``: Decimal
     alone would also read "1_0" as 10, and take " 1 ", "+1" and non-ASCII
     digits.  Base units of more digits than ``int`` converts to text
     (``sys.get_int_max_str_digits()``) are refused, since no trace could
-    write them."""
+    write them.  An int is whole tokens, so it is multiplied out; every other
+    quantity is read as a ``Decimal``, and only then is ``decimal`` loaded."""
+    if type(tokens) is int:
+        if tokens < 0:
+            raise LedgerError(f"token amounts are unsigned, got {tokens!r}")
+        units = tokens * ONE
+        limit = _past_digit_limit(units)
+        if limit:
+            raise LedgerError(f"token amount of more than {limit} digits in base units")
+        return units
+    from decimal import Decimal, InvalidOperation
+
     if isinstance(tokens, bool) or not isinstance(tokens, (int, float, str, Decimal)):
         raise LedgerError(f"unparseable token amount: {tokens!r}")
     if isinstance(tokens, (float, Decimal)):
@@ -132,9 +151,8 @@ class Ledger:
         self._require_token(token)
         check_amount(amount)
         total = self.total_minted[token] + amount
-        limit = sys.get_int_max_str_digits()  # 0 for no limit
-        # 8**limit < 10**limit, so only a total of 3 * limit bits or more pays for the power
-        if limit and total.bit_length() > 3 * limit and total >= 10**limit:
+        limit = _past_digit_limit(total)
+        if limit:
             raise LedgerError(f"the minted {token} total would have more than {limit} digits")
         self.balances[token][to] = self.balances[token].get(to, 0) + amount
         self.total_minted[token] = total

@@ -474,8 +474,11 @@ class CostFold:
             weights = f.at("escrow_weights", "base")
             ballots = f.at("base_votes", default={})
             checked = self._ballot_bps
-            for actor in ballots.root:
-                ballot = ballots.object(actor, default={}) if actor in votes else None
+            for actor, ballot in ballots.root.items():
+                if actor not in votes:
+                    continue
+                if type(ballot) is not dict:  # null reads as no ballot; any other value raises
+                    ballot = ballots.object(actor, default={})
                 if ballot:
                     last = checked.get(actor)
                     if last is not None and last[0] is ballot:

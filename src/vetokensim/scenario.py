@@ -435,6 +435,9 @@ def load_scenario(source: str) -> ScenarioConfig:
 # a JSON string or number; group 1 is an integer's digits (no fraction, no exponent)
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(?![0-9.eE])|-?[0-9.eE+-]+')
 
+# a trace weight, "n" or "n/d" in ASCII digits; groups 1 and 2 are n and d
+_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
 
 def _long_integer() -> str:
     """Why a JSON parse failed with a ``ValueError`` that is not a ``JSONDecodeError``:
@@ -598,13 +601,13 @@ class Fields:
         one.  ``int`` alone would also take "+1", " 1", "1_0" and non-ASCII digits."""
         text = self._get(path, default)
         num = den = -1
-        if isinstance(text, str):
-            n, slash, d = text.partition("/")
-            if n.isascii() and n.isdigit() and (not slash or d.isascii() and d.isdigit()):
-                try:
-                    num, den = int(n), int(d) if slash else 1
-                except ValueError:  # more digits than ``int`` converts
-                    pass
+        match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+        if match is not None:
+            n, d = match.groups()
+            try:
+                num, den = int(n), int(d) if d is not None else 1
+            except ValueError:  # more digits than ``int`` converts
+                pass
         if num < 0 or den <= 0:
             raise self.error(f"expected a ratio n or n/d, got {text!r}", *path)
         try:

@@ -142,32 +142,38 @@ class World:
         return {g: num / prev.cut_den for g, num in prev.tally_num.items()}
 
     def _observation(self, spec: AgentSpec, epoch: int, rnd, bribes, prev, prices_now, active) -> Observation:
-        gov_escrow = self.aggregator.gov_escrow
+        gov_escrow, base_escrow = self.aggregator.gov_escrow, self.base_escrow
+        # positional, in ``Observation``'s field order: keywords cost a lookup each on every build
         return Observation(
-            epoch=epoch,
-            round_id=rnd.round_id,
-            round_open_epoch=rnd.open_epoch,
-            round_close_epoch=rnd.close_epoch,
-            bribes_usd=dict(bribes),
-            prev_round_weights=dict(prev),
-            own_gov_weight_at_close=(
-                gov_escrow.weight_numerator(spec.account, rnd.close_epoch) / gov_escrow.weight_denominator
-            ),
-            own_base_weight=(
-                self.base_escrow.weight_numerator(spec.account, epoch) / self.base_escrow.weight_denominator
-            ),
-            active_gauges=active,
-            token_prices=dict(prices_now),
-            gov_max_lock_weeks=gov_escrow.config.max_lock_weeks,
-            base_max_lock_weeks=self.base_escrow.config.max_lock_weeks,
+            epoch,
+            rnd.round_id,
+            rnd.open_epoch,
+            rnd.close_epoch,
+            dict(bribes),
+            dict(prev),
+            gov_escrow.weight_numerator(spec.account, rnd.close_epoch) / gov_escrow.weight_denominator,
+            base_escrow.weight_numerator(spec.account, epoch) / base_escrow.weight_denominator,
+            active,
+            dict(prices_now),
+            gov_escrow.config.max_lock_weeks,
+            base_escrow.config.max_lock_weeks,
             # only ``_apply_noise`` reads the seed, and only when there is noise
-            noise_seed=_noise_seed(self.config.rng_seed, spec.account, rnd.round_id) if spec.noise else 0,
+            _noise_seed(self.config.rng_seed, spec.account, rnd.round_id) if spec.noise else 0,
         )
 
     # -- applying actions -------------------------------------------------------
 
     def _apply(self, spec: AgentSpec, action, epoch: int, rnd, row: dict) -> None:
-        if isinstance(action, LockAction):
+        # votes are most of the actions, so their types are tested first; no action has two types
+        if isinstance(action, BaseVoteAction):
+            self.controller.vote_for_gauge_weights(spec.account, list(action.allocation), epoch)
+            key = ("base_vote", spec.account, None, action.allocation)
+            row["actions"].append(_shared(self._entries, key, self._vote_entry))
+        elif isinstance(action, MetaVoteAction):
+            self.aggregator.cast_meta_vote(spec.account, rnd.round_id, list(action.allocation), epoch)
+            key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
+            row["actions"].append(_shared(self._round_votes, key, self._vote_entry))
+        elif isinstance(action, LockAction):
             base = action.escrow == "base"
             escrow = self.base_escrow if base else self.aggregator.gov_escrow
             lock = escrow.lock(spec.account, action.amount, action.unlock_epoch, epoch)
@@ -204,14 +210,6 @@ class World:
                     "usd_at_post": self.prices.usd_value(action.token, action.amount, epoch),
                 }
             )
-        elif isinstance(action, MetaVoteAction):
-            self.aggregator.cast_meta_vote(spec.account, rnd.round_id, list(action.allocation), epoch)
-            key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
-            row["actions"].append(_shared(self._round_votes, key, self._vote_entry))
-        elif isinstance(action, BaseVoteAction):
-            self.controller.vote_for_gauge_weights(spec.account, list(action.allocation), epoch)
-            key = ("base_vote", spec.account, None, action.allocation)
-            row["actions"].append(_shared(self._entries, key, self._vote_entry))
         else:
             raise SimulationError(f"unknown action type {type(action).__name__}")
 

@@ -240,6 +240,12 @@ class TestProbeCount:
         equilibrium_allocation(bribes, weight)
         assert len(calls) <= most
 
+    def test_exogenous_followers_run(self, monkeypatch):
+        # two probes around the closed-form level; with none the run made 336 sums
+        traffic, sums = kernel_traffic(monkeypatch, scenario_from_dict(_exogenous_followers_scenario()))
+        assert len(traffic) == 15
+        assert sums <= 100
+
 
 def kernel_traffic(monkeypatch, config) -> tuple[list, int]:
     """Run ``config`` with the kernel that ``decide`` calls wrapped: each call's
@@ -290,6 +296,14 @@ class TestKernelTraffic:
 
 
 class TestObservation:
+    def test_field_order(self):
+        # ``World._observation`` builds an observation positionally, in this order
+        assert Observation._fields == (
+            "epoch", "round_id", "round_open_epoch", "round_close_epoch", "bribes_usd", "prev_round_weights",
+            "own_gov_weight_at_close", "own_base_weight", "active_gauges", "token_prices", "gov_max_lock_weeks",
+            "base_max_lock_weeks", "noise_seed",
+        )
+
     @pytest.mark.parametrize("name", Observation._fields)
     def test_fields_are_read_only(self, name):
         observation = obs()

@@ -84,6 +84,40 @@ def test_loading_a_scenario_loads_only_the_parser(command, tmp_path):
     assert _package(loaded_by(code)) == BASE
 
 
+def _amounts_scenario(amount) -> dict:
+    """One balance and one base lock of ``amount`` tokens each."""
+    schedule = [{"epoch": 0, "kind": "base", "amount": amount, "weeks": 4}]
+    return make_scenario(initial_balances=[["a", "CRV", amount]],
+                         agents=[{"account": "a", "strategy": "PassiveLocker", "params": {"lock_schedule": schedule}}])
+
+
+DECIMAL = {"decimal", "_decimal", "_pydecimal"}
+
+
+@pytest.mark.parametrize("command", ["load_scenario", "validate"])
+def test_integer_amounts_load_no_decimal(command, tmp_path):
+    # an int amount is multiplied out in base units; only other amounts are read as a Decimal
+    path = str(tmp_path / "s.json")
+    Path(path).write_text(json.dumps(_amounts_scenario(100)))
+    code = {
+        "load_scenario": f"vetokensim.cli.load_scenario({path!r})",
+        "validate": f"assert vetokensim.cli.main(['validate', {path!r}]) == 0",
+    }[command]
+    assert loaded_by(code).isdisjoint(DECIMAL)
+
+
+def test_a_decimal_amount_loads_decimal_when_read(tmp_path):
+    path = str(tmp_path / "s.json")
+    Path(path).write_text(json.dumps(_amounts_scenario("1.5")))
+    code = (
+        "assert 'decimal' not in sys.modules\n"
+        f"config = vetokensim.cli.load_scenario({path!r})\n"
+        "assert config.initial_balances == (('a', 'CRV', 15 * 10**17),)\n"
+        "assert config.agents[0].lock_schedule[0].amount == 15 * 10**17"
+    )
+    assert "decimal" in loaded_by(code)
+
+
 def test_report_loads_no_protocol_or_loop_module(mature_trace, tmp_path):
     argv = ["report", mature_trace, "--metric", "share_table", "--out", str(tmp_path / "s.csv")]
     loaded = _package(loaded_by(f"assert vetokensim.cli.main({argv!r}) == 0"))

@@ -202,7 +202,9 @@ class TestTraceRatios:
             total = _add(total, (num, den))
         assert total == (num * copies, den)
 
-    @pytest.mark.parametrize("text", ["x", "1/0", "-1", "1/-2", "", "1/", "/2", "1.5", "1/2/3", None, 5])
+    @pytest.mark.parametrize("text", ["x", "1/0", "-1", "1/-2", "", "1/", "/2", "1.5", "1/2/3", None, 5,
+                                      # what ``int`` alone takes, and a line end that ``$`` would let through
+                                      "+1", " 1", "1_0", "\u0661", "1\n", "1/2\n"])
     def test_malformed_ratio_names_the_field(self, text):
         with pytest.raises(ScenarioError) as caught:
             fields = Fields({"round_finalized": {"tally": {"3": text}}}, "trace epoch 7: ")

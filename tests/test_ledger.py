@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,30 @@ class TestBaseUnits:
     def test_garbage(self):
         with pytest.raises(LedgerError):
             base_units("not-a-number")
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=st.integers(min_value=0, max_value=10**40))
+    def test_int_path_matches_the_decimal_path(self, tokens):
+        # an int is multiplied out; its Decimal and its text take the Decimal path
+        assert base_units(tokens) == base_units(Decimal(tokens)) == base_units(str(tokens))
+
+    def test_negative_int_and_bool_messages(self):
+        with pytest.raises(LedgerError, match=r"^token amounts are unsigned, got -5$"):
+            base_units(-5)
+        with pytest.raises(LedgerError, match=r"^unparseable token amount: True$"):
+            base_units(True)
+
+    def test_int_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        message = f"^token amount of more than {limit} digits in base units$"
+        largest = 10 ** (limit - DECIMALS) - 1  # base units of exactly ``limit`` digits
+        assert base_units(largest) == base_units(Decimal(largest)) == largest * ONE
+        # one digit too many, and an int that ``str`` itself refuses
+        for tokens in (largest + 1, 10 ** (limit + 1000)):
+            with pytest.raises(LedgerError, match=message):
+                base_units(tokens)
+        with pytest.raises(LedgerError, match=message):
+            base_units(Decimal(largest + 1))
 
 
 class TestMint:

@@ -7,8 +7,15 @@ with the row before (``_last_totals``), and a ``base_votes`` map reused while
 oracle rebuilds those fields and the ledger digest from protocol state alone
 and compares them with the row through ``canonical_json``.  After the run it
 encodes every row again: a shared entry mutated by a later epoch changes an
-earlier row's bytes."""
+earlier row's bytes.
 
+Settlement moves tokens once per (token, account) per round, after every
+gauge is settled.  The oracle copies the ledger just before each
+``settle_round``, replays the row's recorded ``payouts`` and ``refunds`` on
+the copy as one transfer per cut, and compares the balances with the ledger
+just after the batched settlement."""
+
+import copy
 import hashlib
 import json
 
@@ -55,24 +62,53 @@ def rebuilt(world: World) -> dict:
     }
 
 
-def check_rows(config) -> None:
-    """Step ``config`` epoch by epoch against the oracle."""
+def replay_settlement(ledger, settlement: dict, escrow_account: str) -> int:
+    """Move each recorded cut of a row's ``settlement`` out of the market
+    escrow, one ledger transfer per (gauge, account, token); return how many."""
+    moved = 0
+    for gauge in settlement["gauges"].values():
+        for cuts in (gauge["payouts"], gauge["refunds"]):
+            for account, tokens in cuts.items():
+                for token, amount in tokens.items():
+                    ledger.transfer(token, escrow_account, account, amount)
+                    moved += 1
+    return moved
+
+
+def check_rows(config) -> int:
+    """Step ``config`` epoch by epoch against the oracle; return the number of
+    settlement cuts replayed."""
     world = World(config)
-    rows, built = [], []
+    settle, settled = world.market.settle_round, []
+
+    def recorded_settle(round_id):
+        # the ledger before the settlement, and the balances it leaves
+        before = copy.deepcopy(world.ledger)
+        settlement = settle(round_id)
+        settled.append((before, copy.deepcopy(world.ledger.balances)))
+        return settlement
+
+    world.market.settle_round = recorded_settle
+    rows, built, cuts = [], [], 0
     for epoch in range(config.horizon_epochs):
         row = world.step(epoch)
         fresh = rebuilt(world)
         for field in CHECKED:
             assert canonical_json(row[field]) == canonical_json(fresh[field]), f"epoch {epoch}: {field}"
+        if settled:  # a step settles at most one round
+            before, after = settled.pop()
+            cuts += replay_settlement(before, row["settlement"], config.bribe_escrow_account)
+            assert canonical_json(before.balances) == canonical_json(after), f"epoch {epoch}: settlement"
         rows.append(row)
         built.append(canonical_json(row))
     for epoch, (row, text) in enumerate(zip(rows, built)):
         assert canonical_json(row) == text, f"epoch {epoch} changed after it was built"
+    return cuts
 
 
 @pytest.mark.parametrize("name", sorted(packaged_scenarios()))
 def test_packaged_rows_match_the_oracle(name):
-    check_rows(load_scenario(name))
+    assert check_rows(load_scenario(name)) > 0  # every packaged scenario pays bribes out
 
 
 @settings(max_examples=25, deadline=None)
