@@ -25,11 +25,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, ScenarioError
 from .ledger import left_sum
-from .scenario import AVENUES, Fields
+from .scenario import AVENUES, Fields, _parse_gauge_id, _parse_ratio
 from .trace import SimTrace
 
 ZERO = (0, 1)  # the ratio 0 as a (num, den) pair
@@ -51,6 +52,13 @@ def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 def _quotient(a: tuple[int, int], b: tuple[int, int]) -> float:
     """``a / b`` as a correctly rounded float; 0.0 when ``b`` is zero."""
     return (a[0] * b[1]) / (a[1] * b[0]) if b[0] else 0.0
+
+
+def _usd(value) -> bool:
+    """Whether ``value`` is a float that ``Fields.number(..., minimum=0)`` reads
+    as it is.  A fold takes such a value from its map and reads any other one
+    through ``Fields``, which converts it or raises."""
+    return type(value) is float and 0.0 <= value <= sys.float_info.max
 
 
 class Table:
@@ -192,9 +200,13 @@ class SnapshotTable(Table):
         if f.object("snapshot", default={}):
             epoch = f.integer("epoch")
             emissions = f.at("snapshot", "emissions", default={})
-            for gauge_id, gauge in f.gauge_items("snapshot", "relative_weights"):
-                num, den = f.ratio("snapshot", "relative_weights", gauge)
-                self.rows.append((epoch, gauge_id, num / den, emissions.integer(gauge, default=0)))
+            weights = f.at("snapshot", "relative_weights")
+            for gauge_id, gauge in weights.gauge_items():
+                num, den = _parse_ratio(weights.root[gauge]) or weights.ratio(gauge)
+                emission = emissions.root.get(gauge, 0)
+                if type(emission) is not int:
+                    emission = emissions.integer(gauge, default=0)
+                self.rows.append((epoch, gauge_id, num / den, emission))
 
 
 class RoundResultTable(Table):
@@ -207,9 +219,13 @@ class RoundResultTable(Table):
         if f.object("round_finalized", default={}):
             base = f.at("round_finalized", "base_allocation", default={})
             round_id = f.integer("round_finalized", "round")
-            for gauge_id, gauge in f.gauge_items("round_finalized", "result"):
-                num, den = f.ratio("round_finalized", "result", gauge)
-                self.rows.append((round_id, gauge_id, num / den, base.integer(gauge, default=0)))
+            result = f.at("round_finalized", "result")
+            for gauge_id, gauge in result.gauge_items():
+                num, den = _parse_ratio(result.root[gauge]) or result.ratio(gauge)
+                bps = base.root.get(gauge, 0)
+                if type(bps) is not int:
+                    bps = base.integer(gauge, default=0)
+                self.rows.append((round_id, gauge_id, num / den, bps))
 
 
 class SettlementTable(Table):
@@ -227,8 +243,16 @@ class SettlementTable(Table):
     def add(self, f: Fields) -> None:
         if f.object("settlement", default={}):
             round_id = f.integer("settlement", "round")
-            for gauge_id, gauge in f.gauge_items("settlement", "gauges"):
-                g = f.at("settlement", "gauges", gauge)
+            gauges = f.at("settlement", "gauges")
+            for gauge_id, gauge in gauges.gauge_items():
+                entry = gauges.root[gauge]
+                if type(entry) is dict and "usd_per_vote" in entry:
+                    bribe_usd, usd_per_vote = entry.get("bribe_usd"), entry["usd_per_vote"]
+                    weight = _parse_ratio(entry.get("vote_weight"))
+                    if _usd(bribe_usd) and weight and (usd_per_vote is None or _usd(usd_per_vote)):
+                        self.rows.append((round_id, gauge_id, bribe_usd, weight[0] / weight[1], usd_per_vote))
+                        continue
+                g = gauges.at(gauge)  # the per-field reads, which convert or raise
                 bribe_usd, (num, den) = g.number("bribe_usd", minimum=0), g.ratio("vote_weight")
                 usd_per_vote = g.number("usd_per_vote", null=True, minimum=0)
                 self.rows.append((round_id, gauge_id, bribe_usd, num / den, usd_per_vote))
@@ -321,8 +345,17 @@ class Shares:
         gauges, tally = f.at("settlement", "gauges"), f.at("round_finalized", "tally")
         # summed in gauge-id order, so a row read from a file, whose keys are in
         # string order ("10" < "2"), gives the float total of the in-memory row
-        bribe_usd = {gauge_id: gauges.number(g, "bribe_usd", minimum=0) for gauge_id, g in gauges.gauge_items()}
-        votes = {tally.gauge_id(g): tally.ratio(g) for g in tally.root}
+        bribe_usd = {}
+        for gauge_id, g in gauges.gauge_items():
+            entry = gauges.root[g]
+            usd = entry.get("bribe_usd") if type(entry) is dict else None
+            bribe_usd[gauge_id] = usd if _usd(usd) else gauges.number(g, "bribe_usd", minimum=0)
+        votes = {}
+        for g, text in tally.root.items():
+            gauge_id = _parse_gauge_id(g)
+            if gauge_id is None:
+                gauge_id = tally.gauge_id(g)
+            votes[gauge_id] = _parse_ratio(text) or tally.ratio(g)
         bribe_total = left_sum(bribe_usd.values())
         if not math.isfinite(bribe_total):
             raise f.error("bribe_usd total overflows a float", "settlement", "gauges")
@@ -504,12 +537,21 @@ class CostFold:
                         votes[actor] = _add(votes[actor], (num // common, den // common))
         elif avenue == "bribe" and f.object("settlement", default={}):
             # in gauge-id order, so the float spend totals do not depend on the key order
-            for _, gauge in f.gauge_items("settlement", "gauges"):
-                g = f.at("settlement", "gauges", gauge)
-                for actor in g.object("briber_usd"):
+            gauges = f.at("settlement", "gauges")
+            for _, gauge in gauges.gauge_items():
+                entry = gauges.root[gauge]
+                spent = entry.get("briber_usd") if type(entry) is dict else None
+                if type(spent) is not dict:
+                    spent = gauges.at(gauge).object("briber_usd")  # raises: not an object
+                weight = None  # read at the gauge's first followed briber, as each briber's weight
+                for actor, usd in spent.items():
                     if actor in votes:
-                        paid[actor] = paid.get(actor, 0.0) + g.number("briber_usd", actor, minimum=0)
-                        votes[actor] = _add(votes[actor], g.ratio("vote_weight"))
+                        if not _usd(usd):
+                            usd = gauges.at(gauge).number("briber_usd", actor, minimum=0)
+                        if weight is None:
+                            weight = _parse_ratio(entry.get("vote_weight")) or gauges.at(gauge).ratio("vote_weight")
+                        paid[actor] = paid.get(actor, 0.0) + usd
+                        votes[actor] = _add(votes[actor], weight)
 
     def totals(self, actor: str) -> tuple[float, float, float | None]:
         """``actor``'s totals so far as floats: (USD spent, votes acquired, USD

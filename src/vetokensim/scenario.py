@@ -439,6 +439,40 @@ _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(?![0-9.eE])|-?[0-9.eE+-]
 _RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
+def _parse_ratio(text, bounded: bool = True) -> tuple[int, int] | None:
+    """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)``, each part ASCII
+    digits, d > 0, whose value a float can hold (unless not ``bounded``), since
+    readers divide it into one; None for any other value.  ``int`` alone would
+    also take "+1", " 1", "1_0" and non-ASCII digits."""
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return None
+    n, d = match.groups()
+    try:
+        num, den = int(n), 1 if d is None else int(d)
+    except ValueError:  # more digits than ``int`` converts
+        return None
+    if den == 0:
+        return None
+    if bounded:
+        try:
+            num / den
+        except OverflowError:
+            return None
+    return num, den
+
+
+def _parse_gauge_id(key: str) -> int | None:
+    """A gauge-id key as an int, or None.  Only canonical decimal (``str(g)``,
+    as the trace writes it) reads, so "07" is not a second key for gauge 7."""
+    if key.isascii() and key.isdigit() and (key[0] != "0" or key == "0"):
+        try:
+            return int(key)
+        except ValueError:  # more digits than ``int`` converts
+            pass
+    return None
+
+
 def _long_integer() -> str:
     """Why a JSON parse failed with a ``ValueError`` that is not a ``JSONDecodeError``:
     only ``int`` raises one, for an integer of more digits than it converts."""
@@ -580,41 +614,29 @@ class Fields:
         return value
 
     def gauge_id(self, *path) -> int:
-        """The gauge-id key that ends ``path``, as an int.  Only canonical
-        decimal (``str(g)``, as the trace writes it) reads, so "07" is not a
-        second key for gauge 7."""
-        key = path[-1]
-        if key.isascii() and key.isdigit() and (key[0] != "0" or key == "0"):
-            try:
-                return int(key)
-            except ValueError:  # more digits than ``int`` converts
-                pass
-        raise self.error(f"expected a gauge id, got {key!r}", *path)
+        """The gauge-id key that ends ``path``, as an int (``_parse_gauge_id``)."""
+        gauge = _parse_gauge_id(path[-1])
+        if gauge is None:
+            raise self.error(f"expected a gauge id, got {path[-1]!r}", *path)
+        return gauge
 
     def gauge_items(self, *path, default=_REQUIRED) -> list[tuple[int, str]]:
-        """``(gauge id, key)`` per key of the object at ``path``, by gauge id."""
-        return sorted((self.gauge_id(*path, key), key) for key in self.object(*path, default=default))
+        """``(gauge id, key)`` per key of the object at ``path``, by gauge id;
+        the first key in document order that is not a gauge id raises."""
+        items = []
+        for key in self.object(*path, default=default):
+            gauge = _parse_gauge_id(key)
+            items.append((self.gauge_id(*path, key) if gauge is None else gauge, key))
+        return sorted(items)
 
     def ratio(self, *path, default=_REQUIRED) -> tuple[int, int]:
-        """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)``, each part ASCII
-        digits, d > 0, whose value a float can hold, since readers divide it into
-        one.  ``int`` alone would also take "+1", " 1", "1_0" and non-ASCII digits."""
+        """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)`` (``_parse_ratio``)."""
         text = self._get(path, default)
-        num = den = -1
-        match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-        if match is not None:
-            n, d = match.groups()
-            try:
-                num, den = int(n), int(d) if d is not None else 1
-            except ValueError:  # more digits than ``int`` converts
-                pass
-        if num < 0 or den <= 0:
-            raise self.error(f"expected a ratio n or n/d, got {text!r}", *path)
-        try:
-            num / den
-        except OverflowError:
-            raise self.error(f"expected a ratio at most the largest float, got {text!r}", *path) from None
-        return num, den
+        pair = _parse_ratio(text)
+        if pair is None:
+            problem = "a ratio at most the largest float" if _parse_ratio(text, bounded=False) else "a ratio n or n/d"
+            raise self.error(f"expected {problem}, got {text!r}", *path)
+        return pair
 
     def at(self, *path, default=_REQUIRED) -> Fields:
         """A reader of the object at ``path``."""

@@ -100,7 +100,7 @@ def _row_record(path: str, lineno: int, line: str, lead: list) -> tuple[dict, li
     and including the first whose text differs from the previous row's.  While
     a member's text repeats, the previous row's key and value are taken as
     they are; the first member that does not repeat is parsed alone, and the
-    rest of the record in one ``json.loads``.  A line that is not a compact
+    rest of the record in one ``_scan``.  A line that is not a compact
     object with string keys, or that fails to parse, goes through
     ``_ndjson_record`` as a whole and starts an empty lead, so every record
     and every error is the one ``json.loads`` gives."""
@@ -135,7 +135,13 @@ def _reuse_lead(line: str, lead: list) -> tuple[dict, list] | None:
     record[key] = value
     lead = [*lead, (line[pos:end], key, value)]
     if line.startswith(',"', end):
-        record.update(json.loads("{" + line[end + 1:]))
+        # the rest as one object, by the scanner ``json.loads`` runs; it starts
+        # at "{", so what it returns is an object, and it must end the line
+        text = "{" + line[end + 1:]
+        rest, end = _scan(text, 0)
+        if text[end:] not in ("", "\n"):
+            return None
+        record.update(rest)
     elif line[end:] not in ("}", "}\n"):
         return None
     return record, lead

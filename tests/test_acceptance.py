@@ -14,7 +14,7 @@ from vetokensim.bribemarket import BribeMarket
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import EmissionSchedule, GaugeController
 from vetokensim.ledger import ONE, Ledger, PriceSeries
-from vetokensim.scenario import load_scenario, scenario_from_dict
+from vetokensim.scenario import load_scenario
 from vetokensim.sim import run_scenario
 
 from test_metrics import epoch_row, finalized, make_trace, settlement_of
@@ -81,13 +81,9 @@ def test_criterion_1_weight_formula():
         assert escrow2.voting_weight(account, duration) == 0
 
 
-def _randomized_config(horizon=1000, n_gauges=12, seed=424242):
-    return scenario_from_dict(_randomized_scenario(horizon, n_gauges, seed))
-
-
 def _randomized_scenario(horizon=1000, n_gauges=12, seed=424242) -> dict:
-    """The raw scenario behind ``_randomized_config``: 24 agents over all
-    five strategies and all three avenues."""
+    """A raw scenario of 24 agents over all five strategies and all three
+    avenues, for ``scenario_from_dict`` or a scenario file."""
     rng = random.Random(seed // 2)
     rounds = horizon // 2 + 1
     tokens = [{"symbol": s, "transferable": True} for s in ("CRV", "CVX", "cvxCRV", "BRIBE-USD")]

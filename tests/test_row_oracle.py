@@ -13,7 +13,14 @@ Settlement moves tokens once per (token, account) per round, after every
 gauge is settled.  The oracle copies the ledger just before each
 ``settle_round``, replays the row's recorded ``payouts`` and ``refunds`` on
 the copy as one transfer per cut, and compares the balances with the ledger
-just after the batched settlement."""
+just after the batched settlement.
+
+The direct-lock ``CostFold`` sums a ballot's basis points once and reuses the
+sum while later rows hold the same ballot object.  Each run's rows are folded
+again with a fold whose cache never hits, and once more with a ballot that
+equals the voter's ballot in the snapshot row before replaced by an equal
+ballot of float basis points, which the fold must read again and refuse
+(``{"0": 1.0} == {"0": 1}``)."""
 
 import copy
 import hashlib
@@ -23,9 +30,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vetokensim.errors import ScenarioError
 from vetokensim.ledger import canonical_json
+from vetokensim.metrics import CostFold, fold
 from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
 from vetokensim.sim import World
+from vetokensim.trace import SimTrace
 
 from test_acceptance import _randomized_scenario
 from test_golden import _direct_lockers_scenario
@@ -103,7 +113,60 @@ def check_rows(config) -> int:
         built.append(canonical_json(row))
     for epoch, (row, text) in enumerate(zip(rows, built)):
         assert canonical_json(row) == text, f"epoch {epoch} changed after it was built"
+    voters = {account for row in rows for account in row["base_votes"]}  # the aggregator's account too
+    check_cost_fold(rows, sorted(voters.union(agent.account for agent in config.agents)))
     return cuts
+
+
+class NeverHit(dict):
+    """A cache that holds what it is given and never finds it."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class UncachedCostFold(CostFold):
+    """``CostFold`` whose direct-lock ballot cache never hits, so every ballot is summed and checked."""
+
+    def __init__(self, header, avenue, actors):
+        super().__init__(header, avenue, actors)
+        self._ballot_bps = NeverHit()
+
+
+def direct_lock_outcome(fold_class, rows: list, actors: list):
+    """``(votes, final())`` of a direct-lock fold of ``rows``, or its error's text."""
+    folded = fold_class({}, "direct-lock", actors)
+    try:
+        fold(SimTrace({}, rows), folded)
+        return folded.votes, folded.final()
+    except ScenarioError as exc:
+        return f"error: {exc}"
+
+
+def retyped(rows: list, actors: list) -> list | None:
+    """``rows`` with one ballot replaced, in a copy of its row, by the same
+    ballot with float basis points: the ballot of the first of ``actors`` that
+    holds an equal ballot in the snapshot row before, in the last snapshot row
+    where one does; None if there is no such row."""
+    snapshots = [i for i, row in enumerate(rows) if row["snapshot"] is not None]
+    for before, at in reversed(list(zip(snapshots, snapshots[1:]))):
+        earlier, ballots = rows[before]["base_votes"], rows[at]["base_votes"]
+        for actor, ballot in ballots.items():
+            if actor in actors and ballot and ballot == earlier.get(actor):
+                retyped_ballots = {**ballots, actor: {gauge: float(bps) for gauge, bps in ballot.items()}}
+                return [*rows[:at], {**rows[at], "base_votes": retyped_ballots}, *rows[at + 1:]]
+    return None
+
+
+def check_cost_fold(rows: list, actors: list) -> None:
+    """The direct-lock fold of ``rows`` gives the uncached fold's votes and
+    final values, and on ``retyped(rows)`` the uncached fold's error."""
+    assert direct_lock_outcome(CostFold, rows, actors) == direct_lock_outcome(UncachedCostFold, rows, actors)
+    changed = retyped(rows, actors)
+    if changed is not None:
+        refused = direct_lock_outcome(UncachedCostFold, changed, actors)
+        assert refused.startswith("error: ")  # a float bps is not an integer
+        assert direct_lock_outcome(CostFold, changed, actors) == refused
 
 
 @pytest.mark.parametrize("name", sorted(packaged_scenarios()))

@@ -331,6 +331,14 @@ EDGE_LINES = {
     "space for the colon after a parsed key": '{"actions":%s,"base_votes" {}}\n',
     "trailing comma after a parsed member": '{"actions":%s,"base_votes":{},}\n',
     "text after a parsed member's closing brace": '{"actions":%s,"base_votes":{}}x\n',
+    # the lead misses at its first member ("actions" wrapped in a list), so the
+    # rest of the line after it is read in one piece
+    "spaces after the rest's closing brace": '{"actions":[%s],"base_votes":{},"epoch":5}  \n',
+    "text after the rest's closing brace": '{"actions":[%s],"base_votes":{},"epoch":5}x\n',
+    "a key repeated within the rest": '{"actions":[%s],"epoch":5,"base_votes":{},"epoch":6}\n',
+    "a key of the rest repeating a lead key": '{"actions":[%s],"epoch":5,"actions":[]}\n',
+    "an integer in the rest past the digit limit": '{"actions":[%s],"epoch":' + LONG_DIGITS + '}\n',
+    "deep nesting in the rest": '{"actions":[%s],"epoch":5,"deep":' + DEEP + '}\n',
 }
 
 

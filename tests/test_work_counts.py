@@ -1,16 +1,25 @@
-"""Call counts as a regression guard for the direct-locker path.
+"""Call counts as a regression guard for the direct-locker path and the
+report path.
 
 Each direct locker's epoch costs an observation, a ``decide``, the apply of
 its actions, weight reads, and the run summary's ratio reads.  Doubling the
 lockers must double those calls: a per-locker cost that grows with the
-number of lockers would show here as a ratio near 4.  Counts do not drift
-with the host as times do, so nothing here is timed."""
+number of lockers would show here as a ratio near 4.
+
+A report fold reads each gauge-keyed map of a row once and takes its entries
+from the map, so its path reads (``Fields._get``) do not grow with the number
+of gauges; and a report parses every row with the reader's scanner, so it
+calls ``json.loads`` only for the header.  Counts do not drift with the host
+as times do, so nothing here is timed."""
+
+import json
 
 import pytest
 
-from vetokensim import cli, escrow, scenario, sim
+from vetokensim import cli, escrow, metrics, scenario, sim
 from vetokensim.scenario import scenario_from_dict
 
+from test_acceptance import _randomized_scenario
 from test_golden import _direct_lockers_scenario
 
 # name -> (owner, attribute): each is wrapped where its callers look it up
@@ -43,3 +52,44 @@ def test_direct_locker_work_doubles_with_the_lockers():
     for name in COUNTED:
         assert small[name] > 0, f"{name} is never called"
         assert 1.8 <= large[name] / small[name] <= 2.2, f"{name}: {small[name]} -> {large[name]}"
+
+
+def calls(owner, attribute: str, work) -> int:
+    """How often ``work()`` calls ``owner.attribute``."""
+    count = 0
+    original = getattr(owner, attribute)
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, attribute, counted)
+        work()
+    return count
+
+
+@pytest.fixture(scope="module")
+def gauge_traces():
+    """Runs of one randomized scenario at 6 and at 12 gauges, same horizon and seed."""
+    return {gauges: sim.run_scenario(scenario_from_dict(_randomized_scenario(40, gauges, seed=6)))
+            for gauges in (6, 12)}
+
+
+@pytest.mark.parametrize("report", [metrics.gauge_snapshots, metrics.round_results, metrics.share_table],
+                         ids=lambda report: report.__name__)
+def test_gauge_map_reads_do_not_grow_with_the_gauges(report, gauge_traces):
+    small, large = (calls(scenario.Fields, "_get", lambda: report(gauge_traces[gauges])) for gauges in (6, 12))
+    assert small > 0
+    assert large / small <= 1.3, f"Fields._get: {small} -> {large}"
+
+
+@pytest.mark.parametrize("argv", [["--metric", "share_table"], ["--metric", "snapshots"],
+                                  ["--metric", "cost_per_vote", "--actor", "promo-0", "--avenue", "bribe"]],
+                         ids=lambda argv: argv[1])
+def test_a_report_parses_json_once_for_the_header(argv, gauge_traces, tmp_path):
+    path = str(tmp_path / "trace.ndjson")
+    gauge_traces[12].write_ndjson(path)
+    out = ["--out", str(tmp_path / "out.csv")]
+    assert calls(json, "loads", lambda: cli.main(["report", path, *argv, *out])) == 1
