@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from bisect import bisect_right
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import LedgerError, PriceError
@@ -25,8 +26,18 @@ BPS = 10_000  # basis points in a whole: gauge LP shares and vote allocations
 # The one canonical JSON text: sorted keys, no spaces.  Trace records, the
 # ledger digest and the config digest are written with it.  Everything it
 # writes is a tree, so it skips the per-container cycle check; a cyclic value
-# raises RecursionError.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+# raises RecursionError.  ``JSONEncoder.encode`` makes a new C encoder on every
+# call; ``_encode`` is that encoder made once, with the arguments ``encode``
+# passes (``default`` too), so every text and every error stays the same.
+_settings = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_encode = c_make_encoder(
+    None, _settings.default, encode_basestring_ascii, _settings.indent, _settings.key_separator,
+    _settings.item_separator, _settings.sort_keys, _settings.skipkeys, _settings.allow_nan,
+)
+
+
+def canonical_json(value) -> str:
+    return "".join(_encode(value, 0))
 
 
 def left_sum(values):

@@ -411,7 +411,7 @@ def packaged_scenarios() -> dict[str, str]:
 def load_scenario(source: str) -> ScenarioConfig:
     """Load a scenario from a file path or a packaged scenario name."""
     if os.path.exists(source):
-        with _utf8(source), open(source, "r", encoding="utf-8") as handle:
+        with _reading(source), open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
     else:
         candidate = _packaged() / f"{source}.json"
@@ -480,10 +480,13 @@ def _long_integer() -> str:
 
 
 @contextlib.contextmanager
-def _utf8(path: str):
-    """Name the first line of ``path`` that is not UTF-8 if a text read fails on one."""
+def _reading(path: str):
+    """Name ``path`` if a text read of it fails: with the system's reason if it
+    cannot be read, or with its first line that is not UTF-8."""
     try:
         yield
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         with open(path, "rb") as handle:
             for lineno, line in enumerate(handle, 1):

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string  # a str as ``canonical_json`` writes it
 from json.scanner import make_scanner
+from operator import is_
 
 from .errors import ScenarioError
-from .scenario import Fields, _long_integer, _utf8, canonical_json
+from .scenario import Fields, _long_integer, _reading, canonical_json
 
 FORMAT_VERSION = 1  # the trace format ``write_ndjson`` writes and ``read_ndjson`` reads
 
@@ -49,12 +51,46 @@ class SimTrace:
             yield Fields(row, f"trace epoch {row.get('epoch')}: ")
 
     def lines(self):
-        """The ndjson lines, header first, each encoded when it is reached.  The
-        encoder makes no cycle check, so a row that contains itself raises
+        """The ndjson lines, header first, each written when it is reached: the
+        text ``canonical_json`` gives the row, or the error it raises.
+
+        A row that is a dict with str keys is written member by member, in
+        sorted key order, and the writer keeps each member of the previous row
+        with its ``"key":text``.  That text is used again, without encoding,
+        when the member's value is the previous row's value, or a list of the
+        same length whose items each are the previous row's items; inside a
+        ``locks`` map of label maps, the same holds for each entry that is the
+        previous row's entry at the same (label, account).  Reuse is by
+        identity only: ``(0, True) == (0, 1)``, but the two encode differently.
+        Rows are read-only, so a value's text cannot change while the writer
+        holds it; it holds the previous row only, so a row re-parsed on each
+        pass (``read_ndjson``) cannot hand it a recycled object.  The encoder
+        makes no cycle check, so a row that contains itself raises
         RecursionError."""
-        yield canonical_json({"type": "header", **self.header})
+        encode = canonical_json  # looked up once per pass
+        yield encode({"type": "header", **self.header})
+        last, last_locks = {}, {}  # the previous row's members and lock entries, as (value, text)
         for row in self:
-            yield canonical_json(row)
+            if not _str_keyed(row):
+                last, last_locks = {}, {}
+                yield encode(row)
+                continue
+            members, texts, locks = {}, [], {}
+            for key in sorted(row):
+                value = row[key]
+                kept = last.get(key)
+                if kept is not None and _same(kept[0], value):
+                    if key == "locks":
+                        locks = last_locks
+                elif key == "locks" and _str_keyed(value) and all(map(_str_keyed, value.values())):
+                    text, locks = _locks_text(value, last_locks, encode)
+                    kept = (value, f"{_string(key)}:{text}")
+                else:
+                    kept = (value, f"{_string(key)}:{encode(value)}")
+                members[key] = kept
+                texts.append(kept[1])
+            last, last_locks = members, locks
+            yield "{" + ",".join(texts) + "}"
 
     def write_ndjson(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -67,7 +103,7 @@ class SimTrace:
         have ``format_version`` 1 and an integer ``horizon_epochs``.  Each pass
         over the rows parses the rest one line at a time and checks that their
         epochs run 0, 1, 2, ... up to the horizon, no more and no fewer."""
-        with _utf8(path), open(path, "r", encoding="utf-8") as handle:
+        with _reading(path), open(path, "r", encoding="utf-8") as handle:
             first = handle.readline()
         header = _ndjson_record(path, 1, first) if first.strip() else {}
         if header.pop("type", None) != "header":
@@ -77,6 +113,42 @@ class SimTrace:
         if type(version) is not int or version != FORMAT_VERSION:
             raise fields.error(f"expected format version {FORMAT_VERSION}, got {version!r}", "format_version")
         return cls(header, _NdjsonRows(path, fields.integer("horizon_epochs", minimum=0)))
+
+
+_STR = {str}
+
+
+def _str_keyed(value) -> bool:
+    """Whether ``value`` is a dict whose keys are all str: the encoder sorts
+    such keys without error and writes each one as ``_string`` does."""
+    return type(value) is dict and {*map(type, value)} <= _STR
+
+
+def _same(last, value) -> bool:
+    """Whether ``value`` writes as ``last``, the previous row's value at its
+    place, because it is ``last`` or a list of ``last``'s own items."""
+    return last is value or (
+        type(value) is list and type(last) is list and len(value) == len(last) and all(map(is_, value, last))
+    )
+
+
+def _locks_text(locks: dict, last: dict, encode) -> tuple[str, dict]:
+    """The text of a ``locks`` map of label maps, and its entries as
+    {label: {account: (entry, "account":text)}} for the next row.  An entry
+    that is the previous row's entry at the same label and account (in
+    ``last``) takes that row's text; ``encode`` writes every other one."""
+    labels, entries = [], {}
+    for label in sorted(locks):
+        accounts, before, now = locks[label], last.get(label, {}), {}
+        for account in sorted(accounts):
+            entry = accounts[account]
+            kept = before.get(account)
+            if kept is None or kept[0] is not entry:
+                kept = (entry, f"{_string(account)}:{encode(entry)}")
+            now[account] = kept
+        entries[label] = now
+        labels.append(_string(label) + ":{" + ",".join([text for _, text in now.values()]) + "}")
+    return "{" + ",".join(labels) + "}", entries
 
 
 def _ndjson_record(path: str, lineno: int, line: str) -> dict:
@@ -162,7 +234,7 @@ class _NdjsonRows:
         path, horizon = self.path, self.horizon
         epoch = 0  # the epoch of the next row
         lead = []  # the previous row's leading members
-        with _utf8(path), open(path, "r", encoding="utf-8") as handle:
+        with _reading(path), open(path, "r", encoding="utf-8") as handle:
             handle.readline()  # the header, checked by ``SimTrace.read_ndjson``
             for lineno, line in enumerate(handle, 2):
                 if line.isspace():

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -889,6 +890,45 @@ def test_trace_not_utf8_exits_one(bad, mature_trace, capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", str(path), "--metric", "participation", "--out", str(out))
     assert (code, err) == (1, f"error: {path}:{index + 1}: not valid UTF-8: invalid start byte\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_missing_scenario_exits_one(command, capsys, tmp_path):
+    path, out = tmp_path / "missing.json", tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert run_cli(capsys, *argv) == (1, "", f"error: no scenario file or packaged scenario named {str(path)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_directory_as_scenario_exits_one(command, capsys, tmp_path):
+    path, out = tmp_path / "scenarios", tmp_path / "out"
+    path.mkdir()
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert run_cli(capsys, *argv) == (1, "", f"error: {path}: cannot read: {os.strerror(errno.EISDIR)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", errno.ENOENT), ("directory", errno.EISDIR)])
+def test_unreadable_trace_exits_one(kind, reason, capsys, tmp_path):
+    path, out = tmp_path / "trace.ndjson", tmp_path / "p.csv"
+    if kind == "directory":
+        path.mkdir()
+    code, stdout, err = run_cli(capsys, "report", str(path), "--metric", "participation", "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {path}: cannot read: {os.strerror(reason)}\n")
+    assert not out.exists()
+
+
+def test_unwritable_out_still_exits_two(mature_trace, capsys, tmp_path):
+    scenario, taken = tmp_path / "s.json", tmp_path / "taken"
+    scenario.write_text(json.dumps(make_scenario(horizon_epochs=2)))
+    taken.write_text("")  # a file where ``run`` must make a folder
+    code, _, err = run_cli(capsys, "run", str(scenario), "--out", str(taken))
+    assert (code, err) == (2, f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: {str(taken)!r}\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()  # a folder where ``report`` must write a file
+    code, _, err = run_cli(capsys, "report", mature_trace, "--metric", "participation", "--out", str(folder))
+    assert (code, err) == (2, f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(folder)!r}\n")
 
 
 BARE_ROUND = {"epoch": 0, "settlement": {"round": 0}, "round_finalized": {"round": 0}}

@@ -189,15 +189,19 @@ def _direct_lockers_scenario(lockers=48, horizon=24, seed=2024) -> dict:
     return raw
 
 
+# ``_direct_lockers_scenario()``: its trace, ``summary.json`` and stdout digests
+DIRECT_LOCKERS_GOLDEN = ("86762be49b8e8bfc", "06bf4821acb57a28", "6d2bd22e48c554a2")
+
+
 def test_direct_lockers_run_digests(tmp_path):
     # the summary's direct-lock fold over many accounts with changing weights
-    assert run_digests(_direct_lockers_scenario(), tmp_path) == ("06bf4821acb57a28", "6d2bd22e48c554a2")
+    assert run_digests(_direct_lockers_scenario(), tmp_path) == DIRECT_LOCKERS_GOLDEN[1:]
 
 
 def test_direct_lockers_trace_digest(tmp_path):
     # base votes that mostly repeat from row to row, at many accounts
     trace = run_scenario(scenario_from_dict(_direct_lockers_scenario()))
-    assert trace_digest(trace, tmp_path) == "86762be49b8e8bfc"
+    assert trace_digest(trace, tmp_path) == DIRECT_LOCKERS_GOLDEN[0]
 
 
 def _exogenous_followers_scenario() -> dict:

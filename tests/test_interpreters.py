@@ -7,8 +7,10 @@ in ``test_golden``.  Each one then runs ``report`` on its own paper-mature
 trace, which goes through the trace reader's ``json.scanner`` path, and the
 exports must equal the pinned in-process ones.  Each one also runs a small
 randomized scenario from a file, which reaches the equilibrium kernel and the
-settlement with other inputs than the packaged ones.  The test skips when no
-other interpreter is found."""
+settlement with other inputs than the packaged ones, and ``_direct_lockers_scenario``
+from a file, whose rows the writer mostly takes from the row before through
+the ``json`` C encoder it builds with ``c_make_encoder``, which is not public
+API.  The test skips when no other interpreter is found."""
 
 import hashlib
 import json
@@ -20,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from test_acceptance import _randomized_scenario
-from test_golden import EXPORT_GOLDEN, GOLDEN, STDOUT_GOLDEN, SUMMARY_GOLDEN, file_digest
+from test_golden import (DIRECT_LOCKERS_GOLDEN, EXPORT_GOLDEN, GOLDEN, STDOUT_GOLDEN, SUMMARY_GOLDEN,
+                         _direct_lockers_scenario, file_digest)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 OLDEST = (3, 10, 7)  # the first CPython with ``sys.get_int_max_str_digits``
@@ -74,11 +77,17 @@ def test_packaged_scenarios_keep_their_bytes_on_other_interpreters(tmp_path):
 
     randomized = tmp_path / "randomized-80.json"
     randomized.write_text(json.dumps(_randomized_scenario(horizon=80, seed=2)))
+    lockers = tmp_path / "direct-lockers.json"
+    lockers.write_text(json.dumps(_direct_lockers_scenario()))
     digests = {}
     for executable, version in sorted(interpreters.items()):
         out = tmp_path / version / "randomized-80"
         cli(executable, version, "run", str(randomized), "--out", str(out))
         digests[version, "randomized-80"] = (file_digest(out / "trace.ndjson"), file_digest(out / "summary.json"))
+        out = tmp_path / version / "direct-lockers"
+        stdout = cli(executable, version, "run", str(lockers), "--out", str(out)).replace(str(out), "OUT")
+        digests[version, "direct-lockers"] = (file_digest(out / "trace.ndjson"), file_digest(out / "summary.json"),
+                                              hashlib.sha256(stdout.encode()).hexdigest()[:16])
         for name in sorted(GOLDEN):
             out = tmp_path / version / name
             stdout = cli(executable, version, "run", name, "--out", str(out)).replace(str(out), "OUT")
@@ -95,4 +104,5 @@ def test_packaged_scenarios_keep_their_bytes_on_other_interpreters(tmp_path):
         **{(version, metric): EXPORT_GOLDEN["paper-mature", metric, "csv"]
            for version in interpreters.values() for metric in REPORTED},
         **{(version, "randomized-80"): RANDOMIZED_80_GOLDEN for version in interpreters.values()},
+        **{(version, "direct-lockers"): DIRECT_LOCKERS_GOLDEN for version in interpreters.values()},
     }

@@ -7,7 +7,9 @@ with the row before (``_last_totals``), and a ``base_votes`` map reused while
 oracle rebuilds those fields and the ledger digest from protocol state alone
 and compares them with the row through ``canonical_json``.  After the run it
 encodes every row again: a shared entry mutated by a later epoch changes an
-earlier row's bytes.
+earlier row's bytes.  The trace writer, which takes a member's text from the
+previous row where it holds the previous row's objects, must write each row
+as ``canonical_json`` wrote it when it was built.
 
 Settlement moves tokens once per (token, account) per round, after every
 gauge is settled.  The oracle copies the ledger just before each
@@ -113,6 +115,8 @@ def check_rows(config) -> int:
         built.append(canonical_json(row))
     for epoch, (row, text) in enumerate(zip(rows, built)):
         assert canonical_json(row) == text, f"epoch {epoch} changed after it was built"
+    header = world.header()
+    assert list(SimTrace(header, rows).lines()) == [canonical_json({"type": "header", **header}), *built]
     voters = {account for row in rows for account in row["base_votes"]}  # the aggregator's account too
     check_cost_fold(rows, sorted(voters.union(agent.account for agent in config.agents)))
     return cuts

@@ -3,9 +3,12 @@ the bytes it gives on the in-memory trace, parses one row at a time, and names
 the line of a bad record or a misplaced header."""
 
 import argparse
+import copy
 import json
+import os
 import re
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -14,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vetokensim import metrics
+from vetokensim import trace as trace_module
 from vetokensim.cli import REPORTS, main
 from vetokensim.errors import ScenarioError, VeTokenSimError
+from vetokensim.ledger import canonical_json
 from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
 from vetokensim.sim import run_scenario
 from vetokensim.trace import SimTrace, _ndjson_record, _row_record
@@ -348,3 +353,210 @@ def test_reader_matches_json_loads_at_the_edges(case, written):
     lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
     actions = _compact(json.loads(lines[4])["actions"])
     _reads_like_json_loads(path, lines, 5, EDGE_LINES[case] % actions)
+
+
+# -- the writer: each row's text from the previous row's where it holds its objects
+
+def _str_keyed(value) -> bool:
+    return type(value) is dict and all(type(key) is str for key in value)
+
+
+def _label_maps(value) -> bool:
+    """Whether ``value`` is a ``locks`` map that the writer writes entry by entry."""
+    return _str_keyed(value) and all(map(_str_keyed, value.values()))
+
+
+def _reused(last, value) -> bool:
+    return last is value or (type(last) is list and type(value) is list and len(last) == len(value)
+                             and all(item is before for item, before in zip(value, last)))
+
+
+_ABSENT = object()
+
+
+def writer_encodes(rows) -> int:
+    """The ``canonical_json`` calls ``SimTrace.lines`` makes for ``rows``, after
+    the header, by its reuse rule: one per row that is not a dict with str keys;
+    else one per member that is not the previous row's value or a list of the
+    same length of its items, where a ``locks`` map of such dicts counts one per
+    entry that is not the previous row's entry at the same (label, account)."""
+    count, last = 0, {}
+    for row in rows:
+        if not _str_keyed(row):
+            count, last = count + 1, {}
+            continue
+        before = last["locks"] if _label_maps(last.get("locks")) else {}
+        for key, value in row.items():
+            if key in last and _reused(last[key], value):
+                continue
+            if key == "locks" and _label_maps(value):
+                count += sum(before.get(label, {}).get(account, _ABSENT) is not entry
+                             for label, entries in value.items() for account, entry in entries.items())
+            else:
+                count += 1
+        last = row
+    return count
+
+
+def _twin(value):
+    """A value equal to ``value`` that may encode differently: ``1`` for ``True``,
+    ``1.0`` for ``1``, ``1`` for ``1.0``, in new containers; a string or None
+    as it is."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return float(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is list:
+        return [_twin(item) for item in value]
+    if type(value) is dict:
+        return {key: _twin(item) for key, item in value.items()}
+    return value
+
+
+LEAVES = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, 2, 1.0, -0.0, 2.5]), st.text('a"é', max_size=2))
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3), max_leaves=6)
+MEMBERS = ("actions", "base_votes", "locks", "snapshot")
+LABELS = ("base", "governance")
+_OMIT = object()  # a member left out of the row
+
+
+def _one_in(n: int):
+    """True about once in ``n`` draws, shrinking to False."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+def _next_value(data, last, new, same: int = 1):
+    """A value made from ``last``, the previous row's value at its place (or
+    ``_ABSENT``): it (``same`` times as likely as the others), a copy, a
+    twin, a list of its items, or ``new()``."""
+    if data.draw(_one_in(40), label="unencodable"):
+        return [object()]
+    ops = ["new", "omit"]
+    if last is not _ABSENT:
+        ops += ["same"] * same + ["copy", "twin"] + (["items"] * 2 if type(last) is list else [])
+    op = data.draw(st.sampled_from(ops), label="op")
+    if op == "same":
+        return last
+    if op == "copy":
+        return copy.deepcopy(last)
+    if op == "twin":
+        return _twin(last)
+    if op == "items":
+        items = list(last)
+        change = data.draw(st.sampled_from(["none", "append", "drop", "twin one"]), label="change")
+        if change == "append":
+            items.append(items[-1] if items else None)
+        elif items and change == "drop":
+            items.pop()
+        elif items and change == "twin one":
+            at = data.draw(st.integers(0, len(items) - 1), label="at")
+            items[at] = _twin(items[at])
+        return items
+    if op == "omit":
+        return _OMIT
+    return new()
+
+
+def _lock_entry(data, last_locks, label, account):
+    """An entry of ``locks[label][account]`` made from the previous row's
+    entries: the one at the same place, or at the other label."""
+    places = [last_locks.get(other, {}).get(account, _ABSENT) for other in (label, *LABELS)]
+    last = data.draw(st.sampled_from([entry for entry in places if entry is not _ABSENT] or [_ABSENT]))
+    new = lambda: data.draw(st.fixed_dictionaries({"amount": st.sampled_from([1, True, 1.0, 2]),
+                                                   "unlock_epoch": st.integers(0, 3)}))
+    return _next_value(data, last, new, same=3)
+
+
+def _new_locks(data, last):
+    """A ``locks`` value: mostly a map of label maps whose entries come from the
+    previous row's ``last``, sometimes a label map with int keys, or any value."""
+    last_locks = last if _label_maps(last) else {}
+    kind = data.draw(st.sampled_from(["labels"] * 6 + ["int keys", "any"]), label="locks")
+    if kind == "any":
+        return data.draw(VALUES)
+    locks = {}
+    for label in data.draw(st.lists(st.sampled_from(LABELS), unique=True), label="labels"):
+        entries = {}
+        for account in data.draw(st.lists(st.sampled_from("abc"), unique=True), label="accounts"):
+            entry = _lock_entry(data, last_locks, label, account)
+            if entry is not _OMIT:
+                entries[account] = entry
+        if kind == "int keys" and label == "base":
+            entries[0] = 1  # sorted among str keys, an int is a TypeError
+        locks[label] = data.draw(VALUES) if data.draw(_one_in(6), label="not a label map") else entries
+    return locks
+
+
+def _next_row(data, last: dict, epoch: int) -> dict:
+    row = {"epoch": epoch}
+    for key in MEMBERS:
+        if key == "locks" and not data.draw(_one_in(4), label="locks as a whole"):
+            row[key] = _new_locks(data, last.get(key))  # mostly built entry by entry
+            continue
+        value = _next_value(data, last.get(key, _ABSENT), lambda: data.draw(VALUES))
+        if value is not _OMIT:
+            row[key] = value
+    if data.draw(_one_in(8), label="whole"):
+        row[_Key("note")] = None  # a key of a str subclass: the writer hands ``canonical_json`` the whole row
+    return row
+
+
+class _Key(str):
+    pass
+
+
+def _outcome(lines) -> tuple[list, tuple | None]:
+    """The lines of ``lines``, and the type and text of the error that ends them."""
+    out = []
+    try:
+        for line in lines:
+            out.append(line)
+    except (TypeError, ValueError) as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _written(trace) -> tuple[list, tuple | None, int]:
+    """``_outcome(trace.lines())`` and the ``canonical_json`` calls it makes."""
+    calls = 0
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return canonical_json(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "canonical_json", counted)
+        return (*_outcome(trace.lines()), calls)
+
+
+def _encoded(trace) -> tuple[list, tuple | None]:
+    return _outcome(canonical_json(record) for record in [{"type": "header", **trace.header}, *trace])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_writer_gives_the_text_of_each_row(data):
+    rows, last = [], {}
+    for epoch in range(data.draw(st.integers(1, 6), label="rows")):
+        same = rows and data.draw(_one_in(8), label="same members")
+        last = {**last, "epoch": epoch} if same else _next_row(data, last, epoch)
+        rows.append(last)
+    trace = SimTrace({"format_version": 1, "horizon_epochs": len(rows)}, rows)
+    lines, error, calls = _written(trace)
+    assert (lines, error) == _encoded(trace)
+    if error is not None:
+        return
+    assert calls == 1 + writer_encodes(rows)
+    with tempfile.TemporaryDirectory() as folder:
+        # rows parsed again on each pass, whose leading values the reader shares
+        path = os.path.join(folder, "trace.ndjson")
+        trace.write_ndjson(path)
+        read = SimTrace.read_ndjson(path)
+        for _ in range(2):
+            lines, error, calls = _written(read)
+            assert (lines, error) == (Path(path).read_text(encoding="utf-8").splitlines(), None)
+            assert calls == 1 + writer_encodes(read)

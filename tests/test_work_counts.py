@@ -9,18 +9,23 @@ number of lockers would show here as a ratio near 4.
 A report fold reads each gauge-keyed map of a row once and takes its entries
 from the map, so its path reads (``Fields._get``) do not grow with the number
 of gauges; and a report parses every row with the reader's scanner, so it
-calls ``json.loads`` only for the header.  Counts do not drift with the host
-as times do, so nothing here is timed."""
+calls ``json.loads`` only for the header.
+
+The trace writer encodes only what the previous row does not hold: its
+``canonical_json`` calls must be the number its reuse rule gives for the
+rows (``test_trace_io.writer_encodes``), not one per row.  Counts do not
+drift with the host as times do, so nothing here is timed."""
 
 import json
 
 import pytest
 
-from vetokensim import cli, escrow, metrics, scenario, sim
+from vetokensim import cli, escrow, metrics, scenario, sim, trace
 from vetokensim.scenario import scenario_from_dict
 
 from test_acceptance import _randomized_scenario
 from test_golden import _direct_lockers_scenario
+from test_trace_io import writer_encodes
 
 # name -> (owner, attribute): each is wrapped where its callers look it up
 COUNTED = {
@@ -93,3 +98,9 @@ def test_a_report_parses_json_once_for_the_header(argv, gauge_traces, tmp_path):
     gauge_traces[12].write_ndjson(path)
     out = ["--out", str(tmp_path / "out.csv")]
     assert calls(json, "loads", lambda: cli.main(["report", path, *argv, *out])) == 1
+
+
+def test_the_writer_encodes_what_the_previous_row_does_not_hold():
+    rows = sim.run_scenario(scenario_from_dict(_direct_lockers_scenario(48))).rows
+    written = calls(trace, "canonical_json", lambda: list(trace.SimTrace({}, rows).lines()))
+    assert written == 1 + writer_encodes(rows)  # the header, then what the rows do not share
