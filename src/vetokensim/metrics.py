@@ -491,10 +491,6 @@ class CostFold:
             self.protocol_account = Fields(header, "trace header: ").string("protocol_account")
         self.paid: dict[str, float] = {}
         self.votes = dict.fromkeys(actors, ZERO)
-        # direct-lock: each actor's last checked ballot and its bps sum.  Rows
-        # share an unchanged ballot object, so only a new object is summed and
-        # checked again; an equal one is not enough ({"0": true} == {"0": 1}).
-        self._ballot_bps: dict[str, tuple[dict, int]] = {}
 
     def add(self, f: Fields) -> None:
         avenue, paid, votes = self.avenue, self.paid, self.votes
@@ -506,21 +502,17 @@ class CostFold:
         if avenue == "direct-lock" and f.value("snapshot", default=None) is not None:
             weights = f.at("escrow_weights", "base")
             ballots = f.at("base_votes", default={})
-            checked = self._ballot_bps
             for actor, ballot in ballots.root.items():
                 if actor not in votes:
                     continue
                 if type(ballot) is not dict:  # null reads as no ballot; any other value raises
                     ballot = ballots.object(actor, default={})
                 if ballot:
-                    last = checked.get(actor)
-                    if last is not None and last[0] is ballot:
-                        bps = last[1]
-                    else:
-                        bps = 0
-                        for gauge in ballot:
-                            bps += ballots.integer(actor, gauge, minimum=0)
-                        checked[actor] = (ballot, bps)
+                    bps = 0
+                    for gauge, value in ballot.items():
+                        if type(value) is not int or value < 0:
+                            value = ballots.integer(actor, gauge, minimum=0)  # raises
+                        bps += value
                     num, den = weights.ratio(actor, default="0")
                     votes[actor] = _add(votes[actor], (num * bps, den * 10_000))
         elif avenue == "aggregator-lock" and f.object("round_finalized", default={}):

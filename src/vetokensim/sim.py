@@ -103,7 +103,6 @@ class World:
         # names its round, so it is kept only while that round is open.
         self._entries: dict[tuple, dict | list] = {}
         self._round_votes: dict[tuple, dict] = {}
-        self._last_totals: dict[str, dict] = {}  # the last row's token_totals, to share unchanged entries
         # the last row's base_votes, built at this allocations_version: reused while no vote changes it
         self._base_votes: dict[str, dict] = {}
         self._base_votes_version = self.controller.allocations_version
@@ -346,10 +345,7 @@ class World:
 
     def _row(self, row: dict, token_totals: dict) -> dict:
         entries, ballot = self._entries, self._ballot_entry
-        last = self._last_totals
-        row["token_totals"] = self._last_totals = {
-            token: last[token] if last.get(token) == sums else sums for token, sums in token_totals.items()
-        }
+        row["token_totals"] = token_totals
         row["ledger_digest"] = self.ledger.digest()
         row["locks"] = {
             label: {

@@ -28,10 +28,8 @@ class SimTrace:
     be copied before editing.  The rows of one run hold each repeated value
     once: every equal lock entry, ballot (base votes, a round's ballots and its
     base allocation), vote entry, ``[gauge, bps]`` pair and allocation list is
-    one object, every gauge key is one string per gauge, a token's
-    ``token_totals`` entry is the previous row's dict while it does not
-    change, and ``base_votes`` is the previous row's map while no vote
-    changes an allocation.
+    one object, every gauge key is one string per gauge, and ``base_votes``
+    is the previous row's map while no vote changes an allocation.
     A settlement row holds the settlement's own ``briber_usd`` and per-account
     token dicts.  Rows read from a file share less: a leading value whose text
     repeats the previous row's (often ``actions`` and ``base_votes``) is the

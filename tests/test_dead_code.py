@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and every
-module-level private function or class is used somewhere in the package."""
+"""No module of the package imports a name it never uses, every
+module-level private function or class is used somewhere in the package, and
+every private attribute stored on ``self`` is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,11 @@ def test_every_private_function_and_class_is_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+def test_every_private_attribute_stored_is_read():
+    attributes = [node for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    read = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)}
+    stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) == "self" and node.attr.startswith("_")}
+    assert sorted(stored - read) == []  # state that no code reads

@@ -443,8 +443,8 @@ def ballot_trace(ballots):
 
 
 class TestDirectLockBallots:
-    """The direct-lock fold sums a ballot that rows share once, but checks
-    every ballot object it has not seen."""
+    """The direct-lock fold reads every ballot at every snapshot, whether or
+    not rows share its object."""
 
     def test_a_shared_ballot_counts_at_every_snapshot(self):
         shared = {"0": 6000, "1": 4000}
@@ -459,20 +459,11 @@ class TestDirectLockBallots:
             metrics.cost_per_vote_series(ballot_trace([{"0": 10000}, bad, bad, bad]), "frax", "direct-lock")
 
     def test_an_equal_ballot_that_is_another_object_is_checked(self):
-        # {"0": True} == {"0": 1}: only the same object may skip the check
+        # {"0": True} == {"0": 1}, but a bool is not a basis-point integer
         good = {"0": 1}
         trace = ballot_trace([good, good, {"0": True}, good])
         with pytest.raises(ScenarioError, match=r"^trace epoch 2: base_votes\.frax\.0: expected an integer, got True"):
             metrics.cost_per_vote_series(trace, "frax", "direct-lock")
-
-
-class UncachedCostSeries(metrics.CostSeries):
-    """``CostSeries`` that forgets its checked ballots before every row, so each
-    ballot is summed and checked anew: the oracle for the ballot-sum cache."""
-
-    def add(self, f):
-        self._ballot_bps.clear()
-        super().add(f)
 
 
 BALLOT_ACTORS = ("frax", "curve")
@@ -510,16 +501,26 @@ def shared_ballot_trace(draw):
 
 @given(trace=shared_ballot_trace())
 @settings(max_examples=200, deadline=None)
-def test_ballot_cache_matches_a_fold_without_it(trace):
-    def folded(cls):
-        cost = cls(trace.header, "direct-lock", BALLOT_ACTORS)
+def test_ballot_quick_read_matches_a_per_key_read(trace):
+    def per_key(fields):
+        """Each row, with each followed ballot at a snapshot summed through
+        ``Fields.integer`` alone into a one-key ballot, which the fold takes as it is."""
+        for f in fields:
+            votes = f.root["base_votes"]
+            if f.root["snapshot"] is not None:
+                votes = {**votes, **{actor: {"0": sum(f.integer("base_votes", actor, gauge, minimum=0)
+                                                      for gauge in votes[actor])} for actor in BALLOT_ACTORS}}
+            yield {**f.root, "base_votes": votes}
+
+    def folded(rows):
+        cost = metrics.CostSeries(trace.header, "direct-lock", BALLOT_ACTORS)
         try:
-            metrics.fold(trace, cost)
+            metrics.fold(SimTrace(trace.header, rows), cost)  # the oracle's errors surface here too
         except ScenarioError as error:
             return str(error)
         return cost.series()
 
-    assert folded(metrics.CostSeries) == folded(UncachedCostSeries)
+    assert folded(trace.rows) == folded(per_key(trace.fields()))
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,11 @@
 """Every row shortcut of the epoch loop against an oracle with no memo.
 
-``World`` builds each row's ``token_totals``, ``locks`` and ``base_votes``
-through shortcuts: entries shared by value (``_entries``), token sums shared
-with the row before (``_last_totals``), and a ``base_votes`` map reused while
+``World`` builds each row's ``locks`` and ``base_votes`` through shortcuts:
+entries shared by value (``_entries``) and a ``base_votes`` map reused while
 ``GaugeController.allocations_version`` holds.  After each ``World.step`` the
-oracle rebuilds those fields and the ledger digest from protocol state alone
-and compares them with the row through ``canonical_json``.  After the run it
+oracle rebuilds those fields, ``token_totals`` and the ledger digest from
+protocol state alone and compares them with the row through
+``canonical_json``.  After the run it
 encodes every row again: a shared entry mutated by a later epoch changes an
 earlier row's bytes.  The trace writer, which takes a member's text from the
 previous row where it holds the previous row's objects, must write each row
@@ -17,11 +17,9 @@ gauge is settled.  The oracle copies the ledger just before each
 the copy as one transfer per cut, and compares the balances with the ledger
 just after the batched settlement.
 
-The direct-lock ``CostFold`` sums a ballot's basis points once and reuses the
-sum while later rows hold the same ballot object.  Each run's rows are folded
-again with a fold whose cache never hits, and once more with a ballot that
-equals the voter's ballot in the snapshot row before replaced by an equal
-ballot of float basis points, which the fold must read again and refuse
+The direct-lock ``CostFold`` must read each run's rows, and must refuse them
+at the right row and key once a ballot equal to the voter's ballot in the
+snapshot row before is replaced by an equal one of float basis points
 (``{"0": 1.0} == {"0": 1}``)."""
 
 import copy
@@ -122,55 +120,34 @@ def check_rows(config) -> int:
     return cuts
 
 
-class NeverHit(dict):
-    """A cache that holds what it is given and never finds it."""
-
-    def get(self, key, default=None):
-        return default
-
-
-class UncachedCostFold(CostFold):
-    """``CostFold`` whose direct-lock ballot cache never hits, so every ballot is summed and checked."""
-
-    def __init__(self, header, avenue, actors):
-        super().__init__(header, avenue, actors)
-        self._ballot_bps = NeverHit()
-
-
-def direct_lock_outcome(fold_class, rows: list, actors: list):
-    """``(votes, final())`` of a direct-lock fold of ``rows``, or its error's text."""
-    folded = fold_class({}, "direct-lock", actors)
+def direct_lock_error(rows: list, actors: list) -> str | None:
+    """The error a direct-lock fold of ``rows`` or its ``final()`` raises, or None."""
+    folded = CostFold({}, "direct-lock", actors)
     try:
         fold(SimTrace({}, rows), folded)
-        return folded.votes, folded.final()
+        folded.final()
     except ScenarioError as exc:
-        return f"error: {exc}"
+        return str(exc)
+    return None
 
 
-def retyped(rows: list, actors: list) -> list | None:
-    """``rows`` with one ballot replaced, in a copy of its row, by the same
-    ballot with float basis points: the ballot of the first of ``actors`` that
-    holds an equal ballot in the snapshot row before, in the last snapshot row
-    where one does; None if there is no such row."""
+def check_cost_fold(rows: list, actors: list) -> None:
+    """The direct-lock fold reads ``rows``.  It refuses them at the right row
+    and key once one ballot, in a copy of its row, has float basis points: the
+    ballot of the first of ``actors`` that holds an equal ballot in the
+    snapshot row before, in the last snapshot row where one does."""
+    assert direct_lock_error(rows, actors) is None
     snapshots = [i for i, row in enumerate(rows) if row["snapshot"] is not None]
     for before, at in reversed(list(zip(snapshots, snapshots[1:]))):
         earlier, ballots = rows[before]["base_votes"], rows[at]["base_votes"]
         for actor, ballot in ballots.items():
             if actor in actors and ballot and ballot == earlier.get(actor):
-                retyped_ballots = {**ballots, actor: {gauge: float(bps) for gauge, bps in ballot.items()}}
-                return [*rows[:at], {**rows[at], "base_votes": retyped_ballots}, *rows[at + 1:]]
-    return None
-
-
-def check_cost_fold(rows: list, actors: list) -> None:
-    """The direct-lock fold of ``rows`` gives the uncached fold's votes and
-    final values, and on ``retyped(rows)`` the uncached fold's error."""
-    assert direct_lock_outcome(CostFold, rows, actors) == direct_lock_outcome(UncachedCostFold, rows, actors)
-    changed = retyped(rows, actors)
-    if changed is not None:
-        refused = direct_lock_outcome(UncachedCostFold, changed, actors)
-        assert refused.startswith("error: ")  # a float bps is not an integer
-        assert direct_lock_outcome(CostFold, changed, actors) == refused
+                floats = {gauge: float(bps) for gauge, bps in ballot.items()}
+                changed = [*rows[:at], {**rows[at], "base_votes": {**ballots, actor: floats}}, *rows[at + 1:]]
+                gauge, bps = next(iter(floats.items()))
+                where = f"trace epoch {rows[at]['epoch']}: base_votes.{actor}.{gauge}"
+                assert direct_lock_error(changed, actors) == f"{where}: expected an integer, got {bps!r}"
+                return
 
 
 @pytest.mark.parametrize("name", sorted(packaged_scenarios()))

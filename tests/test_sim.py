@@ -270,8 +270,8 @@ def _entries(rows):
 
 class TestSharedEntries:
     """Rows are read-only, so a run hands each distinct lock entry, ballot,
-    vote entry, ``[gauge, bps]`` pair, allocation list, gauge key and unchanged
-    ``token_totals`` entry to every row that holds it as one object."""
+    vote entry, ``[gauge, bps]`` pair, allocation list and gauge key to every
+    row that holds it as one object."""
 
     @pytest.fixture(scope="class")
     def frax(self):
@@ -313,7 +313,6 @@ class TestSharedEntries:
             seen[kind] += 1
             assert first.setdefault((kind, json.dumps(value, sort_keys=True)), value) is value, kind
 
-        last_totals: dict = {}
         for row in trace.rows:
             for action in row["actions"]:
                 one("allocation", action["allocation"])
@@ -334,14 +333,8 @@ class TestSharedEntries:
                 one("ballot", ballot)
             for gauge_key in (key for mapping in ballots + by_gauge for key in mapping):
                 one("gauge key", gauge_key)
-            for token, sums in row["token_totals"].items():
-                if last_totals.get(token) == sums:
-                    assert last_totals[token] is sums, (row["epoch"], token)
-                    seen["unchanged totals"] += 1
-            last_totals = row["token_totals"]
         distinct = Counter(kind for kind, _ in first)
         assert all(seen[kind] > distinct[kind] > 0 for kind in ("allocation", "pair", "ballot", "gauge key"))
-        assert seen["unchanged totals"] > 0
         assert json.loads(json.dumps(trace.rows)) == trace.rows
 
     def test_one_lock_entry_object_per_lock_state(self, randomized_1000):

@@ -4,7 +4,9 @@ report path.
 Each direct locker's epoch costs an observation, a ``decide``, the apply of
 its actions, weight reads, and the run summary's ratio reads.  Doubling the
 lockers must double those calls: a per-locker cost that grows with the
-number of lockers would show here as a ratio near 4.
+number of lockers would show here as a ratio near 4.  Doubling the gauges
+must leave the per-agent calls as they are and at most double, with some
+slack, the settlement's pro-rata splits and the kernel's sums.
 
 A report fold reads each gauge-keyed map of a row once and takes its entries
 from the map, so its path reads (``Fields._get``) do not grow with the number
@@ -20,7 +22,7 @@ import json
 
 import pytest
 
-from vetokensim import cli, escrow, metrics, scenario, sim, trace
+from vetokensim import agents, bribemarket, cli, escrow, metrics, scenario, sim, trace
 from vetokensim.scenario import scenario_from_dict
 
 from test_acceptance import _randomized_scenario
@@ -73,6 +75,18 @@ def calls(owner, attribute: str, work) -> int:
         patch.setattr(owner, attribute, counted)
         work()
     return count
+
+
+def test_epoch_loop_work_grows_at_most_with_the_gauges():
+    def growth(owner, attribute: str) -> float:
+        small, large = (calls(owner, attribute, lambda: sim.run_scenario(scenario_from_dict(
+            _randomized_scenario(40, gauges, seed=6)))) for gauges in (6, 12))
+        assert small > 0, f"{attribute} is never called"
+        return large / small
+
+    assert growth(sim, "decide") == growth(sim.World, "_observation") == 1  # the agents do not change
+    assert growth(bribemarket, "_prorata") <= 2.2
+    assert growth(agents, "left_sum") <= 2.2
 
 
 @pytest.fixture(scope="module")
