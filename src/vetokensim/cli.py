@@ -11,6 +11,7 @@ stop at ``scenario``, ``report`` adds ``trace`` and ``metrics``, and only
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -72,7 +73,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first ``main`` call and kept:
+    ``parse_args`` returns a new namespace each call and keeps no parsed state."""
     parser = _Parser(prog="vetokensim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -241,9 +245,8 @@ def _cmd_scenarios(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError:
         return 1
     except SystemExit as exc:  # --help

@@ -11,13 +11,14 @@ answers once every row is in: ``Participation.stats``, ``Shares.table``,
 so folds share one pass, and a trace read from a file parses each row as the
 pass reaches it; each report function drives one fold.  Weight-typed trace
 fields arrive as exact ``n`` or ``n/d`` strings; they are read as ``(num, den)``
-int pairs, summed exactly, and turned into a float by one int/int division,
-which is correctly rounded.  A missing field, a malformed ratio (or one above
-the largest float), a field of the wrong type or a float total that overflows
-is a ``ScenarioError`` naming the epoch and the field path.  Every result is a
-``Table`` whose one column schema drives both the CSV and the JSON export, with
-fixed decimal formatting (10 significant digits) so repeated exports are
-byte-identical.
+int pairs, summed exactly (``CostFold``'s direct-lock votes as numerator sums
+per denominator, reduced to one pair when read), and turned into a float by
+one int/int division, which is correctly rounded.  A missing field, a
+malformed ratio (or one above the largest float), a field of the wrong type
+or a float total that overflows is a ``ScenarioError`` naming the epoch and
+the field path.  Every result is a ``Table`` whose one column schema drives
+both the CSV and the JSON export, with fixed decimal formatting (10
+significant digits) so repeated exports are byte-identical.
 """
 
 from __future__ import annotations
@@ -476,7 +477,9 @@ class CostFold:
     as running totals: ``paid`` (USD so far, per account that has paid) and
     ``votes`` (exact vote total so far, per account; no increment is negative).
     direct-lock: base-escrow lock cost at lock-time prices; votes are the
-    actor's base weight exercised at each snapshot (scaled by allocated bps).
+    actor's base weight exercised at each snapshot (scaled by allocated bps),
+    kept in ``pending`` as numerator sums per weight denominator until
+    ``totals`` adds them into ``votes``, so a ballot costs no gcd.
     aggregator-lock: governance-escrow lock cost; votes are the actor's share
     of each round's ballot mass times the pooled base weight at close.
     bribe: the actor's bribe spend at settlement valuation; votes are all
@@ -491,6 +494,9 @@ class CostFold:
             self.protocol_account = Fields(header, "trace header: ").string("protocol_account")
         self.paid: dict[str, float] = {}
         self.votes = dict.fromkeys(actors, ZERO)
+        # direct-lock votes not yet in ``votes``: weight denominator -> sum of
+        # weight numerator times ballot bps, each sum over denominator * 10_000
+        self.pending: dict[str, dict[int, int]] = {actor: {} for actor in self.votes}
 
     def add(self, f: Fields) -> None:
         avenue, paid, votes = self.avenue, self.paid, self.votes
@@ -502,6 +508,7 @@ class CostFold:
         if avenue == "direct-lock" and f.value("snapshot", default=None) is not None:
             weights = f.at("escrow_weights", "base")
             ballots = f.at("base_votes", default={})
+            pending = self.pending
             for actor, ballot in ballots.root.items():
                 if actor not in votes:
                     continue
@@ -513,17 +520,18 @@ class CostFold:
                         if type(value) is not int or value < 0:
                             value = ballots.integer(actor, gauge, minimum=0)  # raises
                         bps += value
-                    num, den = weights.ratio(actor, default="0")
-                    votes[actor] = _add(votes[actor], (num * bps, den * 10_000))
+                    num, den = _parse_ratio(weights.root.get(actor)) or weights.ratio(actor, default="0")
+                    sums = pending[actor]  # the vote is num * bps / (den * 10_000)
+                    sums[den] = sums.get(den, 0) + num * bps
         elif avenue == "aggregator-lock" and f.object("round_finalized", default={}):
             total_num, total_den = f.ratio("round_finalized", "tally_total")
             if total_num:
                 pooled = f.at("escrow_weights", "base").ratio(self.protocol_account, default="0")
                 # mass / total * pooled, reduced so the running sum stays small
                 scale_num, scale_den = pooled[0] * total_den, pooled[1] * total_num
-                for actor in f.object("round_finalized", "voter_mass", default={}):
+                for actor, mass in f.object("round_finalized", "voter_mass", default={}).items():
                     if actor in votes:
-                        mass_num, mass_den = f.ratio("round_finalized", "voter_mass", actor)
+                        mass_num, mass_den = _parse_ratio(mass) or f.ratio("round_finalized", "voter_mass", actor)
                         num, den = mass_num * scale_num, mass_den * scale_den
                         common = math.gcd(num, den)
                         votes[actor] = _add(votes[actor], (num // common, den // common))
@@ -551,6 +559,13 @@ class CostFold:
         nonzero vote total that underflows one, is a ``ScenarioError`` naming
         the account and the avenue."""
         spent = self.paid.get(actor, 0.0)
+        sums = self.pending[actor]
+        if sums:
+            total = self.votes[actor]
+            for weight_den, bps_num in sums.items():
+                total = _add(total, (bps_num, weight_den * 10_000))
+            sums.clear()
+            self.votes[actor] = total
         num, den = self.votes[actor]
         try:
             acquired = num / den

@@ -435,21 +435,21 @@ def load_scenario(source: str) -> ScenarioConfig:
 # a JSON string or number; group 1 is an integer's digits (no fraction, no exponent)
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(?![0-9.eE])|-?[0-9.eE+-]+')
 
-# a trace weight, "n" or "n/d" in ASCII digits; groups 1 and 2 are n and d
-_RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-
 
 def _parse_ratio(text, bounded: bool = True) -> tuple[int, int] | None:
     """A trace weight ``"n"`` or ``"n/d"`` as ``(n, d)``, each part ASCII
     digits, d > 0, whose value a float can hold (unless not ``bounded``), since
     readers divide it into one; None for any other value.  ``int`` alone would
     also take "+1", " 1", "1_0" and non-ASCII digits."""
-    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
+    if type(text) is not str:
+        if not isinstance(text, str):
+            return None
+        text = str.__str__(text)  # a plain copy: a subclass reads by its characters alone
+    n, slash, d = text.partition("/")
+    if not (n.isascii() and n.isdigit() and (not slash or d.isascii() and d.isdigit())):
         return None
-    n, d = match.groups()
     try:
-        num, den = int(n), 1 if d is None else int(d)
+        num, den = int(n), int(d) if slash else 1
     except ValueError:  # more digits than ``int`` converts
         return None
     if den == 0:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -17,6 +18,32 @@ from vetokensim.trace import SimTrace
 U = base_units
 LONG_DIGITS = "1" * 5000  # more digits than ``int`` converts from text (``sys.get_int_max_str_digits``)
 DEEP = "[" * 100_000 + "]" * 100_000  # a JSON array nested past any recursion limit
+
+# a trace weight, "n" or "n/d" in ASCII digits; groups 1 and 2 are n and d.
+# The package's ratio reader once matched this pattern; it is the reference.
+RATIO = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def reference_ratio(text, bounded: bool = True) -> tuple[int, int] | None:
+    """What ``scenario._parse_ratio`` must give: ``(n, d)`` for a text that
+    ``RATIO`` matches whole, whose parts ``int`` converts, with d > 0 and (if
+    ``bounded``) n / d a float; None otherwise."""
+    match = RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return None
+    n, d = match.groups()
+    try:
+        num, den = int(n), 1 if d is None else int(d)
+    except ValueError:  # more digits than ``int`` converts
+        return None
+    if den == 0:
+        return None
+    if bounded:
+        try:
+            num / den
+        except OverflowError:
+            return None
+    return num, den
 
 SCENARIO_TEMPLATE = {
     "name": "mini",

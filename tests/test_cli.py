@@ -773,6 +773,39 @@ REPORT_OUTCOMES = {
 }
 
 
+def test_consecutive_calls_share_no_parsed_state(mature_trace, capsys, tmp_path):
+    """``main`` keeps its parser from call to call, but no call sees what another parsed."""
+    out = tmp_path / "export.csv"
+
+    def call(*argv, fresh=False):
+        """(exit code, stdout, stderr, the file written or None), on a new parser if ``fresh``."""
+        if fresh:
+            cli._parser.cache_clear()
+        out.unlink(missing_ok=True)
+        result = run_cli(capsys, *argv)
+        return (*result, out.read_text() if out.exists() else None)
+
+    report = ("report", mature_trace, "--metric", "round_results", "--out", str(out))
+    whole, first = call(*report, fresh=True), call(*report, "--round", "0..0", fresh=True)
+    assert whole[0] == first[0] == 0 and whole[3] != first[3]
+    assert call(*report, "--round", "0..0") == first
+    assert call(*report) == whole  # the --round before is gone
+    usage = call("report", mature_trace, "--metric", "nope", fresh=True)
+    assert usage[0] == 1
+    assert call("report", mature_trace, "--metric", "nope") == usage
+    assert call(*report) == whole  # after a usage error, as after a fresh parser
+
+    scenario, runs = tmp_path / "s.json", tmp_path / "runs"
+    scenario.write_text(json.dumps(make_scenario(horizon_epochs=2)))
+
+    def trace_of_run(name, *seed):
+        assert main(["run", str(scenario), "--out", str(runs / name), *seed]) == 0
+        return (runs / name / "trace.ndjson").read_text()
+
+    seeded, unseeded = trace_of_run("seeded", "--seed", "5"), trace_of_run("unseeded")
+    assert '"rng_seed":5' in seeded and '"rng_seed":7' in unseeded  # the scenario's own seed
+
+
 @pytest.mark.parametrize(
     "bounds",
     ["1_0..20", " 1..2", "+1..2", "-1..2", "\u0661..\u0662",

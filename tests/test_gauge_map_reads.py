@@ -1,15 +1,15 @@
-"""The folds that read a gauge-keyed map entry by entry, against the per-key
-reads they replaced.
+"""The folds that read a gauge- or account-keyed map entry by entry, against
+the per-key reads they replaced.
 
 ``SnapshotTable``, ``RoundResultTable``, ``SettlementTable``, ``Shares`` and
-the bribe avenue of ``CostFold`` take each value from the map they already
-hold, and make a per-key ``Fields`` read only where that value is refused, so
-that the read raises.  The reference folds below are copies of the earlier
-folds, which read every value from the row root, over a ``Fields`` with its
-own copy of the earlier ratio and gauge-id parsing.  Both must give the same
-rows and totals, or the same ``ScenarioError`` text: the same first fault,
-found in the same order (every key of a map in document order, then gauge
-by gauge in id order)."""
+the bribe and aggregator-lock avenues of ``CostFold`` take each value from the
+map they already hold, and make a per-key ``Fields`` read only where that
+value is refused, so that the read raises.  The reference folds below are
+copies of the earlier folds, which read every value from the row root, over a
+``Fields`` with its own copy of the earlier ratio and gauge-id parsing.  Both
+must give the same rows and totals, or the same ``ScenarioError`` text: the
+same first fault, found in the same order (every key of a map in document
+order, then gauge by gauge in id order)."""
 
 import math
 
@@ -21,16 +21,17 @@ from vetokensim.errors import ScenarioError
 from vetokensim.ledger import left_sum
 from vetokensim.metrics import (ZERO, CostFold, RoundResultTable, SettlementTable, Shares, ShareRow, SnapshotTable,
                                 _add, _quotient)
-from vetokensim.scenario import _RATIO, _REQUIRED, Fields
+from vetokensim.scenario import _REQUIRED, Fields
 
-from conftest import LONG_DIGITS
+from conftest import LONG_DIGITS, reference_ratio
 
 HUGE = "1" + "0" * 400  # above the largest float
 
 
 class PerKeyFields(Fields):
     """``Fields`` with the earlier ``gauge_id``, ``gauge_items`` and ``ratio``,
-    each parsing its value in place; ``at`` keeps the class."""
+    each parsing its value in place (``ratio`` by the pattern it once used,
+    ``conftest.reference_ratio``); ``at`` keeps the class."""
 
     __slots__ = ()
 
@@ -51,21 +52,12 @@ class PerKeyFields(Fields):
 
     def ratio(self, *path, default=_REQUIRED) -> tuple[int, int]:
         text = self._get(path, default)
-        num = den = -1
-        match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-        if match is not None:
-            n, d = match.groups()
-            try:
-                num, den = int(n), int(d) if d is not None else 1
-            except ValueError:  # more digits than ``int`` converts
-                pass
-        if num < 0 or den <= 0:
+        pair = reference_ratio(text, bounded=False)
+        if pair is None:
             raise self.error(f"expected a ratio n or n/d, got {text!r}", *path)
-        try:
-            num / den
-        except OverflowError:
-            raise self.error(f"expected a ratio at most the largest float, got {text!r}", *path) from None
-        return num, den
+        if reference_ratio(text) is None:
+            raise self.error(f"expected a ratio at most the largest float, got {text!r}", *path)
+        return pair
 
 
 class PerKeySnapshots(SnapshotTable):
@@ -133,6 +125,23 @@ class PerKeyBribeCost(CostFold):
                         votes[actor] = _add(votes[actor], g.ratio("vote_weight"))
 
 
+class PerKeyAggregatorCost(CostFold):
+    def add(self, f):
+        votes = self.votes
+        if f.object("round_finalized", default={}):
+            total_num, total_den = f.ratio("round_finalized", "tally_total")
+            if total_num:
+                pooled = f.at("escrow_weights", "base").ratio(self.protocol_account, default="0")
+                scale_num, scale_den = pooled[0] * total_den, pooled[1] * total_num
+                for actor in f.object("round_finalized", "voter_mass", default={}):
+                    if actor in votes:
+                        mass_num, mass_den = f.ratio("round_finalized", "voter_mass", actor)
+                        num, den = mass_num * scale_num, mass_den * scale_den
+                        common = math.gcd(num, den)
+                        votes[actor] = _add(votes[actor], (num // common, den // common))
+
+
+HEADER = {"protocol_account": "agg"}
 # name -> (the fold, its per-key reference), each made fresh
 FOLDS = {
     "snapshots": (lambda: SnapshotTable([]), lambda: PerKeySnapshots([])),
@@ -140,6 +149,8 @@ FOLDS = {
     "settlements": (lambda: SettlementTable([]), lambda: PerKeySettlements([])),
     "shares": (Shares, PerKeyShares),
     "bribe cost": (lambda: CostFold({}, "bribe", ["a", "b"]), lambda: PerKeyBribeCost({}, "bribe", ["a", "b"])),
+    "aggregator cost": (lambda: CostFold(HEADER, "aggregator-lock", ["a", "b"]),
+                        lambda: PerKeyAggregatorCost(HEADER, "aggregator-lock", ["a", "b"])),
 }
 
 GAUGES = st.sampled_from(["0", "1", "2", "9", "10", "11"])  # "10" < "2" as text
@@ -154,6 +165,7 @@ BAD_RATIOS = st.one_of(
 )
 GOOD_USD = st.floats(0, 1e300)
 BAD_USD = st.one_of(st.floats(), st.integers(-3, 2**1100), st.booleans(), st.none(), st.just("1"))
+ACTORS = st.sampled_from(["a", "b", "c", "agg"])
 COUNTS = st.one_of(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans(), st.none(), st.just(1.0),
                    st.just("1"))
 
@@ -174,6 +186,11 @@ def maps(values_good, values_bad):
     return st.one_of(gauge_map(GAUGES, values_good), gauge_map(KEYS, st.one_of(values_good, values_bad)))
 
 
+def actor_map(values_good, values_bad):
+    """An account map, some keys of it followed: either every value good, or any of them bad."""
+    return st.one_of(gauge_map(ACTORS, values_good), gauge_map(ACTORS, st.one_of(values_good, values_bad)))
+
+
 ENTRIES = maps(entry(GOOD_USD, GOOD_RATIOS),
                st.one_of(entry(st.one_of(GOOD_USD, BAD_USD), st.one_of(GOOD_RATIOS, BAD_RATIOS)),
                          st.sampled_from([None, 1, [], "x"])))
@@ -182,8 +199,12 @@ ROWS = st.fixed_dictionaries({
     "snapshot": st.fixed_dictionaries({"relative_weights": maps(GOOD_RATIOS, BAD_RATIOS)},
                                       optional={"emissions": maps(COUNTS, COUNTS)}),
     "round_finalized": st.fixed_dictionaries({"round": st.just(1), "result": maps(GOOD_RATIOS, BAD_RATIOS),
-                                              "tally": maps(GOOD_RATIOS, BAD_RATIOS)},
-                                             optional={"base_allocation": maps(COUNTS, COUNTS)}),
+                                              "tally": maps(GOOD_RATIOS, BAD_RATIOS),
+                                              "tally_total": st.one_of(GOOD_RATIOS, GOOD_RATIOS, BAD_RATIOS)},
+                                             optional={"base_allocation": maps(COUNTS, COUNTS),
+                                                       "voter_mass": st.one_of(actor_map(GOOD_RATIOS, BAD_RATIOS),
+                                                                               st.none())}),
+    "escrow_weights": st.fixed_dictionaries({"base": actor_map(GOOD_RATIOS, BAD_RATIOS)}),
     "settlement": st.fixed_dictionaries({"round": st.just(1), "gauges": ENTRIES}),
 })
 
@@ -193,7 +214,8 @@ BAD_KEY_AND_VALUE = {
     "epoch": 3,
     "snapshot": {"relative_weights": {"1": "x", "y": "1"}, "emissions": {"1": True}},
     "round_finalized": {"round": 1, "result": {"5": "+1", "3": HUGE}, "tally": {"2": "x", "07": "1"},
-                        "base_allocation": {"3": "1"}},
+                        "base_allocation": {"3": "1"}, "tally_total": "3", "voter_mass": {"b": HUGE, "a": "x"}},
+    "escrow_weights": {"base": {"agg": "2"}},
     "settlement": {"round": 1, "gauges": {"4": {"bribe_usd": -1.0, "vote_weight": "1", "usd_per_vote": None,
                                                 "briber_usd": {"a": "1"}},
                                           "2": {"vote_weight": "1/0", "briber_usd": {"c": -1.0, "b": 2.0}},
@@ -205,7 +227,9 @@ BAD_VALUES = {
     "epoch": 3,
     "snapshot": {"relative_weights": {"10": "x", "2": "+1"}},
     "round_finalized": {"round": 1, "result": {"3": HUGE, "11": "1"}, "tally": {"2": "x", "1": "1/0"},
-                        "base_allocation": {"3": "1"}},
+                        "base_allocation": {"3": "1"}, "tally_total": "2",
+                        "voter_mass": {"c": "x", "a": "1", "b": "1/0", "agg": True}},
+    "escrow_weights": {"base": {"agg": "5"}},
     "settlement": {"round": 1, "gauges": {
         "9": {"bribe_usd": -1.0, "vote_weight": "1", "usd_per_vote": None, "briber_usd": {"a": -1.0}},
         "2": {"bribe_usd": 1.0, "vote_weight": "1/0", "usd_per_vote": "x", "briber_usd": {"c": "x", "b": "1"}}}},
@@ -214,7 +238,9 @@ GOOD = {
     "epoch": 3,
     "snapshot": {"relative_weights": {"10": "1/3", "2": "2/3"}, "emissions": {"2": 7, "10": None}},
     "round_finalized": {"round": 1, "result": {"10": "1", "2": "0"}, "tally": {"10": "5/2", "2": "3"},
-                        "base_allocation": {"10": 10000}},
+                        "base_allocation": {"10": 10000}, "tally_total": "11/2",
+                        "voter_mass": {"b": "3/2", "c": "x", "a": "4"}},
+    "escrow_weights": {"base": {"agg": "7/3", "a": "x"}},
     "settlement": {"round": 1, "gauges": {
         "10": {"bribe_usd": 0.1, "vote_weight": "5/2", "usd_per_vote": 0.04, "briber_usd": {"a": 0.1}},
         "2": {"bribe_usd": 2, "vote_weight": "3", "usd_per_vote": None, "briber_usd": {"b": 1, "a": 0.2}}}},

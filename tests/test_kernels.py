@@ -1,6 +1,8 @@
 """Property tests: the integer weight kernels agree exactly with Fraction
-reference implementations of the same rules."""
+reference implementations of the same rules, and the trace-weight reader with
+the pattern it replaced."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,10 @@ from vetokensim.metrics import ZERO, _add, _quotient
 from vetokensim.escrow import Escrow, EscrowConfig
 from vetokensim.gauges import BPS, EmissionSchedule, GaugeController, shares_to_bps
 from vetokensim.ledger import Ledger
-from vetokensim.scenario import Fields
+from vetokensim.scenario import Fields, _parse_ratio
 from vetokensim.trace import _ratio_str
+
+from conftest import reference_ratio
 
 
 def reference_shares_to_bps(shares, total_bps=BPS):
@@ -210,3 +214,68 @@ class TestTraceRatios:
             fields = Fields({"round_finalized": {"tally": {"3": text}}}, "trace epoch 7: ")
             fields.ratio("round_finalized", "tally", "3")
         assert str(caught.value) == f"trace epoch 7: round_finalized.tally.3: expected a ratio n or n/d, got {text!r}"
+
+
+class LyingText(str):
+    """A ``str`` whose methods lie about its characters, which alone decide a read."""
+
+    def partition(self, sep):
+        return "1", "", ""
+
+    def isdigit(self):
+        return True
+
+    def isascii(self):
+        return True
+
+    def __int__(self):
+        return 7
+
+    def __str__(self):
+        return "1"
+
+
+LIMIT = sys.get_int_max_str_digits()
+FLOAT_MAX = int(sys.float_info.max)
+# the characters that matter to the reader, and some that only look like them
+RATIO_CHARS = st.text(st.sampled_from(list("0123456789/+-_. \n\u0661\u00b2x")), max_size=8)
+READER_INPUTS = st.one_of(
+    RATIO_CHARS, RATIO_CHARS, st.text(max_size=6), RATIO_TEXT,
+    # digit strings about the limit of ``int``, and values about the largest float
+    st.builds("{}{}{}".format, st.sampled_from(["1" * LIMIT, "1" * (LIMIT + 1), "0" * (LIMIT + 1), "1"]),
+              st.sampled_from(["", "/"]), st.sampled_from(["", "1", "1" * (LIMIT + 1), "3"])),
+    st.integers(FLOAT_MAX - 2**971, FLOAT_MAX + 2**972).map(str),
+    st.builds("{}/{}".format, st.integers(2**1020, 2**1100), st.integers(1, 2**80)),
+    st.none(), st.booleans(), st.integers(), st.binary(max_size=3), st.floats(),
+    st.builds(LyingText, RATIO_CHARS),
+)
+
+
+@given(text=READER_INPUTS)
+@example(text="\u0661")
+@example(text="\u00b2")
+@example(text="+1")
+@example(text=" 1")
+@example(text="1_0")
+@example(text="")
+@example(text="/")
+@example(text="1/")
+@example(text="/1")
+@example(text="1/0")
+@example(text="1/2/3")
+@example(text="1\n")
+@example(text="1" * (LIMIT + 1))
+@example(text="1/" + "1" * (LIMIT + 1))
+@example(text=str(2**1024))
+@example(text=str(2**1024 - 2**970))  # rounds up to 2**1024
+@example(text=f"{2**1024}/2")
+@example(text=b"1")
+@example(text=1)
+@example(text=True)
+@example(text=None)
+@example(text=LyingText("x"))
+@example(text=LyingText("5/3"))
+@settings(max_examples=500, deadline=None)
+def test_the_reader_takes_what_the_pattern_takes(text):
+    for bounded in (True, False):
+        assert _parse_ratio(text, bounded) == reference_ratio(text, bounded)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vetokensim import metrics
@@ -469,14 +469,21 @@ class TestDirectLockBallots:
 BALLOT_ACTORS = ("frax", "curve")
 BALLOT_BPS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(2, 10_000))
 BALLOTS = st.dictionaries(st.sampled_from(["0", "1", "2"]), BALLOT_BPS, max_size=3)
+ABSENT = object()  # a weight key left out of the row
+# weights over several denominators, as an escrow writes them, and weights retyped
+GOOD_WEIGHTS = st.one_of(st.sampled_from(["250", "7/3", "5/6", "1/208", "0", "13/4", "3/104"]),
+                         st.builds("{}/{}".format, st.integers(0, 10**20), st.integers(1, 10**6)))
+BAD_WEIGHTS = st.sampled_from(["x", "1/0", True, 1.5, None, ABSENT, "+1", 7, "1" + "0" * 400])
 
 
 @st.composite
 def shared_ballot_trace(draw):
     """A direct-lock trace whose rows give each actor, at random, the previous
     row's ballot object, a new equal object (each 0 or 1 swapped between int
-    and bool: ``{"0": True} == {"0": 1}``) or a new ballot; an outsider's
-    ballot rides along."""
+    and bool: ``{"0": True} == {"0": 1}``) or a new ballot, and a weight over
+    any denominator (in one trace in four, also a retyped weight or none); an
+    outsider's ballot rides along."""
+    weights = st.one_of(GOOD_WEIGHTS, BAD_WEIGHTS) if draw(st.integers(0, 3)) == 0 else GOOD_WEIGHTS
     last = {actor: draw(BALLOTS) for actor in BALLOT_ACTORS}
     rows = []
     for epoch in range(draw(st.integers(1, 8))):
@@ -490,7 +497,8 @@ def shared_ballot_trace(draw):
         snapshot = {"relative_weights": {"0": "1"}, "emissions": {}, "emission_total": 0}
         row = epoch_row(epoch, base_votes={**last, "outsider": {"0": -1}},
                         snapshot=snapshot if draw(st.integers(0, 3)) else None)
-        row["escrow_weights"]["base"] = {"frax": "250", "curve": "7/3", "outsider": "1"}
+        base = {actor: draw(weights) for actor in BALLOT_ACTORS}
+        row["escrow_weights"]["base"] = {actor: w for actor, w in base.items() if w is not ABSENT} | {"outsider": "x"}
         rows.append(row)
     rows[0]["lock_events"] = [
         {"account": actor, "escrow": "base", "amount": 1, "unlock_epoch": 208, "usd_cost": 100.0}
@@ -499,28 +507,56 @@ def shared_ballot_trace(draw):
     return make_trace(rows)
 
 
+class PerBallotCost(metrics.CostFold):
+    """The direct-lock fold read key by key: each ballot value through
+    ``Fields.integer``, each weight through ``Fields.ratio``, and each ballot's
+    votes added to the actor's total with ``_add``."""
+
+    def add(self, f):
+        paid, votes = self.paid, self.votes
+        for event in f.each("lock_events", default=()):
+            actor = event.string("account")
+            if actor in votes and event.string("escrow") == "base" and event.integer("amount") > 0:
+                paid[actor] = paid.get(actor, 0.0) + event.number("usd_cost", minimum=0)
+        if f.value("snapshot", default=None) is not None:
+            f.object("escrow_weights", "base")
+            for actor in f.object("base_votes", default={}):
+                if actor in votes and f.object("base_votes", actor, default={}):
+                    bps = sum(f.integer("base_votes", actor, gauge, minimum=0) for gauge in f.root["base_votes"][actor])
+                    num, den = f.ratio("escrow_weights", "base", actor, default="0")
+                    votes[actor] = metrics._add(votes[actor], (num * bps, den * 10_000))
+
+
+class PerBallotSeries(metrics.CostSeries, PerBallotCost):
+    """``CostSeries`` over ``PerBallotCost``."""
+
+
+def retyped_weight(weight):
+    """``ballot_trace`` of four full ballots with frax's weight at epoch 2 retyped."""
+    trace = ballot_trace([{"0": 10000}] * 4)
+    trace.rows[2]["escrow_weights"]["base"]["frax"] = weight
+    return trace
+
+
 @given(trace=shared_ballot_trace())
-@settings(max_examples=200, deadline=None)
+@example(trace=retyped_weight("x"))
+@example(trace=retyped_weight("1/0"))
+@example(trace=retyped_weight(True))
+@example(trace=retyped_weight(1.5))
+@example(trace=retyped_weight("7/3"))
+@settings(max_examples=300, deadline=None)
 def test_ballot_quick_read_matches_a_per_key_read(trace):
-    def per_key(fields):
-        """Each row, with each followed ballot at a snapshot summed through
-        ``Fields.integer`` alone into a one-key ballot, which the fold takes as it is."""
-        for f in fields:
-            votes = f.root["base_votes"]
-            if f.root["snapshot"] is not None:
-                votes = {**votes, **{actor: {"0": sum(f.integer("base_votes", actor, gauge, minimum=0)
-                                                      for gauge in votes[actor])} for actor in BALLOT_ACTORS}}
-            yield {**f.root, "base_votes": votes}
-
-    def folded(rows):
-        cost = metrics.CostSeries(trace.header, "direct-lock", BALLOT_ACTORS)
+    def folded(fold, result):
         try:
-            metrics.fold(SimTrace(trace.header, rows), cost)  # the oracle's errors surface here too
+            metrics.fold(trace, fold)
         except ScenarioError as error:
-            return str(error)
-        return cost.series()
+            return f"error: {error}"  # the message names the epoch and the field path
+        return result(fold)
 
-    assert folded(trace.rows) == folded(per_key(trace.fields()))
+    for make, make_reference, result in ((metrics.CostSeries, PerBallotSeries, metrics.CostSeries.series),
+                                         (metrics.CostFold, PerBallotCost, metrics.CostFold.final)):
+        assert (folded(make(trace.header, "direct-lock", BALLOT_ACTORS), result)
+                == folded(make_reference(trace.header, "direct-lock", BALLOT_ACTORS), result))
 
 
 @pytest.fixture(scope="module")

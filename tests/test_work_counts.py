@@ -1,12 +1,16 @@
-"""Call counts as a regression guard for the direct-locker path and the
-report path.
+"""Call counts as a regression guard for the direct-locker path, the epoch
+loop and the report path.
 
 Each direct locker's epoch costs an observation, a ``decide``, the apply of
 its actions, weight reads, and the run summary's ratio reads.  Doubling the
 lockers must double those calls: a per-locker cost that grows with the
-number of lockers would show here as a ratio near 4.  Doubling the gauges
-must leave the per-agent calls as they are and at most double, with some
-slack, the settlement's pro-rata splits and the kernel's sums.
+number of lockers would show here as a ratio near 4.  Doubling the agents of
+the benchmark's mixed and bribe-market scenarios must double the per-agent
+calls too, and may at most quadruple, with some slack, the settlement's
+pro-rata splits, the ballots' basis-point splits and the kernel's sums, which
+grow with voters times gauges.  Doubling the gauges must leave the per-agent
+calls as they are and at most double, with some slack, the settlement's
+pro-rata splits and the kernel's sums.
 
 A report fold reads each gauge-keyed map of a row once and takes its entries
 from the map, so its path reads (``Fields._get``) do not grow with the number
@@ -18,63 +22,95 @@ The trace writer encodes only what the previous row does not hold: its
 rows (``test_trace_io.writer_encodes``), not one per row.  Counts do not
 drift with the host as times do, so nothing here is timed."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from vetokensim import agents, bribemarket, cli, escrow, metrics, scenario, sim, trace
+from vetokensim import agents, aggregator, bribemarket, cli, escrow, metrics, scenario, sim, trace
 from vetokensim.scenario import scenario_from_dict
 
 from test_acceptance import _randomized_scenario
 from test_golden import _direct_lockers_scenario
 from test_trace_io import writer_encodes
 
-# name -> (owner, attribute): each is wrapped where its callers look it up
-COUNTED = {
-    "sim.decide": (sim, "decide"),
-    "World._observation": (sim.World, "_observation"),
-    "World._apply": (sim.World, "_apply"),
-    "Escrow.weight_numerator": (escrow.Escrow, "weight_numerator"),
-    "Fields.ratio": (scenario.Fields, "ratio"),
+
+def _bench_workloads():
+    """``bench/workloads.py``, loaded from its file: the benchmark's scenario generators."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# name -> the (owner, attribute) pairs where its callers look it up; each is wrapped there
+PER_AGENT = {
+    "sim.decide": [(sim, "decide")],
+    "World._observation": [(sim.World, "_observation")],
+    "World._apply": [(sim.World, "_apply")],
+    "Escrow.weight_numerator": [(escrow.Escrow, "weight_numerator")],
 }
+COUNTED = {**PER_AGENT, "metrics._parse_ratio": [(metrics, "_parse_ratio")]}
 
 
-def call_counts(lockers: int) -> dict[str, int]:
-    """Calls of each ``COUNTED`` name in ``run``'s path: the epoch loop and the summary."""
-    counts = dict.fromkeys(COUNTED, 0)
+def call_counts(counted: dict, work) -> dict[str, int]:
+    """Calls of each name in ``counted`` while ``work()`` runs."""
+    counts = dict.fromkeys(counted, 0)
     with pytest.MonkeyPatch.context() as patch:
-        for name, (owner, attribute) in COUNTED.items():
-            def counted(*args, _name=name, _original=getattr(owner, attribute), **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
+        for name, owners in counted.items():
+            for owner, attribute in owners:
+                def counting(*args, _name=name, _original=getattr(owner, attribute), **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
 
-            patch.setattr(owner, attribute, counted)
-        config = scenario_from_dict(_direct_lockers_scenario(lockers, horizon=24, seed=2024))
-        cli._summarize(config, sim.run_scenario(config))
+                patch.setattr(owner, attribute, counting)
+        work()
     return counts
 
 
 def test_direct_locker_work_doubles_with_the_lockers():
-    small, large = call_counts(24), call_counts(48)
+    def run(lockers: int) -> dict[str, int]:
+        """Calls in ``run``'s path: the epoch loop and the summary."""
+        config = scenario_from_dict(_direct_lockers_scenario(lockers, horizon=24, seed=2024))
+        return call_counts(COUNTED, lambda: cli._summarize(config, sim.run_scenario(config)))
+
+    small, large = run(24), run(48)
     for name in COUNTED:
         assert small[name] > 0, f"{name} is never called"
         assert 1.8 <= large[name] / small[name] <= 2.2, f"{name}: {small[name]} -> {large[name]}"
 
 
+# calls that may grow with followers times gauges, or with voters times gauges
+PER_VOTE = {
+    "bribemarket._prorata": [(bribemarket, "_prorata")],
+    "shares_to_bps": [(agents, "shares_to_bps"), (aggregator, "shares_to_bps")],
+    "agents.left_sum": [(agents, "left_sum")],
+}
+
+
+@pytest.mark.parametrize("workload", ["mixed", "bribe_market"])
+def test_epoch_loop_work_grows_linearly_with_the_agents(workload):
+    generate = getattr(_bench_workloads(), workload)
+
+    def run(n: int) -> dict[str, int]:
+        if workload == "mixed":
+            raw = generate(7, agents=n, gauges=6, horizon=16)
+        else:
+            raw = generate(7, gauges=6, followers=n, bribers=n // 2, horizon=12)
+        return call_counts(PER_AGENT | PER_VOTE, lambda: sim.run_scenario(scenario_from_dict(raw)))
+
+    small, large = run(12), run(24)
+    for name in PER_AGENT | PER_VOTE:
+        assert small[name] > 0, f"{name} is never called"
+        low, high = (1.8, 2.2) if name in PER_AGENT else (0, 4.4)
+        assert low <= large[name] / small[name] <= high, f"{name}: {small[name]} -> {large[name]}"
+
+
 def calls(owner, attribute: str, work) -> int:
     """How often ``work()`` calls ``owner.attribute``."""
-    count = 0
-    original = getattr(owner, attribute)
-
-    def counted(*args, **kwargs):
-        nonlocal count
-        count += 1
-        return original(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(owner, attribute, counted)
-        work()
-    return count
+    return call_counts({attribute: [(owner, attribute)]}, work)[attribute]
 
 
 def test_epoch_loop_work_grows_at_most_with_the_gauges():
