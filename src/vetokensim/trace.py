@@ -33,7 +33,9 @@ class SimTrace:
     A settlement row holds the settlement's own ``briber_usd`` and per-account
     token dicts.  Rows read from a file share less: a leading value whose text
     repeats the previous row's (often ``actions`` and ``base_votes``) is the
-    previous row's object.
+    previous row's object, and in a row that repeats one, so is each lock
+    entry whose text repeats the one at the same label and place in the last
+    such row.
     """
 
     def __init__(self, header: dict, rows):
@@ -163,25 +165,34 @@ def _ndjson_record(path: str, lineno: int, line: str) -> dict:
     return record
 
 
-def _row_record(path: str, lineno: int, line: str, lead: list) -> tuple[dict, list]:
-    """``(json.loads(line), its lead)``, given the previous row's lead.
+_NO_STATE = ((), {})  # the state before the first row: no lead and no lock entries
+_LOCKS = ',"locks":{'
 
-    A row's lead is its first members as ``(member text, key, value)``, up to
-    and including the first whose text differs from the previous row's.  While
-    a member's text repeats, the previous row's key and value are taken as
-    they are; the first member that does not repeat is parsed alone, and the
-    rest of the record in one ``_scan``.  A line that is not a compact
-    object with string keys, or that fails to parse, goes through
-    ``_ndjson_record`` as a whole and starts an empty lead, so every record
-    and every error is the one ``json.loads`` gives."""
+
+def _row_record(path: str, lineno: int, line: str, state) -> tuple[dict, tuple]:
+    """``(json.loads(line), its state)``, given the state the previous row left
+    (empty, as ``[]`` or ``_NO_STATE``, before the first row).
+
+    The state is ``(lead, lock entries)``.  A row's lead is its first members
+    as ``(member text, key, value)``, up to and including the first whose text
+    differs from the previous row's.  While a member's text repeats, the
+    previous row's key and value are taken as they are; the first member that
+    does not repeat is parsed alone, and the rest of the record in one
+    ``_scan``.  A row that repeats at least one leading member and has a
+    ``locks`` member after that first changed one parses the members between
+    in one ``_scan``, and ``locks`` entry by entry (``_read_locks``), before it
+    scans the rest; its lock entries are the state's until the next such row.
+    A line that is not a compact object with string keys, or that fails to
+    parse, goes through ``_ndjson_record`` as a whole and starts from an empty
+    state, so every record and every error is the one ``json.loads`` gives."""
     try:
-        found = _reuse_lead(line, lead)
+        found = _reuse_lead(line, *(state or _NO_STATE))
     except (ValueError, StopIteration, RecursionError):
         found = None
-    return found or (_ndjson_record(path, lineno, line), [])
+    return found or (_ndjson_record(path, lineno, line), _NO_STATE)
 
 
-def _reuse_lead(line: str, lead: list) -> tuple[dict, list] | None:
+def _reuse_lead(line: str, lead, entries: dict) -> tuple[dict, tuple] | None:
     """``_row_record`` for a compact object line, or None for any other line."""
     if not line.startswith('{"'):
         return None
@@ -194,7 +205,7 @@ def _reuse_lead(line: str, lead: list) -> tuple[dict, list] | None:
             break
         record[key] = value
         if close == "}":
-            return (record, lead[:kept + 1]) if line[end + 1:] in ("", "\n") else None
+            return (record, (lead[:kept + 1], entries)) if line[end + 1:] in ("", "\n") else None
         pos = end + 1
     if not line.startswith('"', pos):
         return None
@@ -204,6 +215,21 @@ def _reuse_lead(line: str, lead: list) -> tuple[dict, list] | None:
     value, end = _scan(line, end + 1)
     record[key] = value
     lead = [*lead, (line[pos:end], key, value)]
+    if len(lead) > 1 and (hit := line.find(_LOCKS, end)) >= 0:  # a row that repeats a leading member
+        # the members up to the hit as one object: it closes exactly at the
+        # hit only if the hit is a top-level key, and any other hit fails a scan
+        if hit > end:
+            if not line.startswith(',"', end):
+                return None
+            text = "{" + line[end + 1:hit] + "}"
+            between, stop = _scan(text, 0)
+            if stop != len(text):
+                return None
+            record.update(between)
+        found = _read_locks(line, hit + len(_LOCKS), entries)
+        if found is None:
+            return None
+        record["locks"], entries, end = found
     if line.startswith(',"', end):
         # the rest as one object, by the scanner ``json.loads`` runs; it starts
         # at "{", so what it returns is an object, and it must end the line
@@ -214,13 +240,64 @@ def _reuse_lead(line: str, lead: list) -> tuple[dict, list] | None:
         record.update(rest)
     elif line[end:] not in ("}", "}\n"):
         return None
-    return record, lead
+    return record, (lead, entries)
+
+
+def _read_locks(line: str, pos: int, last: dict) -> tuple[dict, dict, int] | None:
+    """``(locks, entries, end)`` for the ``locks`` map of label maps whose text
+    starts at ``line[pos]``, just after its "{", and ends just before
+    ``line[end]``; None for a map that is not compact or whose label values
+    are not objects.  ``entries`` is {label: [(entry text, account, entry)]}
+    in line order.  An entry whose ``"account":value`` text is ``last``'s at
+    the same label and place is ``last``'s object; every other one is scanned
+    key, then value."""
+    locks, entries = {}, {}
+    if line.startswith("}", pos):
+        return locks, entries, pos + 1
+    while True:
+        if not line.startswith('"', pos):
+            return None
+        label, pos = _scan(line, pos)
+        if not line.startswith(":{", pos):
+            return None
+        pos += 2
+        before, now, accounts = iter(last.get(label, ())), [], {}
+        close = line[pos:pos + 1]
+        if close == "}":  # an empty label map
+            pos += 1
+        while close != "}":
+            kept = next(before, None)  # the entry at this place in ``last``
+            if kept is not None and line.startswith(kept[0], pos):
+                end = pos + len(kept[0])
+            elif line.startswith('"', pos):
+                account, end = _scan(line, pos)
+                if not line.startswith(":", end):
+                    return None
+                entry, end = _scan(line, end + 1)
+                kept = (line[pos:end], account, entry)
+            else:
+                return None
+            accounts[kept[1]] = kept[2]
+            now.append(kept)
+            close = line[end:end + 1]
+            if close != "," and close != "}":
+                return None
+            pos = end + 1
+        locks[label] = accounts
+        entries[label] = now
+        close = line[pos:pos + 1]
+        if close == "}":
+            return locks, entries, pos + 1
+        if close != ",":
+            return None
+        pos += 1
 
 
 class _NdjsonRows:
     """The records after the header line of an ndjson trace, parsed anew on
-    each pass and handed out one at a time, so a pass holds one row and the
-    leading values it shares with the row before (``_row_record``).  Blank
+    each pass and handed out one at a time, so a pass holds one row, the
+    leading values it shares with the row before, and the lock entries of the
+    last row that read ``locks`` entry by entry (``_row_record``).  Blank
     lines are skipped; a bad line, a second header or a row out of epoch order
     fails at its line, and a pass that ends before the horizon fails at its end."""
 
@@ -231,13 +308,13 @@ class _NdjsonRows:
     def __iter__(self):
         path, horizon = self.path, self.horizon
         epoch = 0  # the epoch of the next row
-        lead = []  # the previous row's leading members
+        state = _NO_STATE  # what the previous row leaves the next (``_row_record``)
         with _reading(path), open(path, "r", encoding="utf-8") as handle:
             handle.readline()  # the header, checked by ``SimTrace.read_ndjson``
             for lineno, line in enumerate(handle, 2):
                 if line.isspace():
                     continue
-                record, lead = _row_record(path, lineno, line, lead)
+                record, state = _row_record(path, lineno, line, state)
                 if record.get("type") == "header":
                     raise ScenarioError(f"{path}:{lineno}: a second header record")
                 found = record.get("epoch")

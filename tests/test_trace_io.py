@@ -247,6 +247,13 @@ def test_rows_read_from_a_file_share_repeated_leading_values(written):
     assert rows == list(trace)
     assert rows[1]["actions"] is rows[0]["actions"]
     assert rows[2]["base_votes"] is rows[1]["base_votes"]
+    # row 0 repeats no leading member, so its locks are not read entry by entry;
+    # from row 2 on, an entry is the previous row's object where its text is
+    assert rows[2]["locks"]["base"]["locker-0"] is rows[1]["locks"]["base"]["locker-0"]
+    for before, row in zip(rows[1:], rows[2:]):
+        for label, entries in row["locks"].items():
+            for (account, entry), (was, old) in zip(entries.items(), before["locks"][label].items()):
+                assert (entry is old) == (_compact({account: entry}) == _compact({was: old})), (row["epoch"], account)
 
 
 def test_the_writer_makes_no_cycle_check():
@@ -286,6 +293,7 @@ MUTATIONS = {
     "previous epoch extended": lambda line, previous, at, piece: re.sub(
         r'"epoch":\d+,', re.search(r'"epoch":\d+', previous)[0] + piece, line, count=1),
 }
+EDGE_CHARS = re.compile(r'[,:}\]"]')  # a mutation at or just after one of these meets a parser's edge
 # whitespace, number text, separators, values and a member with a number for its key
 PIECES = [" ", "\t", "", "0", "7", "7,", ".5", "e1", "-", ",", ":", "}", "]", '"', ",}", "[]", "null", "1:2,"]
 
@@ -317,42 +325,89 @@ def test_reader_matches_json_loads_on_mutated_rows(mutation, data, written):
     lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
     index = data.draw(st.integers(1, len(lines) - 2), label="row")
     line = lines[index]
-    # the leading values come before "escrow_weights": mostly mutate them
+    # mostly mutate the leading values, which come before "escrow_weights",
+    # and the lock entries, which a row that repeats a leading value reads one by one
     lead_end = line.index('"escrow_weights"')
-    edges = [m.start() + shift for m in re.finditer(r'[,:}\]"]', line[:lead_end]) for shift in (0, 1)]
+    locks_start = line.index(',"locks":{')
+    _, locks_end = json.JSONDecoder().raw_decode(line, locks_start + len(',"locks":'))
+    edges = [m.start() + shift for start, end in ((0, lead_end), (locks_start, locks_end))
+             for m in EDGE_CHARS.finditer(line, start, end) for shift in (0, 1)]
     at = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, len(line))), label="at")
     piece = data.draw(st.sampled_from(PIECES), label="piece")
     _reads_like_json_loads(path, lines, index, MUTATIONS[mutation](line, lines[index - 1], at, piece))
 
 
+LOCKS = '{"actions":%(actions)s,"epoch":5,"locks":'  # a repeated lead, a changed member, then "locks"
 # a line read after row 4 of the ``_lockers`` trace, made with that row's ``actions``
-# text, so its first member repeats the row before
+# text, so its first member repeats the row before, and, where named, the texts
+# of its ``locks["base"]`` entries: the first, the others, or all of them
 EDGE_LINES = {
-    "repeated member closing the record": '{"actions":%s}\n',
-    "text after a repeated member's closing brace": '{"actions":%s}x\n',
-    "a repeated member run into the next key": '{"actions":%s7"base_votes":{}}\n',
-    "whitespace after a repeated member": '{"actions":%s, "base_votes":{}}\n',
-    "number key after a repeated member": '{"actions":%s,1:2}\n',
-    "space for the colon after a parsed key": '{"actions":%s,"base_votes" {}}\n',
-    "trailing comma after a parsed member": '{"actions":%s,"base_votes":{},}\n',
-    "text after a parsed member's closing brace": '{"actions":%s,"base_votes":{}}x\n',
+    "repeated member closing the record": '{"actions":%(actions)s}\n',
+    "text after a repeated member's closing brace": '{"actions":%(actions)s}x\n',
+    "a repeated member run into the next key": '{"actions":%(actions)s7"base_votes":{}}\n',
+    "whitespace after a repeated member": '{"actions":%(actions)s, "base_votes":{}}\n',
+    "number key after a repeated member": '{"actions":%(actions)s,1:2}\n',
+    "space for the colon after a parsed key": '{"actions":%(actions)s,"base_votes" {}}\n',
+    "trailing comma after a parsed member": '{"actions":%(actions)s,"base_votes":{},}\n',
+    "text after a parsed member's closing brace": '{"actions":%(actions)s,"base_votes":{}}x\n',
     # the lead misses at its first member ("actions" wrapped in a list), so the
     # rest of the line after it is read in one piece
-    "spaces after the rest's closing brace": '{"actions":[%s],"base_votes":{},"epoch":5}  \n',
-    "text after the rest's closing brace": '{"actions":[%s],"base_votes":{},"epoch":5}x\n',
-    "a key repeated within the rest": '{"actions":[%s],"epoch":5,"base_votes":{},"epoch":6}\n',
-    "a key of the rest repeating a lead key": '{"actions":[%s],"epoch":5,"actions":[]}\n',
-    "an integer in the rest past the digit limit": '{"actions":[%s],"epoch":' + LONG_DIGITS + '}\n',
-    "deep nesting in the rest": '{"actions":[%s],"epoch":5,"deep":' + DEEP + '}\n',
+    "spaces after the rest's closing brace": '{"actions":[%(actions)s],"base_votes":{},"epoch":5}  \n',
+    "text after the rest's closing brace": '{"actions":[%(actions)s],"base_votes":{},"epoch":5}x\n',
+    "a key repeated within the rest": '{"actions":[%(actions)s],"epoch":5,"base_votes":{},"epoch":6}\n',
+    "a key of the rest repeating a lead key": '{"actions":[%(actions)s],"epoch":5,"actions":[]}\n',
+    "an integer in the rest past the digit limit": '{"actions":[%(actions)s],"epoch":' + LONG_DIGITS + '}\n',
+    "deep nesting in the rest": '{"actions":[%(actions)s],"epoch":5,"deep":' + DEEP + '}\n',
+    # the lead repeats "actions", so "locks" after the first changed member is
+    # read entry by entry, against row 4's entries
+    "locks with the rest after it": LOCKS + '{"base":{%(entries)s},"governance":{}},"round_id":0}\n',
+    "locks closing the record": LOCKS + '{"base":{%(entries)s}}}\n',
+    "locks as the first changed member": '{"actions":%(actions)s,"locks":{"base":{%(entries)s}}}\n',
+    "text after the members before locks": '{"actions":%(actions)s,"epoch":5,"x":1}x,"locks":{"base":{%(entries)s}}}\n',
+    "whitespace before locks": '{"actions":%(actions)s,"epoch":5 ,"locks":{"base":{%(entries)s}}}\n',
+    "a lone comma before locks": '{"actions":%(actions)s,"epoch":5, ,"locks":{"base":{%(entries)s}}}\n',
+    "an account named locks in base_votes": '{"actions":%(actions)s,"base_votes":{"a":{},"locks":{"0":1}},"epoch":5,'
+                                            '"locks":{"base":{%(entries)s}}}\n',
+    "an account named locks after the changed member": '{"actions":%(actions)s,"epoch":5,"votes":{"a":{},"locks":'
+                                                       '{"0":1}},"locks":{"base":{%(entries)s}}}\n',
+    "locks twice": LOCKS + '{"base":{%(entries)s}},"locks":{"base":{%(first)s}}}\n',
+    "a duplicate account in a label map": LOCKS + '{"base":{%(entries)s,%(first)s}}}\n',
+    "a duplicate label": LOCKS + '{"base":{%(entries)s},"base":{%(others)s}}}\n',
+    "a label map that is not an object": LOCKS + '{"base":[],"governance":{}}}\n',
+    "a label map that is a number": LOCKS + '{"base":{%(entries)s},"x":5}}\n',
+    "a repeated entry followed by a space": LOCKS + '{"base":{%(first)s ,%(others)s}}}\n',
+    "a repeated entry followed by }x": LOCKS + '{"base":{%(entries)s}x}}\n',
+    "a space for the comma after a repeated entry": LOCKS + '{"base":{%(first)s %(others)s}}}\n',
+    "a letter for the comma after a repeated entry": LOCKS + '{"base":{%(first)sx%(others)s}}}\n',
+    "a repeated entry run into a digit": LOCKS + '{"base":{%(first)s7,%(others)s}}}\n',
+    "an account added between rows": LOCKS + '{"base":{"locker-00":{"amount":1},%(entries)s}}}\n',
+    "an account removed between rows": LOCKS + '{"base":{%(others)s}}}\n',
+    "an entry retyped to a list": LOCKS + '{"base":{"locker-0":[1,2],%(others)s}}}\n',
+    "a trailing comma in a label map": LOCKS + '{"base":{%(entries)s,}}}\n',
+    "a trailing comma in locks": LOCKS + '{"base":{%(entries)s},}}\n',
+    "empty locks": LOCKS + '{},"round_id":0}\n',
+    "an empty label map before a label": LOCKS + '{"governance":{},"base":{%(first)s}}}\n',
+    "a number key in a label map": LOCKS + '{"base":{1:2}}}\n',
+    "a space for the colon after a label": LOCKS + '{"base" {%(entries)s}}}\n',
+    "text after locks' closing brace": LOCKS + '{"base":{%(entries)s}}x,"round_id":0}\n',
+    "a line cut inside locks": LOCKS + '{"base":{%(first)s,\n',
+    "deep nesting in a lock entry": LOCKS + '{"base":{"a":' + DEEP + '}}}\n',
 }
+
+
+def _edge_texts(line: str) -> dict:
+    """What the ``EDGE_LINES`` templates name, from a row line."""
+    record = json.loads(line)
+    entries = [_compact({account: entry})[1:-1] for account, entry in record["locks"]["base"].items()]
+    return {"actions": _compact(record["actions"]), "first": entries[0], "others": ",".join(entries[1:]),
+            "entries": ",".join(entries)}
 
 
 @pytest.mark.parametrize("case", sorted(EDGE_LINES))
 def test_reader_matches_json_loads_at_the_edges(case, written):
     _, _, path = written["lockers"]
     lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[1:]
-    actions = _compact(json.loads(lines[4])["actions"])
-    _reads_like_json_loads(path, lines, 5, EDGE_LINES[case] % actions)
+    _reads_like_json_loads(path, lines, 5, EDGE_LINES[case] % _edge_texts(lines[4]))
 
 
 # -- the writer: each row's text from the previous row's where it holds its objects

@@ -19,8 +19,10 @@ calls ``json.loads`` only for the header.
 
 The trace writer encodes only what the previous row does not hold: its
 ``canonical_json`` calls must be the number its reuse rule gives for the
-rows (``test_trace_io.writer_encodes``), not one per row.  Counts do not
-drift with the host as times do, so nothing here is timed."""
+rows (``test_trace_io.writer_encodes``), not one per row.  The reader scans
+alone only the lock entries whose text changed; on a trace whose rows repeat
+no leading member it scans no lock entry alone.  Counts do not drift with the
+host as times do, so nothing here is timed."""
 
 import importlib.util
 import json
@@ -33,7 +35,7 @@ from vetokensim.scenario import scenario_from_dict
 
 from test_acceptance import _randomized_scenario
 from test_golden import _direct_lockers_scenario
-from test_trace_io import writer_encodes
+from test_trace_io import _compact, writer_encodes
 
 
 def _bench_workloads():
@@ -154,3 +156,39 @@ def test_the_writer_encodes_what_the_previous_row_does_not_hold():
     rows = sim.run_scenario(scenario_from_dict(_direct_lockers_scenario(48))).rows
     written = calls(trace, "canonical_json", lambda: list(trace.SimTrace({}, rows).lines()))
     assert written == 1 + writer_encodes(rows)  # the header, then what the rows do not share
+
+
+def _scans(path: str) -> int:
+    """The ``_scan`` calls of one pass over the trace file at ``path``."""
+    return calls(trace, "_scan", lambda: list(trace.SimTrace.read_ndjson(path)))
+
+
+def _changed_lock_entries(rows) -> int:
+    """The lock entries whose text is not the previous row's entry at the same
+    label and place in its label map."""
+    changed, last = 0, {}
+    for row in rows:
+        for label, entries in row["locks"].items():
+            before = [_compact(item) for item in last.get(label, {}).items()]
+            changed += sum(index >= len(before) or _compact(item) != before[index]
+                           for index, item in enumerate(entries.items()))
+        last = row["locks"]
+    return changed
+
+
+def test_a_read_scans_only_the_changed_lock_entries_alone(tmp_path):
+    path = str(tmp_path / "trace.ndjson")
+    run = sim.run_scenario(scenario_from_dict(_direct_lockers_scenario()))
+    run.write_ndjson(path)
+    # per row at most: the first changed member's key and value, the members
+    # before "locks" as one object, each of its two labels, and the rest
+    assert _scans(path) <= 6 * len(run.rows) + 2 * _changed_lock_entries(run.rows)
+
+
+def test_rows_that_repeat_no_leading_member_scan_no_lock_entry_alone(gauge_traces, tmp_path):
+    path = str(tmp_path / "trace.ndjson")
+    rows = gauge_traces[6].rows
+    gauge_traces[6].write_ndjson(path)
+    firsts = [_compact(row[min(row)]) for row in rows]
+    assert all(map(str.__ne__, firsts, firsts[1:]))  # no row repeats its first member
+    assert _scans(path) == 3 * len(rows)  # the first key, its value, and the rest in one scan
