@@ -118,29 +118,29 @@ class GaugeController:
         self.snapshot = (now, weights)
         return weights
 
-    def distribute_emissions(self, now: int) -> list[tuple[int, str, int]]:
-        """Mint this week's emission to each gauge's lp accounts, exactly."""
+    def distribute_emissions(self, now: int) -> dict[int, int]:
+        """Mint this week's emission to each gauge's lp accounts, exactly, and
+        return ``{gauge id: amount}`` for the gauges that got some, in id order.
+        A gauge's amount floors its weight's share of the schedule; the flooring
+        leftover goes to the largest weight, lowest id on ties."""
         if self.snapshot is None or self.snapshot[0] != now:
             raise GaugeError(f"no weight snapshot for epoch {now}")
         weights = self.snapshot[1]
         emission = self.schedule.amount_for(now)
         total = sum(weights.values())
         if emission == 0 or total == 0:
-            return []
-        per_gauge = {g: emission * num // total for g, num in weights.items()}
+            return {}
+        per_gauge = {g: emission * num // total for g, num in weights.items()}  # in id order, as added
         leftover = emission - sum(per_gauge.values())
         if leftover:
             top = max(weights, key=lambda g: (weights[g], -g))
             per_gauge[top] += leftover
-        events: list[tuple[int, str, int]] = []
-        for gauge_id in sorted(per_gauge):
-            amount = per_gauge[gauge_id]
-            if amount == 0:
-                continue
-            events.extend(self._mint_to_lps(gauge_id, amount))
-        return events
+        per_gauge = {g: amount for g, amount in per_gauge.items() if amount}
+        for gauge_id, amount in per_gauge.items():
+            self._mint_to_lps(gauge_id, amount)
+        return per_gauge
 
-    def _mint_to_lps(self, gauge_id: int, amount: int) -> list[tuple[int, str, int]]:
+    def _mint_to_lps(self, gauge_id: int, amount: int) -> None:
         lp_accounts = self.gauges[gauge_id]
         cuts = [amount * bps // BPS for _, bps in lp_accounts]
         # leftover base units go to the largest lp share, first listed on ties
@@ -148,9 +148,6 @@ class GaugeController:
         if leftover:
             top = max(range(len(cuts)), key=lambda i: (lp_accounts[i][1], -i))
             cuts[top] += leftover
-        events = []
         for (account, _), cut in zip(lp_accounts, cuts):
             if cut:
                 self.ledger.mint(self.emission_token, account, cut)
-                events.append((gauge_id, account, cut))
-        return events

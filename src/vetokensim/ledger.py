@@ -40,6 +40,12 @@ def canonical_json(value) -> str:
     return "".join(_encode(value, 0))
 
 
+def sha256_hex(text: str) -> str:
+    """The SHA-256 hex digest of ``text`` in UTF-8: every hash the package takes."""
+    import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def left_sum(values):
     """The left-to-right sum of ``values`` from int 0, so an empty sum is 0.
     Every float total in the package adds with it: the built-in ``sum()``
@@ -226,13 +232,12 @@ class Ledger:
 
     def digest(self) -> str:
         """Deterministic fingerprint of the full book, for trace rows."""
-        import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
         payload = {
             "balances": self.balances,
             "minted": self.total_minted,
             "escrow_held": self.escrow_held,
         }
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        return sha256_hex(canonical_json(payload))
 
 
 class PriceSeries:

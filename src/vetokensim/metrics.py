@@ -30,7 +30,7 @@ import sys
 from typing import Iterable, NamedTuple
 
 from .errors import MetricsError, ScenarioError
-from .ledger import left_sum
+from .ledger import BPS, left_sum
 from .scenario import AVENUES, Fields, _parse_gauge_id, _parse_ratio
 from .trace import SimTrace
 
@@ -495,7 +495,7 @@ class CostFold:
         self.paid: dict[str, float] = {}
         self.votes = dict.fromkeys(actors, ZERO)
         # direct-lock votes not yet in ``votes``: weight denominator -> sum of
-        # weight numerator times ballot bps, each sum over denominator * 10_000
+        # weight numerator times ballot bps, each sum over denominator * BPS
         self.pending: dict[str, dict[int, int]] = {actor: {} for actor in self.votes}
 
     def add(self, f: Fields) -> None:
@@ -521,7 +521,7 @@ class CostFold:
                             value = ballots.integer(actor, gauge, minimum=0)  # raises
                         bps += value
                     num, den = _parse_ratio(weights.root.get(actor)) or weights.ratio(actor, default="0")
-                    sums = pending[actor]  # the vote is num * bps / (den * 10_000)
+                    sums = pending[actor]  # the vote is num * bps / (den * BPS)
                     sums[den] = sums.get(den, 0) + num * bps
         elif avenue == "aggregator-lock" and f.object("round_finalized", default={}):
             total_num, total_den = f.ratio("round_finalized", "tally_total")
@@ -563,7 +563,7 @@ class CostFold:
         if sums:
             total = self.votes[actor]
             for weight_den, bps_num in sums.items():
-                total = _add(total, (bps_num, weight_den * 10_000))
+                total = _add(total, (bps_num, weight_den * BPS))
             sums.clear()
             self.votes[actor] = total
         num, den = self.votes[actor]

@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import ScenarioError, VeTokenSimError
-from .ledger import BPS, Token, base_units, canonical_json
+from .ledger import BPS, Token, base_units, canonical_json, sha256_hex
 
 
 MAX_SEED = 2**64 - 1
@@ -140,8 +140,7 @@ class ScenarioConfig(NamedTuple):
         }
 
     def digest(self) -> str:
-        import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
-        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
+        return sha256_hex(canonical_json(self.to_dict()))
 
 
 def _agent_dict(spec: AgentSpec) -> dict:

@@ -23,7 +23,7 @@ from .bribemarket import BribeMarket
 from .errors import SimulationError, VeTokenSimError
 from .escrow import Escrow
 from .gauges import EmissionSchedule, GaugeController
-from .ledger import Ledger, PriceSeries
+from .ledger import Ledger, PriceSeries, sha256_hex
 from .scenario import AgentSpec, ScenarioConfig
 from .trace import FORMAT_VERSION, SimTrace, _ratio_str
 
@@ -56,9 +56,7 @@ def _lock_entry(key: tuple) -> dict:
 
 
 def _noise_seed(seed: int, account: str, round_id: int) -> int:
-    import hashlib  # here, not at the top: only ``run`` hashes, and importing it loads OpenSSL
-    digest = hashlib.sha256(f"{seed}:{account}:{round_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return int(sha256_hex(f"{seed}:{account}:{round_id}")[:16], 16)  # the digest's first 8 bytes
 
 
 class World:
@@ -93,6 +91,8 @@ class World:
             round_length=config.round_length,
         )
         self.market = BribeMarket(self.ledger, self.aggregator, self.prices, config.bribe_escrow_account)
+        # each escrow by its trace label: lock events, ``escrow_weights`` and ``locks``
+        self.escrows = {"base": self.base_escrow, "governance": self.aggregator.gov_escrow}
         for gauge in config.gauges:
             self.controller.add_gauge(gauge.lp_accounts)
         # each gauge's trace key, by gauge id: ``str(g)`` builds a new string on every call
@@ -173,14 +173,14 @@ class World:
             key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
             row["actions"].append(_shared(self._round_votes, key, self._vote_entry))
         elif isinstance(action, LockAction):
-            base = action.escrow == "base"
-            escrow = self.base_escrow if base else self.aggregator.gov_escrow
+            label = "governance" if action.escrow == "gov" else action.escrow  # the schedule says "gov"
+            escrow = self.escrows[label]
             lock = escrow.lock(spec.account, action.amount, action.unlock_epoch, epoch)
             if lock is not None:
                 row["lock_events"].append(
                     {
                         "account": spec.account,
-                        "escrow": "base" if base else "governance",
+                        "escrow": label,
                         "amount": action.amount,
                         "unlock_epoch": lock.unlock_epoch,
                         "usd_cost": self.prices.usd_value(escrow.config.token, action.amount, epoch),
@@ -246,10 +246,7 @@ class World:
                     self._apply(spec, action, epoch, rnd, row)
             where = f"epoch {epoch}"
             # the epoch's locks are final: check their weights before a round divides them
-            row["escrow_weights"] = {
-                "base": _weight_strs(self.base_escrow, epoch),
-                "governance": _weight_strs(self.aggregator.gov_escrow, epoch),
-            }
+            row["escrow_weights"] = {label: _weight_strs(escrow, epoch) for label, escrow in self.escrows.items()}
 
             if closing is not None:
                 where = f"epoch {epoch}, round {closing.round_id}"
@@ -263,17 +260,13 @@ class World:
 
             if epoch % self.config.base_snapshot_cadence == 0:
                 weights = self.controller.take_snapshot(epoch)
-                emission_events = self.controller.distribute_emissions(epoch)
+                emissions = self.controller.distribute_emissions(epoch)
                 keys = self._gauge_keys
-                per_gauge: dict[str, int] = {}
-                for gauge_id, _, amount in emission_events:
-                    key = keys[gauge_id]
-                    per_gauge[key] = per_gauge.get(key, 0) + amount
                 total = sum(weights.values()) or 1  # no weight anywhere: every gauge reads "0"
                 row["snapshot"] = {
                     "relative_weights": {keys[g]: _ratio_str(n, total) for g, n in sorted(weights.items())},
-                    "emissions": per_gauge,
-                    "emission_total": sum(per_gauge.values()),
+                    "emissions": {keys[g]: amount for g, amount in emissions.items()},
+                    "emission_total": sum(emissions.values()),
                 }
 
             return self._row(row, self.ledger.assert_conservation())
@@ -352,7 +345,7 @@ class World:
                 a: _shared(entries, (l.amount, l.unlock_epoch, l.created_epoch), _lock_entry)
                 for a, l in sorted(escrow.locks.items())
             }
-            for label, escrow in (("base", self.base_escrow), ("governance", self.aggregator.gov_escrow))
+            for label, escrow in self.escrows.items()
         }
         controller = self.controller
         if self._base_votes_version != controller.allocations_version:

@@ -32,6 +32,35 @@ def shares(weights):
     return {g: Fraction(num, total) if total else Fraction(0) for g, num in weights.items()}
 
 
+def emitted(emission, split):
+    """Distribute ``emission`` over one-LP gauges ``lp0``, ``lp1``, ... voted
+    ``split`` bps at epoch 0; return each gauge's LP balance, which must be
+    what the call returned for it (a gauge with none is left out), in a
+    ledger that still conserves every token."""
+    ledger, escrow, controller = build(schedule_entries=[(0, 10, emission)])
+    for g in range(len(split)):
+        controller.add_gauge([(f"lp{g}", 10000)])
+    give_weight(ledger, escrow, "A", 300)
+    controller.vote_for_gauge_weights("A", list(enumerate(split)), 0)
+    controller.take_snapshot(0)
+    returned = controller.distribute_emissions(0)
+    balances = {g: ledger.balance(f"lp{g}", "CRV") for g in range(len(split))}
+    assert returned == {g: amount for g, amount in balances.items() if amount}
+    ledger.assert_conservation()
+    return balances
+
+
+def lp_split(emission, lp_accounts) -> dict[str, int]:
+    """Each LP's balance after ``emission`` goes to one gauge of ``lp_accounts``."""
+    ledger, escrow, controller = build(schedule_entries=[(0, 10, emission)])
+    controller.add_gauge(lp_accounts)
+    give_weight(ledger, escrow, "A", 10)
+    controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
+    controller.take_snapshot(0)
+    assert controller.distribute_emissions(0) == {0: emission}
+    return {account: ledger.balance(account, "CRV") for account, _ in lp_accounts}
+
+
 class TestAddGauge:
     def test_first_id_is_zero(self):
         _, _, controller = build()
@@ -152,11 +181,12 @@ class TestRelativeWeights:
         assert shares(weights) == {0: Fraction(1, 4), 1: Fraction(3, 4)}
 
     def test_no_votes_all_zero_and_no_emissions(self):
-        _, _, controller = build(schedule_entries=[(0, 10, U(1000))])
+        ledger, _, controller = build(schedule_entries=[(0, 10, U(1000))])
         controller.add_gauge([("P", 10000)])
         assert controller.relative_weights(0) == {0: 0}
         controller.take_snapshot(0)
-        assert controller.distribute_emissions(0) == []
+        assert controller.distribute_emissions(0) == {}
+        assert ledger.total_minted["CRV"] == 0
 
     def test_matches_brute_force_double_loop(self):
         # oracle: independent nested summation over voters x gauges
@@ -198,22 +228,17 @@ class TestDistributeEmissions:
         controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
         controller.vote_for_gauge_weights("B", [(1, 10000)], 0)
         controller.take_snapshot(0)
-        events = controller.distribute_emissions(0)
-        assert events == [(0, "P", U(250)), (1, "Q", U(750))]
-        assert ledger.balance("P", "CRV") == U(250)
+        assert controller.distribute_emissions(0) == {0: U(250), 1: U(750)}
+        assert (ledger.balance("P", "CRV"), ledger.balance("Q", "CRV")) == (U(250), U(750))
 
     def test_remainder_goes_to_largest_weight_lowest_id(self):
         # oracle: exact rational split of 100 base units at weights 1/3 each is
         # 33.33..; flooring gives 33 apiece and the remainder lands on gauge 0
-        ledger, escrow, controller = build(schedule_entries=[(0, 10, 100)])
-        for g in range(3):
-            controller.add_gauge([(f"lp{g}", 10000)])
-        give_weight(ledger, escrow, "A", 300)
-        controller.vote_for_gauge_weights("A", [(0, 3333), (1, 3333), (2, 3333)], 0)
-        controller.take_snapshot(0)
-        events = controller.distribute_emissions(0)
-        assert events == [(0, "lp0", 34), (1, "lp1", 33), (2, "lp2", 33)]
-        assert sum(amount for _, _, amount in events) == 100
+        assert emitted(100, (3333, 3333, 3333)) == {0: 34, 1: 33, 2: 33}
+
+    def test_remainder_skips_a_smaller_weight_with_a_lower_id(self):
+        # 101 at weights 2/10, 4/10, 4/10 floors to 20, 40, 40; the 1 left goes to gauge 1
+        assert emitted(101, (2000, 4000, 4000)) == {0: 20, 1: 41, 2: 40}
 
     def test_requires_snapshot(self):
         _, _, controller = build(schedule_entries=[(0, 10, 100)])
@@ -222,14 +247,15 @@ class TestDistributeEmissions:
             controller.distribute_emissions(0)
 
     def test_lp_split_with_remainder(self):
-        ledger, escrow, controller = build(schedule_entries=[(0, 10, 101)])
-        controller.add_gauge([("P", 6000), ("Q", 4000)])
-        give_weight(ledger, escrow, "A", 10)
-        controller.vote_for_gauge_weights("A", [(0, 10000)], 0)
-        controller.take_snapshot(0)
-        events = controller.distribute_emissions(0)
         # 101 * 0.6 = 60.6 -> 60, 101 * 0.4 = 40.4 -> 40, remainder 1 to P
-        assert events == [(0, "P", 61), (0, "Q", 40)]
+        assert lp_split(101, [("P", 6000), ("Q", 4000)]) == {"P": 61, "Q": 40}
+
+    def test_lp_remainder_goes_to_the_larger_share_listed_second(self):
+        assert lp_split(101, [("Q", 4000), ("P", 6000)]) == {"Q": 40, "P": 61}
+
+    def test_lp_remainder_goes_to_the_first_listed_of_equal_shares(self):
+        # 101 * 0.5 = 50.5 -> 50 apiece, remainder 1 to Q, listed first
+        assert lp_split(101, [("Q", 5000), ("P", 5000)]) == {"Q": 51, "P": 50}
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,17 +264,9 @@ class TestDistributeEmissions:
     splits=st.lists(st.integers(min_value=0, max_value=2500), min_size=2, max_size=4),
 )
 def test_emission_conservation(emission, splits):
-    ledger, escrow, controller = build(schedule_entries=[(0, 1, emission)])
-    for g in range(len(splits)):
-        controller.add_gauge([(f"lp{g}", 10000)])
-    give_weight(ledger, escrow, "A", 100)
     if sum(splits) == 0:
         return
-    controller.vote_for_gauge_weights("A", list(enumerate(splits)), 0)
-    controller.take_snapshot(0)
-    events = controller.distribute_emissions(0)
-    assert sum(amount for _, _, amount in events) == emission
-    ledger.assert_conservation()
+    assert sum(emitted(emission, splits).values()) == emission
 
 
 class TestSharesToBps:

@@ -42,3 +42,16 @@ def test_trace_readers_import_only_scenario_and_trace(module, allowed):
 
 def test_the_scenario_parser_imports_only_errors_and_ledger():
     assert package_imports("scenario") == {"errors", "ledger"}
+
+
+def test_only_the_ledger_imports_hashlib():
+    # ``ledger.sha256_hex`` is the package's one hash, imported lazily (see ``test_cli.py``)
+    def imports_hashlib(module: str) -> bool:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.Import) and any(alias.name == "hashlib" for alias in node.names):
+                return True
+            if isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                return True
+        return False
+
+    assert [module for module in MODULES if imports_hashlib(module)] == ["ledger"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -8,7 +9,7 @@ import pytest
 from vetokensim.errors import GaugeError, ScenarioError, SimulationError
 from vetokensim.gauges import GaugeController
 from vetokensim.scenario import load_scenario, packaged_scenarios, scenario_from_dict
-from vetokensim.sim import World, run_scenario
+from vetokensim.sim import World, _noise_seed, run_scenario
 from vetokensim.trace import SimTrace
 
 from conftest import LONG_DIGITS, U, make_scenario
@@ -407,6 +408,14 @@ class TestBaseVotesSharing:
         trace = run_scenario(_moving_favourite())
         favourites = [row["base_votes"]["b-promo"] for row in trace]
         assert favourites == [{"0": 10000}] * 3 + [{"1": 10000}] + [{"0": 10000}] * 3 + [{"1": 10000}]
+
+
+@pytest.mark.parametrize("seed, account, round_id", [
+    (0, "a", 0), (7, "follower-a", 3), (424242, "frax", 12), (2**64 - 1, "lp0", 499),
+])
+def test_noise_seed_is_the_first_eight_digest_bytes(seed, account, round_id):
+    digest = hashlib.sha256(f"{seed}:{account}:{round_id}".encode()).digest()
+    assert _noise_seed(seed, account, round_id) == int.from_bytes(digest[:8], "big")
 
 
 class TestTraceIO:
