@@ -1,9 +1,14 @@
 """Behavioral strategies that turn a per-round observation into actions.
 
+An agent's lock schedule is not a strategy: ``World`` applies each entry at
+its epoch, in listed order, just before the actions ``decide`` returns, and
+counts its weight in the agent's observation.  ``decide`` returns only
+bribes, meta votes and base votes.
+
 Strategies
 ----------
 PassiveLocker
-    Works its lock/deposit schedule and never votes.
+    Only its lock/deposit schedule acts; it never votes.
 FixedAllocator
     Casts the same meta ballot every round it has weight.
 BribeFollowerGreedy
@@ -41,35 +46,24 @@ from .scenario import AgentSpec
 class Observation(NamedTuple):
     """Public state visible to an agent at decision time.
 
-    Pending ballots of other agents are never included.  Own weights are
-    evaluated at the current round's close epoch, matching how ballots will
-    be counted.  A tuple, so its fields cannot be reassigned, and one is cheap
-    to build for every agent in every epoch.
+    Pending ballots of other agents are never included.  Own weights count
+    the weight held plus that of the agent's locks due this epoch, which
+    ``World`` applies after the observation: the governance weight is taken
+    at the current round's close epoch, as the ballot will be counted, and
+    the base weight at this epoch.  A tuple, so its fields cannot be
+    reassigned, and one is cheap to build for every agent in every epoch.
     """
 
     epoch: int
     round_id: int
     round_open_epoch: int
-    round_close_epoch: int
     bribes_usd: dict[int, float]
     prev_round_weights: dict[int, float]
     own_gov_weight_at_close: float
     own_base_weight: float
     active_gauges: tuple[int, ...]
     token_prices: dict[str, float]
-    gov_max_lock_weeks: int
-    base_max_lock_weeks: int
     noise_seed: int = 0
-
-
-class LockAction(NamedTuple):
-    escrow: str  # "base" | "gov"
-    amount: int
-    unlock_epoch: int
-
-
-class DepositAction(NamedTuple):
-    amount: int
 
 
 class BribeAction(NamedTuple):
@@ -219,31 +213,15 @@ def _usd_to_units(usd: float, price: float) -> int:
 
 
 def decide(spec: AgentSpec, obs: Observation) -> list:
-    """Pure strategy evaluation: (spec, observation) -> ordered action list."""
-    actions: list = []
-    # added weight as integer numerators over each escrow's max_lock_weeks * ONE
-    gov_added = 0
-    base_added = 0
-    for entry in spec.schedule_by_epoch.get(obs.epoch, ()):
-        if entry.kind == "deposit":
-            actions.append(DepositAction(entry.amount))
-            continue
-        unlock = obs.epoch + entry.weeks
-        actions.append(LockAction(entry.kind, entry.amount, unlock))
-        if entry.kind == "gov":
-            gov_added += entry.amount * max(0, unlock - obs.round_close_epoch)
-        else:
-            base_added += entry.amount * max(0, unlock - obs.epoch)
-
-    try:
-        gov_weight = obs.own_gov_weight_at_close + gov_added / (obs.gov_max_lock_weeks * ONE)
-        base_weight = obs.own_base_weight + base_added / (obs.base_max_lock_weeks * ONE)
-    except OverflowError:
-        raise AgentError("the weight of its new locks overflows a float") from None
-
+    """Pure strategy evaluation: (spec, observation) -> ordered action list of
+    bribes, then a meta vote, then a base vote.  The agent's lock schedule is
+    not read here: ``World`` applies each due entry just before these actions,
+    and the observed own weights already count it."""
     if spec.strategy == "PassiveLocker":
-        return actions
+        return []
 
+    actions: list = []
+    gov_weight = obs.own_gov_weight_at_close
     ballot: dict[int, int] = {}  # the meta ballot {gauge: bps}; an empty one is not cast
     if spec.strategy == "FixedAllocator":
         ballot = dict(spec.allocation)
@@ -283,6 +261,6 @@ def decide(spec: AgentSpec, obs: Observation) -> list:
     if gov_weight > 0 and ballot:
         ballot = _apply_noise(ballot, obs, spec.noise)
         actions.append(MetaVoteAction(tuple(sorted(ballot.items()))))
-    if spec.strategy == "SelfPromoter" and base_weight > 0:
+    if spec.strategy == "SelfPromoter" and obs.own_base_weight > 0:
         actions.append(BaseVoteAction(((favourite, BPS),)))
     return actions

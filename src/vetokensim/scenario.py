@@ -38,6 +38,7 @@ STRATEGIES = (
 
 class LockEntry(NamedTuple):
     """One schedule item: create/extend a lock, or deposit into the aggregator.
+    ``World._apply`` applies it at its epoch, before the agent's strategy acts.
 
     kind is "base", "gov" or "deposit"; weeks is the lock duration from the
     entry's epoch (ignored for deposits).  A zero amount re-extends an

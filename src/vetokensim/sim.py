@@ -1,7 +1,8 @@
 """The deterministic epoch loop.
 
 Each epoch runs a fixed phase order: agents observe and act (in ascending
-account order), the round before the one that opens this epoch is finalized
+account order; each agent's due schedule entries, then its strategy's
+actions), the round before the one that opens this epoch is finalized
 and its bribes settled, then the weekly weight snapshot is taken and emissions
 distributed.  Every epoch fills in one full trace row; re-running the same
 scenario (same seed) reproduces the trace byte for byte.
@@ -10,21 +11,13 @@ scenario (same seed) reproduces the trace byte for byte.
 from __future__ import annotations
 
 from .aggregator import Aggregator
-from .agents import (
-    BaseVoteAction,
-    BribeAction,
-    DepositAction,
-    LockAction,
-    MetaVoteAction,
-    Observation,
-    decide,
-)
+from .agents import BaseVoteAction, BribeAction, MetaVoteAction, Observation, decide
 from .bribemarket import BribeMarket
-from .errors import SimulationError, VeTokenSimError
+from .errors import AgentError, SimulationError, VeTokenSimError
 from .escrow import Escrow
 from .gauges import EmissionSchedule, GaugeController
 from .ledger import Ledger, PriceSeries, sha256_hex
-from .scenario import AgentSpec, ScenarioConfig
+from .scenario import AgentSpec, LockEntry, ScenarioConfig
 from .trace import FORMAT_VERSION, SimTrace, _ratio_str
 
 
@@ -142,20 +135,32 @@ class World:
 
     def _observation(self, spec: AgentSpec, epoch: int, rnd, bribes, prev, prices_now, active) -> Observation:
         gov_escrow, base_escrow = self.aggregator.gov_escrow, self.base_escrow
+        close = rnd.close_epoch
+        # the weight of the locks due this epoch, over each escrow's denominator: the governance
+        # weight at the round's close, as the ballot is counted, and the base weight now
+        gov_added = base_added = 0
+        for entry in spec.schedule_by_epoch.get(epoch, ()):
+            if entry.kind == "gov":
+                gov_added += entry.amount * max(0, epoch + entry.weeks - close)
+            elif entry.kind == "base":
+                base_added += entry.amount * entry.weeks
+        gov_den, base_den = gov_escrow.weight_denominator, base_escrow.weight_denominator
+        try:
+            gov_weight = gov_escrow.weight_numerator(spec.account, close) / gov_den + gov_added / gov_den
+            base_weight = base_escrow.weight_numerator(spec.account, epoch) / base_den + base_added / base_den
+        except OverflowError:
+            raise AgentError("the weight of its new locks overflows a float") from None
         # positional, in ``Observation``'s field order: keywords cost a lookup each on every build
         return Observation(
             epoch,
             rnd.round_id,
             rnd.open_epoch,
-            rnd.close_epoch,
             dict(bribes),
             dict(prev),
-            gov_escrow.weight_numerator(spec.account, rnd.close_epoch) / gov_escrow.weight_denominator,
-            base_escrow.weight_numerator(spec.account, epoch) / base_escrow.weight_denominator,
+            gov_weight,
+            base_weight,
             active,
             dict(prices_now),
-            gov_escrow.config.max_lock_weeks,
-            base_escrow.config.max_lock_weeks,
             # only ``_apply_noise`` reads the seed, and only when there is noise
             _noise_seed(self.config.rng_seed, spec.account, rnd.round_id) if spec.noise else 0,
         )
@@ -172,10 +177,10 @@ class World:
             self.aggregator.cast_meta_vote(spec.account, rnd.round_id, list(action.allocation), epoch)
             key = ("meta_vote", spec.account, rnd.round_id, action.allocation)
             row["actions"].append(_shared(self._round_votes, key, self._vote_entry))
-        elif isinstance(action, LockAction):
-            label = "governance" if action.escrow == "gov" else action.escrow  # the schedule says "gov"
+        elif isinstance(action, LockEntry) and action.kind != "deposit":  # a schedule entry due this epoch
+            label = "governance" if action.kind == "gov" else action.kind  # the schedule says "gov"
             escrow = self.escrows[label]
-            lock = escrow.lock(spec.account, action.amount, action.unlock_epoch, epoch)
+            lock = escrow.lock(spec.account, action.amount, epoch + action.weeks, epoch)
             if lock is not None:
                 row["lock_events"].append(
                     {
@@ -186,7 +191,7 @@ class World:
                         "usd_cost": self.prices.usd_value(escrow.config.token, action.amount, epoch),
                     }
                 )
-        elif isinstance(action, DepositAction):
+        elif isinstance(action, LockEntry):  # a deposit
             self.aggregator.deposit_and_lock(spec.account, action.amount, epoch)
             row["deposit_events"].append(
                 {
@@ -241,8 +246,11 @@ class World:
             }
             for spec in self.config.agents:  # sorted by account
                 where = f"epoch {epoch}, agent {spec.account}"
-                obs = self._observation(spec, epoch, rnd, bribes, prev, prices_now, active)
-                for action in decide(spec, obs):
+                actions = decide(spec, self._observation(spec, epoch, rnd, bribes, prev, prices_now, active))
+                # the due entries go before the actions, so a lock due now backs this epoch's ballot
+                for entry in spec.schedule_by_epoch.get(epoch, ()):
+                    self._apply(spec, entry, epoch, rnd, row)
+                for action in actions:
                     self._apply(spec, action, epoch, rnd, row)
             where = f"epoch {epoch}"
             # the epoch's locks are final: check their weights before a round divides them

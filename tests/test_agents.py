@@ -9,8 +9,6 @@ from vetokensim import agents
 from vetokensim.agents import (
     BaseVoteAction,
     BribeAction,
-    DepositAction,
-    LockAction,
     MetaVoteAction,
     Observation,
     _usd_to_units,
@@ -20,7 +18,14 @@ from vetokensim.agents import (
 from vetokensim.errors import AgentError
 from vetokensim.gauges import BPS
 from vetokensim.ledger import ONE, left_sum
-from vetokensim.scenario import AgentSpec, LockEntry, load_scenario, packaged_scenarios, scenario_from_dict
+from vetokensim.scenario import (
+    STRATEGIES,
+    AgentSpec,
+    LockEntry,
+    load_scenario,
+    packaged_scenarios,
+    scenario_from_dict,
+)
 from vetokensim.sim import run_scenario
 
 from conftest import U
@@ -69,15 +74,12 @@ def obs(**overrides) -> Observation:
         epoch=0,
         round_id=0,
         round_open_epoch=0,
-        round_close_epoch=2,
         bribes_usd={},
         prev_round_weights={},
         own_gov_weight_at_close=0.0,
         own_base_weight=0.0,
         active_gauges=(0, 1, 2),
         token_prices={"BRIBE-USD": 1.0, "CRV": 1.0, "CVX": 1.0},
-        gov_max_lock_weeks=16,
-        base_max_lock_weeks=208,
         noise_seed=12345,
     )
     defaults.update(overrides)
@@ -299,9 +301,8 @@ class TestObservation:
     def test_field_order(self):
         # ``World._observation`` builds an observation positionally, in this order
         assert Observation._fields == (
-            "epoch", "round_id", "round_open_epoch", "round_close_epoch", "bribes_usd", "prev_round_weights",
-            "own_gov_weight_at_close", "own_base_weight", "active_gauges", "token_prices", "gov_max_lock_weeks",
-            "base_max_lock_weeks", "noise_seed",
+            "epoch", "round_id", "round_open_epoch", "bribes_usd", "prev_round_weights", "own_gov_weight_at_close",
+            "own_base_weight", "active_gauges", "token_prices", "noise_seed",
         )
 
     @pytest.mark.parametrize("name", Observation._fields)
@@ -408,11 +409,6 @@ NO_META_VOTE = {
     "FixedAllocator without governance weight": (
         {"strategy": "FixedAllocator", "allocation": ((0, 6000), (2, 4000))}, {}, [],
     ),
-    "FixedAllocator whose new lock ends before the close": (
-        {"strategy": "FixedAllocator", "allocation": ((0, BPS),),
-         "lock_schedule": (LockEntry(epoch=0, kind="gov", amount=U(5), weeks=2),)},
-        {}, [LockAction("gov", U(5), 2)],
-    ),
     "FixedAllocator with an empty allocation": ({"strategy": "FixedAllocator"}, {"own_gov_weight_at_close": 5.0}, []),
     **{
         f"{strategy} {title}": ({"strategy": strategy}, observed, [])
@@ -470,48 +466,17 @@ class TestUsdToUnits:
 
 
 class TestSchedulesAndNoise:
-    def test_schedule_emits_lock_and_deposit_actions(self):
-        spec = AgentSpec(
-            account="p",
-            strategy="PassiveLocker",
-            lock_schedule=(
-                LockEntry(epoch=0, kind="base", amount=U(5), weeks=208),
-                LockEntry(epoch=0, kind="deposit", amount=U(7)),
-                LockEntry(epoch=3, kind="gov", amount=U(1), weeks=16),
-            ),
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_decide_does_not_read_the_schedule(self, strategy):
+        # ``World`` applies the schedule; ``decide`` sees it only through the observed weights
+        plain = AgentSpec(account="s", strategy=strategy, own_gauges=(0,), allocation=((0, BPS),))
+        scheduled = AgentSpec(
+            account="s", strategy=strategy, own_gauges=(0,), allocation=((0, BPS),),
+            lock_schedule=(LockEntry(epoch=0, kind="gov", amount=U(100), weeks=16),
+                           LockEntry(epoch=0, kind="deposit", amount=U(7))),
         )
-        actions = decide(spec, obs())
-        assert LockAction("base", U(5), 208) in actions
-        assert DepositAction(U(7)) in actions
-        assert len(actions) == 2  # the epoch-3 entry stays dormant
-
-    def test_unsorted_schedule_acts_in_listed_order_per_epoch(self):
-        entries = (
-            LockEntry(epoch=4, kind="gov", amount=U(1), weeks=16),
-            LockEntry(epoch=2, kind="deposit", amount=U(3)),
-            LockEntry(epoch=4, kind="deposit", amount=U(2)),
-            LockEntry(epoch=2, kind="base", amount=U(4), weeks=10),
-        )
-        spec = AgentSpec(account="p", strategy="PassiveLocker", lock_schedule=entries)
-        for epoch in range(6):
-            expected = []
-            for entry in entries:
-                if entry.epoch == epoch:
-                    expected.append(
-                        DepositAction(entry.amount)
-                        if entry.kind == "deposit"
-                        else LockAction(entry.kind, entry.amount, epoch + entry.weeks)
-                    )
-            assert decide(spec, obs(epoch=epoch, round_close_epoch=epoch + 2)) == expected
-
-    def test_same_epoch_gov_lock_enables_ballot(self):
-        spec = AgentSpec(
-            account="e",
-            strategy="BribeFollowerEquilibrium",
-            lock_schedule=(LockEntry(epoch=0, kind="gov", amount=U(100), weeks=16),),
-        )
-        observation = obs(bribes_usd={0: 50.0, 1: 50.0})
-        assert ballot_of(decide(spec, observation)) == {0: 5000, 1: 5000}
+        for observation in (obs(), obs(bribes_usd={0: 5.0}, own_gov_weight_at_close=2.0, own_base_weight=1.0)):
+            assert decide(scheduled, observation) == decide(plain, observation)
 
     def test_noise_diverts_exact_fraction(self):
         spec = AgentSpec(account="g", strategy="BribeFollowerGreedy", noise=0.15)

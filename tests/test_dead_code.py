@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, every
-module-level private function or class is used somewhere in the package, and
-every private attribute stored on ``self`` is read somewhere in the package."""
+module-level private function or class is used somewhere in the package,
+every private attribute stored on ``self`` is read somewhere in the package,
+and the strategies read every field of their observation."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,14 @@ def test_every_private_attribute_stored_is_read():
     stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)
               and getattr(node.value, "id", None) == "self" and node.attr.startswith("_")}
     assert sorted(stored - read) == []  # state that no code reads
+
+
+def test_agents_reads_every_observation_field():
+    # ``World._observation`` fills each field for every agent in every epoch; ``agents`` calls it ``obs``
+    tree = TREES["agents.py"]
+    (observation,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Observation"]
+    fields = [node.target.id for node in observation.body if isinstance(node, ast.AnnAssign)]
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "obs"}
+    assert fields  # the walk found the NamedTuple's fields
+    assert [field for field in fields if field not in read] == []
